@@ -177,9 +177,6 @@ class RandomMatrixModel:
         n = self.n
         return RandomMatrixModel(tuple(tuple(self.entries[i][j] for i in range(n)) for j in range(n)))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_batch(rng, 1)[0]
-
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` realisations, (count, n, n). Entry order is fixed
         row-major so a given generator state always yields the same batch."""

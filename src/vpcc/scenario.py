@@ -10,11 +10,18 @@ resulting convex program. With
 samples, any solution satisfies the chance constraint at level alpha with
 confidence 1 - beta. The sample count uses the ceiling of the bound; when
 the ceiling differs from the floor the report notes both values, since the
-bound is often quoted rounded down.
+bound is often quoted rounded down. The ``+ 2`` is Calafiore and Campi's
+decision dimension d = N * m (IEEE TAC 2006) at its two-bus value N = 1,
+m = 2; any larger d needs more samples than this bound gives.
 
-Sampling uses one counter-based child stream per scenario, so results are a
-pure function of the seed and scenarios can be drawn in parallel without
-changing the outcome.
+Stream contract: scenario s draws from its own child stream
+``child_seed(seed, s)``, so a shorter draw is a prefix of a longer one, and
+takes its random entries time-ascending, row-major within each A(t). A
+weibull or finite entry consumes one uniform double, a beta entry two
+unit-scale Gamma draws (shape a, then b), a constant or deterministic entry
+nothing. The transforms from draws to entries are elementwise, so drawing
+each run of uniforms in one call and transforming each entry across all
+scenarios at once gives the bits of drawing entry by entry.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from . import conic
 from .acs import Cost
 from .conic import ConicProgram
-from .errors import DomainError
+from .errors import DomainError, SamplerMissing
 from .moments import SystemSpec
 from .report import (
     STATUS_ERROR,
@@ -80,21 +87,47 @@ def sample_count_note(alpha: float, beta: float) -> str:
 
 
 def sample_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray:
-    """(count, N, n, n) realisations, one child stream per scenario."""
+    """(count, N, n, n) realisations, one child stream per scenario; one
+    generator call per run of uniforms, one transform per entry."""
     out = np.empty((count, spec.horizon, spec.n, spec.n))
+    out[:] = [model.mean_matrix for model in spec.a_models]
+    entries, calls = [], []  # calls: [first draw, draws, Gamma shape or None]
+    width = 0
+    for t, model in enumerate(spec.a_models):
+        for i, row in enumerate(model.entries):
+            for j, entry in enumerate(row):
+                if entry.kind == "deterministic":
+                    continue
+                if entry.dist is None:
+                    raise SamplerMissing("random entry carries moments only; attach a DistributionSpec to sample")
+                entries.append((t, i, j, entry.dist, width))
+                for shape in entry.dist.draws:
+                    if shape is None and calls and calls[-1][2] is None:
+                        calls[-1][1] += 1
+                    else:
+                        calls.append([width, 1, shape])
+                    width += 1
+    draws = np.empty((width, count))
     for s in range(count):
         rng = np.random.default_rng(child_seed(seed, s))
-        for t, model in enumerate(spec.a_models):
-            out[s, t] = model.sample(rng)
+        for first, length, shape in calls:
+            if shape is None:
+                draws[first : first + length, s] = rng.random(length)
+            else:
+                draws[first, s] = rng.standard_gamma(shape)
+    for t, i, j, dist, first in entries:
+        out[:, t, i, j] = dist.transform(draws[first : first + len(dist.draws)])
     return out
 
 
 def _scenario_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Affine constraint rows in the stacked input, one per (scenario, row).
+    """Affine constraint rows in the stacked input, scenario-major.
 
     Per scenario the state is x(k) = Phi_k x0 + R_k U with
     Phi_k = A(k-1) Phi_{k-1} and R_k = A(k-1) R_{k-1} + (injection of B into
-    the u(k-1) block), so each constraint row pulls one row out of R_k.
+    the u(k-1) block), so each constraint row pulls one row out of R_k. All
+    scenarios advance together as stacked matrix products, whose per-scenario
+    BLAS calls are the ones a single scenario would make.
     """
     n, m, N = spec.n, spec.m, spec.horizon
     rows_by_k: dict[int, list] = {}
@@ -103,20 +136,21 @@ def _scenario_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.nda
     max_k = max(rows_by_k)
 
     count = matrices.shape[0]
-    coef_rows = []
-    rhs_vals = []
-    for s in range(count):
-        phi = spec.x0.copy()
-        reach = np.zeros((n, N * m))
-        for t in range(max_k):
-            a_t = matrices[s, t]
-            phi = a_t @ phi
-            reach = a_t @ reach
-            reach[:, t * m : (t + 1) * m] += spec.B
-            for row in rows_by_k.get(t + 1, ()):
-                coef_rows.append(row.G @ reach)
-                rhs_vals.append(row.h - float(row.G @ phi))
-    return np.asarray(coef_rows), np.asarray(rhs_vals)
+    phi = np.tile(spec.x0[:, None], (count, 1, 1))
+    reach = np.zeros((count, n, N * m))
+    coef_blocks = []
+    rhs_blocks = []
+    for t in range(max_k):
+        a_t = matrices[:, t]
+        phi = a_t @ phi
+        reach = a_t @ reach
+        reach[:, :, t * m : (t + 1) * m] += spec.B
+        for row in rows_by_k.get(t + 1, ()):
+            coef_blocks.append(row.G @ reach)
+            rhs_blocks.append(row.h - (row.G @ phi)[:, 0])
+    coef = np.stack(coef_blocks, axis=1).reshape(-1, N * m)
+    rhs = np.stack(rhs_blocks, axis=1).reshape(-1)
+    return coef, rhs
 
 
 def solve_scenario(

@@ -115,28 +115,44 @@ class DistributionSpec:
 
     # -- sampling -------------------------------------------------------
 
+    @property
+    def draws(self) -> tuple:
+        """One variate's raw draws in stream order: None for a uniform
+        double, a number for a unit-scale Gamma draw of that shape."""
+        if self.family == "beta":
+            return self.params
+        if self.family == "constant":
+            return ()
+        return (None,)
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` transformed variates from ``rng``."""
+        """Draw ``count`` transformed variates from ``rng``: every first
+        draw of the batch, then every second one."""
         if count < 1:
             raise DomainError("sample count must be >= 1")
+        raw = np.empty((len(self.draws), count))
+        for d, shape in enumerate(self.draws):
+            raw[d] = rng.random(count) if shape is None else rng.standard_gamma(shape, count)
+        return self.transform(raw)
+
+    def transform(self, draws: np.ndarray) -> np.ndarray:
+        """Variates from raw draws of shape (len(self.draws), count), one
+        column per variate: inverse CDF or Gamma ratio, then the power."""
         if self.family == "weibull":
             scale, shape = self.params
-            u = rng.random(count)
-            base = scale * (-np.log1p(-u)) ** (1.0 / shape)
+            base = scale * (-np.log1p(-draws[0])) ** (1.0 / shape)
         elif self.family == "beta":
-            a, b = self.params
-            g1 = rng.gamma(a, 1.0, count)
-            g2 = rng.gamma(b, 1.0, count)
+            g1, g2 = draws
             base = g1 / (g1 + g2)
         elif self.family == "finite":
             values, probs = self.params
             edges = np.cumsum(probs)
-            idx = np.searchsorted(edges, rng.random(count), side="right")
+            idx = np.searchsorted(edges, draws[0], side="right")
             idx = np.minimum(idx, len(values) - 1)
             base = np.asarray(values, dtype=float)[idx]
         else:
             (value,) = self.params
-            base = np.full(count, value, dtype=float)
+            base = np.full(draws.shape[1], value, dtype=float)
         if self.power == 1:
             return base
         return base**self.power

@@ -1,0 +1,83 @@
+"""Per-scenario reference for the batched scenario sampler and row assembly.
+
+``oracle_state_matrices`` draws every random entry of every scenario with its
+own generator call, scenario by scenario, time-ascending and row-major, the
+way the stream contract in ``vpcc.scenario`` is stated. ``oracle_variate``
+restates each family's sampler for a single variate, so the reference shares
+no sampling code with the library. ``oracle_rows`` propagates one scenario at
+a time with 1-D products.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from vpcc.errors import SamplerMissing
+from vpcc.moments import SystemSpec
+from vpcc.stochastics import DistributionSpec, child_seed
+
+
+def oracle_variate(dist: DistributionSpec, rng: np.random.Generator) -> float:
+    """One transformed variate, drawn with ``count = 1`` calls."""
+    if dist.family == "weibull":
+        scale, shape = dist.params
+        u = rng.random(1)
+        base = scale * (-np.log1p(-u)) ** (1.0 / shape)
+    elif dist.family == "beta":
+        a, b = dist.params
+        g1 = rng.gamma(a, 1.0, 1)
+        g2 = rng.gamma(b, 1.0, 1)
+        base = g1 / (g1 + g2)
+    elif dist.family == "finite":
+        values, probs = dist.params
+        edges = np.cumsum(probs)
+        idx = np.searchsorted(edges, rng.random(1), side="right")
+        idx = np.minimum(idx, len(values) - 1)
+        base = np.asarray(values, dtype=float)[idx]
+    else:
+        (value,) = dist.params
+        base = np.full(1, value, dtype=float)
+    if dist.power != 1:
+        base = base**dist.power
+    return base[0]
+
+
+def oracle_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray:
+    """(count, N, n, n) realisations, one entry at a time."""
+    out = np.empty((count, spec.horizon, spec.n, spec.n))
+    for s in range(count):
+        rng = np.random.default_rng(child_seed(seed, s))
+        for t, model in enumerate(spec.a_models):
+            for i, row in enumerate(model.entries):
+                for j, entry in enumerate(row):
+                    if entry.kind == "deterministic":
+                        out[s, t, i, j] = entry.mean
+                    elif entry.dist is None:
+                        raise SamplerMissing("random entry carries moments only")
+                    else:
+                        out[s, t, i, j] = oracle_variate(entry.dist, rng)
+    return out
+
+
+def oracle_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Affine constraint rows in the stacked input, one per (scenario, row)."""
+    n, m, N = spec.n, spec.m, spec.horizon
+    rows_by_k: dict[int, list] = {}
+    for row in rows:
+        rows_by_k.setdefault(int(row.k), []).append(row)
+    max_k = max(rows_by_k)
+
+    coef_rows = []
+    rhs_vals = []
+    for s in range(matrices.shape[0]):
+        phi = spec.x0.copy()
+        reach = np.zeros((n, N * m))
+        for t in range(max_k):
+            a_t = matrices[s, t]
+            phi = a_t @ phi
+            reach = a_t @ reach
+            reach[:, t * m : (t + 1) * m] += spec.B
+            for row in rows_by_k.get(t + 1, ()):
+                coef_rows.append(row.G @ reach)
+                rhs_vals.append(row.h - float(row.G @ phi))
+    return np.asarray(coef_rows), np.asarray(rhs_vals)

@@ -10,8 +10,6 @@ from vpcc import acs, conic
 from vpcc.conic import ConicProgram, SocRow, SolverOptions, solve, solve_reference
 from vpcc.errors import DomainError
 
-cvxpy = pytest.importorskip("cvxpy")
-
 
 def no_lin(d):
     return dict(A_u=np.zeros((0, d)), b_u=np.zeros(0))
@@ -145,6 +143,12 @@ class TestSerialisation:
 
 
 class TestCrossValidation:
+    """Against ``solve_reference``, which needs cvxpy."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_cvxpy(self):
+        pytest.importorskip("cvxpy")
+
     def test_random_programs_match_reference(self):
         rng = np.random.default_rng(123)
         for _ in range(10):

@@ -8,16 +8,57 @@ import pytest
 import vpcc
 from vpcc.acs import Cost
 from vpcc.errors import DomainError, SamplerMissing
+from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
 from vpcc.reformulate import RowSet
 from vpcc.scenario import (
     ScenarioConfig,
+    _scenario_rows,
     required_samples,
     sample_count_note,
     sample_state_matrices,
     solve_scenario,
 )
+from vpcc.stochastics import DistributionSpec, beta_dist, finite_support, weibull
 
 from conftest import deterministic_spec, scalar_iid_spec
+from scenario_oracle import oracle_rows, oracle_state_matrices
+
+
+def mixed_family_spec() -> SystemSpec:
+    """n = 3 over 3 steps with every family and power, a beta entry between
+    uniform entries of one step, and a "distributional" entry whose dist is
+    constant (it draws nothing)."""
+    fin = RandomEntry.from_distribution
+    squared_constant = RandomEntry("distributional", 0.49, 0.0, dist=DistributionSpec("constant", (0.7,), 2))
+    grids = [
+        [
+            [fin(weibull(0.5, 30, power=3)), fin(beta_dist(2, 5)), fin(finite_support([0.1, 0.3], [0.4, 0.6]))],
+            [0.2, squared_constant, fin(weibull(0.4, 8))],
+            [0.0, 0.1, fin(beta_dist(50, 50, power=2))],
+        ],
+        [
+            [fin(finite_support([-0.2, 0.5, 0.9], [0.2, 0.3, 0.5], power=3)), 0.1, 0.0],
+            [fin(beta_dist(3, 3, power=3)), fin(beta_dist(1.5, 4)), fin(weibull(0.9, 12, power=2))],
+            [0.3, fin(finite_support([0.4, 0.6], [0.5, 0.5], power=2)), 0.5],
+        ],
+        [[0.9, 0.0, 0.1], [0.0, 0.8, 0.0], [0.1, 0.0, 0.7]],
+    ]
+    return SystemSpec(
+        horizon=3,
+        a_models=tuple(RandomMatrixModel.from_grid(grid) for grid in grids),
+        B=np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]]),
+        x0=np.array([1.0, -2.0, 3.0]),
+        A_u=np.vstack([np.eye(2), -np.eye(2)]),
+        b_u=np.full(4, 5.0),
+    )
+
+
+def mixed_family_rows() -> list:
+    return [
+        vpcc.ConstraintRow(G=np.array([1.0, 0.0, 0.0]), h=4.0, k=1, id="a"),
+        vpcc.ConstraintRow(G=np.array([0.5, -1.0, 2.0]), h=7.0, k=1, id="b"),
+        vpcc.ConstraintRow(G=np.array([0.0, 1.0, 1.0]), h=-3.0, k=3, id="c"),
+    ]
 
 
 class TestRequiredSamples:
@@ -44,16 +85,15 @@ class TestRequiredSamples:
 
 class TestSampling:
     def test_counter_based_reproducibility(self, two_bus_spec):
-        a = sample_state_matrices(two_bus_spec, seed=5, count=8)
-        b = sample_state_matrices(two_bus_spec, seed=5, count=8)
-        assert np.array_equal(a, b)
-        # per-scenario streams: a shorter draw is a prefix of a longer one
-        c = sample_state_matrices(two_bus_spec, seed=5, count=4)
-        assert np.array_equal(a[:4], c)
+        for spec in (two_bus_spec, mixed_family_spec()):
+            a = sample_state_matrices(spec, seed=5, count=8)
+            b = sample_state_matrices(spec, seed=5, count=8)
+            assert np.array_equal(a, b)
+            # per-scenario streams: a shorter draw is a prefix of a longer one
+            for count in (1, 4, 7):
+                assert np.array_equal(a[:count], sample_state_matrices(spec, seed=5, count=count))
 
     def test_sampler_missing(self):
-        from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
-
         entry = RandomEntry("distributional", 1.0, 1.0, dist=None)
         spec = SystemSpec(
             horizon=1,
@@ -65,6 +105,37 @@ class TestSampling:
         )
         with pytest.raises(SamplerMissing):
             sample_state_matrices(spec, seed=0, count=2)
+
+
+class TestAgainstOracle:
+    """The batched sampler and row assembly against the per-scenario loop."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 57])
+    def test_mixed_families_bit_identical(self, count):
+        spec = mixed_family_spec()
+        assert np.array_equal(sample_state_matrices(spec, 3, count), oracle_state_matrices(spec, 3, count))
+
+    def test_two_bus_bit_identical(self, two_bus_spec):
+        assert np.array_equal(sample_state_matrices(two_bus_spec, 11, 112), oracle_state_matrices(two_bus_spec, 11, 112))
+
+    @pytest.mark.parametrize("count", [1, 57])
+    def test_rows(self, count):
+        spec = mixed_family_spec()
+        matrices = sample_state_matrices(spec, 5, count)
+        coef, rhs = _scenario_rows(spec, matrices, mixed_family_rows())
+        ref_coef, ref_rhs = oracle_rows(spec, matrices, mixed_family_rows())
+        assert coef.shape == (3 * count, spec.input_dim)
+        assert np.array_equal(coef, ref_coef)
+        assert np.allclose(rhs, ref_rhs, rtol=1e-12, atol=0.0)
+
+    def test_two_bus_rows(self, two_bus_cfg):
+        spec = two_bus_cfg.system_spec()
+        rows = two_bus_cfg.constraint_rows()
+        matrices = sample_state_matrices(spec, 2, 112)
+        coef, rhs = _scenario_rows(spec, matrices, rows)
+        ref_coef, ref_rhs = oracle_rows(spec, matrices, rows)
+        assert np.array_equal(coef, ref_coef)
+        assert np.allclose(rhs, ref_rhs, rtol=1e-12, atol=0.0)
 
 
 class TestSolveScenario:
