@@ -28,12 +28,8 @@ from .moments import (
     RandomEntry,
     RandomMatrixModel,
     SystemSpec,
-    column_covariance,
     constraint_moments,
-    product_mean,
-    product_vector_variance,
     quad_form_mean,
-    stacked_column_selector,
 )
 from .reformulate import (
     LAMBDA_FLOOR,

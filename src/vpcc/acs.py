@@ -251,23 +251,6 @@ def build_input_program(
     return ConicProgram(P=P, c=c, A_u=A_u, b_u=b_u, soc=tuple(soc))
 
 
-def _program_fingerprint(program: ConicProgram) -> bytes:
-    parts = [program.P.tobytes(), program.c.tobytes(), program.A_u.tobytes(), program.b_u.tobytes()]
-    for row in program.soc:
-        parts.extend(
-            (
-                row.a.tobytes(),
-                row.b.hex(),
-                row.lam.hex(),
-                row.L.tobytes(),
-                row.v.tobytes(),
-                row.s.hex(),
-                row.h.hex(),
-            )
-        )
-    return b"|".join(p if isinstance(p, bytes) else p.encode() for p in parts)
-
-
 def u_step(
     spec: SystemSpec,
     rows: list[ReformulatedConstraint],
@@ -500,6 +483,7 @@ def run(
     config = config or AcsConfig()
     start = time.perf_counter()
     rows = build_reformulation(spec, jcc)
+    random_ids = [rc.id for rc in rows if not rc.moments.structurally_deterministic]
     alloc = init_lambdas(jcc, config.lambda_init_policy, config.user_lambdas)
     trace: list[dict] = []
     notes: list[str] = []
@@ -599,10 +583,10 @@ def run(
         if prev_objective is not None and abs(objective - prev_objective) <= config.convergence_rel_tol * max(1.0, abs(prev_objective)):
             status = STATUS_OPTIMAL
             break
-        next_program = build_input_program(spec, rows, alloc_next, cost)
-        if _program_fingerprint(next_program) == _program_fingerprint(program):
-            # The multiplier step left the input subproblem bit-identical, so
-            # the next input step would reproduce U exactly.
+        if all(alloc_next.lam(i) == alloc.lam(i) for i in random_ids):
+            # For fixed spec, rows and cost the input subproblem depends only
+            # on these multipliers, so the next input step would reproduce U
+            # exactly.
             status = STATUS_OPTIMAL
             break
         prev_objective = objective

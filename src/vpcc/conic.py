@@ -34,10 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .report import STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, STATUS_OPTIMAL
 
-STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible"
-STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
 _MU = 20.0  # barrier parameter growth per outer step

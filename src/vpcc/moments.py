@@ -2,32 +2,34 @@
 
 For x(k+1) = A(k) x(k) + B u(k) with every entry of every A(k) an independent
 random variable (independent across time steps as well), any scalar G x(k)
-has closed-form mean and variance in the stacked input U:
+has closed-form mean and variance in the stacked input U: the mean is affine
+in U because expectation factors through products of independent matrices,
+and the variance is quadratic in U.
 
-* the mean is affine in U because expectation factors through products of
-  independent matrices,
-* the variance is quadratic in U, splitting into an initial-state term, an
-  input-input term built from covariances between columns of the stacked
-  controllability blocks, and an input/initial-state cross term.
+Write Phi(k,t) = A(k-1)...A(t) and M(s,t) = E[A(s-1)]...E[A(t)], so that
 
-Everything reduces to three primitives:
+    G x(k) = (Phi(k,0)' G)' x0 + sum_{p<k} (Phi(k,p+1)' G)' B u(p).
 
-``product_vector_variance``
-    law-of-total-variance recursion for Var(A(k)...A(a) y), with the
-    conditional term collapsed through the vectorisation identity
-    Var(vec A) = sum_j e_j e_j' (x) Var(A e_j) and the Kronecker
-    mixed-product rule, leaving a per-step update
-    V <- diag(VarA @ E[z*z]) + EA V EA'.
+One backward pass per row tracks the mean g_t and covariance C_t of
+Phi(k,t)' G, starting from g_k = G, C_k = 0:
 
-``quad_form_mean``
-    E[Z' S Z] = E[Z]' S E[Z] + diag(VarZ' diag(S)) for an independent-entry
-    random matrix Z; the correction only sees the diagonal of S.
+    g_t = E[A(t)]' g_{t+1}
+    C_t = quad_form_mean(A(t), C_{t+1}) + diag(Var[A(t)]' (g_{t+1} o g_{t+1}))
 
-``column_covariance``
-    covariance between two partially shared products A(k)...A(a) e_j and
-    A(k)...A(b) e_m, obtained by averaging the disjoint tail and pushing
-    the resulting rank-one seed through the shared factors with the
-    quadratic-form mean.
+``quad_form_mean`` is E[Z' S Z] = E[Z]' S E[Z] + diag(VarZ' diag(S)) for an
+independent-entry random matrix Z; the extra diagonal term is the part of
+E[A' g g' A] that the mean g contributes. For t <= s the factors between t
+and s are independent of Phi(k,s)' G, so Cov(Phi(k,s)' G, Phi(k,t)' G) =
+C_s M(s,t). Hence
+
+    mean coefficient of u(p)          B' g_{p+1}
+    mean offset b                     g_0' x0
+    Q block (u(q), u(p)), p <= q < k  B' C_{q+1} M(q+1,p+1) B, mirrored
+    cross term q for u(q)             B' C_{q+1} M(q+1,0) x0
+    initial-state variance r          x0' C_0 x0
+
+Every term is a covariance, never a second moment minus a squared mean, so
+nothing cancels.
 
 Index convention: model sequences are time-ascending lists and products
 apply later factors on the left, so ``[A(0), A(1)]`` means A(1) @ A(0).
@@ -39,8 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DomainError, NotPSD, SamplerMissing
@@ -173,10 +173,6 @@ class RandomMatrixModel:
     def is_deterministic(self) -> bool:
         return not self.variance_matrix.any()
 
-    def transposed(self) -> "RandomMatrixModel":
-        n = self.n
-        return RandomMatrixModel(tuple(tuple(self.entries[i][j] for i in range(n)) for j in range(n)))
-
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` realisations, (count, n, n). Entry order is fixed
         row-major so a given generator state always yields the same batch."""
@@ -301,31 +297,8 @@ class ConstraintMoments:
 
 
 # ---------------------------------------------------------------------------
-# Primitive operations
+# Moment assembly
 # ---------------------------------------------------------------------------
-
-
-def _check_models(models: Sequence[RandomMatrixModel]) -> int:
-    if not models:
-        raise DomainError("need at least one state-matrix model")
-    n = models[0].n
-    if any(m.n != n for m in models):
-        raise DomainError("state-matrix models must share their dimension")
-    return n
-
-
-def product_mean(models: Sequence[RandomMatrixModel]) -> np.ndarray:
-    """Mean of the descending-index product A(K)...A(0).
-
-    ``models`` is time-ascending; independence across time lets the
-    expectation factor into the product of entrywise means, applied
-    left-multiplicatively.
-    """
-    n = _check_models(models)
-    out = np.eye(n)
-    for model in models:
-        out = model.mean_matrix @ out
-    return out
 
 
 def quad_form_mean(model: RandomMatrixModel, S: np.ndarray) -> np.ndarray:
@@ -345,172 +318,47 @@ def quad_form_mean(model: RandomMatrixModel, S: np.ndarray) -> np.ndarray:
     return out
 
 
-def _push_second_moment(model: RandomMatrixModel, inner: np.ndarray) -> np.ndarray:
-    """E[A inner A'] via the quadratic-form mean of the transposed model."""
-    return quad_form_mean(model.transposed(), inner)
-
-
-def product_vector_variance(models: Sequence[RandomMatrixModel], y: np.ndarray) -> np.ndarray:
-    """Var of A(K)...A(0) y for a known vector y.
-
-    Per step, conditioning on the inner product z gives
-    Var <- E[diag(VarA (z o z))] + EA Var(z) EA', with E[z o z] tracked
-    through the running mean and covariance. This is the law-of-total-
-    variance recursion with the conditional term collapsed through the
-    vectorisation identity.
-    """
-    n = _check_models(models)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise DomainError(f"y must have length {n}")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("y must be finite")
-    w = y.copy()
-    V = np.zeros((n, n))
-    for model in models:
-        second_diag = np.diag(V) + w * w
-        V = model.mean_matrix @ V @ model.mean_matrix.T
-        V[np.diag_indices(n)] += model.variance_matrix @ second_diag
-        w = model.mean_matrix @ w
-    return V
-
-
-def column_covariance(
-    models: Sequence[RandomMatrixModel], a: int, b: int, j: int, m: int
-) -> np.ndarray:
-    """Cov between A(k)...A(a) e_j and A(k)...A(b) e_m, k = len(models) - 1.
-
-    For a <= b the shorter product is a tail of the longer one: average the
-    disjoint factors A(b-1)...A(a) into the rank-one seed
-    (mean-tail e_j) e_m' and push it through the shared factors
-    A(b)...A(k) with the quadratic-form mean; subtract the outer product of
-    the two mean vectors. The a > b case is the transpose by symmetry.
-    """
-    n = _check_models(models)
-    k = len(models) - 1
-    if not (0 <= a <= k and 0 <= b <= k):
-        raise DomainError(f"start indices must lie in [0, {k}], got a={a}, b={b}")
-    if not (0 <= j < n and 0 <= m < n):
-        raise DomainError(f"column indices must lie in [0, {n}), got j={j}, m={m}")
-    if a > b:
-        return column_covariance(models, b, a, m, j).T
-
-    tail_mean = product_mean(models[a:b]) if b > a else np.eye(n)
-    seed = np.outer(tail_mean[:, j], np.eye(n)[m])
-    for t in range(b, k + 1):
-        seed = _push_second_moment(models[t], seed)
-    mean_a = product_mean(models[a:])[:, j]
-    mean_b = product_mean(models[b:])[:, m]
-    return seed - np.outer(mean_a, mean_b)
-
-
-# ---------------------------------------------------------------------------
-# Stacked-block column selector
-# ---------------------------------------------------------------------------
-
-
-def stacked_column_selector(n: int, N: int, k: int, j: int):
-    """Classify column j of the stacked block row
-    [A(k)...A(1), A(k)...A(2), ..., A(k), I, 0, ...] (n x N n).
-
-    Returns ("product", start, offset) when the column is
-    A(k)...A(start) e_offset, ("identity", offset) for the I block, or
-    ("zero", offset) past it. Column index j is 0-based; ``start`` is the
-    time index of the earliest factor, block p (0-based) holding start
-    p + 1. Validated against brute-force stacking in the test suite.
-    """
-    if not (0 <= j < n * N):
-        raise DomainError(f"column index {j} outside [0, {n * N})")
-    block, offset = divmod(j, n)
-    start = block + 1
-    if start <= k:
-        return ("product", start, offset)
-    if start == k + 1:
-        return ("identity", offset)
-    return ("zero", offset)
-
-
-# ---------------------------------------------------------------------------
-# Full constraint moments
-# ---------------------------------------------------------------------------
-
-
 def constraint_moments(spec: SystemSpec, G: np.ndarray, k: int) -> ConstraintMoments:
     """Assemble mean and variance of G x(k) as functions of the stacked input.
 
-    x(k) = A(k-1)...A(0) x0 + [stacked blocks] kron(I_N, B) U, so the mean
-    follows from mean products and the variance from the three covariance
-    groups: initial-state, input-input (column covariances of the stacked
-    blocks, scalarised through G), and the cross term. Double sums run with
-    the column index of the left factor outer-ascending and the right factor
-    inner-ascending, which pins the floating-point accumulation order.
+    One backward pass gives g[t] = E[h_t] and C[t] = Cov(h_t) for
+    h_t = A(t)' ... A(k-1)' G, the weight of x(t) in G x(k); the mean and
+    covariance blocks then follow as in the module docstring.
     """
-    n, N = spec.n, spec.horizon
+    n, N, m = spec.n, spec.horizon, spec.m
     if not (1 <= k <= N):
         raise DomainError(f"time index must lie in [1, {N}], got {k}")
     G = np.asarray(G, dtype=float)
     if G.shape != (n,):
         raise DomainError(f"G must have length {n}")
-    models = list(spec.a_models[:k])
-    nN = n * N
-    bmap = spec.stacked_input_map()
+    models = spec.a_models[:k]
+    B, x0 = spec.B, spec.x0
 
-    # Suffix mean products: sm[t] = E[A(k-1)] ... E[A(t)], sm[k] = I.
-    sm = [np.eye(n) for _ in range(k + 1)]
+    g = [None] * k + [G]
+    C = [None] * k + [np.zeros((n, n))]
     for t in range(k - 1, -1, -1):
-        sm[t] = sm[t + 1] @ models[t].mean_matrix
+        model = models[t]
+        g[t] = model.mean_matrix.T @ g[t + 1]
+        C[t] = quad_form_mean(model, C[t + 1])
+        C[t][np.diag_indices(n)] += model.variance_matrix.T @ (g[t + 1] * g[t + 1])
 
-    selectors = [stacked_column_selector(n, N, k - 1, j) for j in range(nN)]
-
-    # Mean: G (stacked blocks mean) kron(I_N, B) U + G (mean product) x0.
-    cbar = np.zeros((n, nN))
-    for j, sel in enumerate(selectors):
-        if sel[0] == "product":
-            cbar[:, j] = sm[sel[1]][:, sel[2]]
-        elif sel[0] == "identity":
-            cbar[sel[1], j] = 1.0
-    a_vec = bmap.T @ (cbar.T @ G)
-    b_const = float(G @ sm[0] @ spec.x0)
-
-    # Initial-state variance term.
-    r_const = float(G @ product_vector_variance(models, spec.x0) @ G)
-
-    # Input-input term: scalarised column covariances of the stacked blocks.
-    cov_cache: dict[tuple, float] = {}
-
-    def scalar_cov(start_j: int, off_j: int, start_m: int, off_m: int) -> float:
-        key = (start_j, off_j, start_m, off_m)
-        if key not in cov_cache:
-            cov = column_covariance(models, start_j, start_m, off_j, off_m)
-            val = float(G @ cov @ G)
-            cov_cache[key] = val
-            cov_cache[(start_m, off_m, start_j, off_j)] = val
-        return cov_cache[key]
-
-    col_scal = np.zeros((nN, nN))
-    for j, sel_j in enumerate(selectors):
-        if sel_j[0] != "product":
-            continue
-        for m, sel_m in enumerate(selectors):
-            if sel_m[0] != "product":
-                continue
-            col_scal[j, m] = scalar_cov(sel_j[1], sel_j[2], sel_m[1], sel_m[2])
-    Q = bmap.T @ col_scal @ bmap
+    a = np.zeros((N, m))
+    Q = np.zeros((N, m, N, m))
+    q = np.zeros((N, m))
+    for j in range(k):
+        a[j] = B.T @ g[j + 1]
+        # W runs through B' C[j+1] M(j+1, p+1) for p = j, j-1, ..., 0 and
+        # ends at B' C[j+1] M(j+1, 0), the cross-term weight of x0.
+        W = B.T @ C[j + 1]
+        for p in range(j, -1, -1):
+            Q[j, :, p, :] = W @ B
+            Q[p, :, j, :] = Q[j, :, p, :].T
+            W = W @ models[p].mean_matrix
+        q[j] = W @ x0
+    Q = Q.reshape(N * m, N * m)
     Q = 0.5 * (Q + Q.T)
 
-    # Cross term between the initial-state product and the stacked blocks.
-    d = np.zeros(nN)
-    for j in range(n):
-        if spec.x0[j] == 0.0:
-            continue
-        for m, sel_m in enumerate(selectors):
-            if sel_m[0] != "product":
-                continue
-            cov = column_covariance(models, 0, sel_m[1], j, sel_m[2])
-            d[m] += spec.x0[j] * float(G @ cov @ G)
-    q_vec = bmap.T @ d
-
-    return _finalize_moments(a_vec, b_const, Q, q_vec, r_const)
+    return _finalize_moments(a.ravel(), float(g[0] @ x0), Q, q.ravel(), float(x0 @ C[0] @ x0))
 
 
 def _finalize_moments(a, b, Q, q, r) -> ConstraintMoments:
@@ -525,7 +373,9 @@ def _finalize_moments(a, b, Q, q, r) -> ConstraintMoments:
     Q_psd = (eigvecs * clamped) @ eigvecs.T
     Q_psd = 0.5 * (Q_psd + Q_psd.T)
 
-    keep = clamped > 0.0
+    # Eigenvalues within round-off of the largest carry no variance; keeping
+    # them would add near-null norm-form columns.
+    keep = clamped > Q.shape[0] * np.finfo(float).eps * clamped.max(initial=0.0)
     L = eigvecs[:, keep] * np.sqrt(clamped[keep])
     if L.shape[1] == 0:
         if np.linalg.norm(q) > NORM_FORM_TOL * max(1.0, abs(r)):

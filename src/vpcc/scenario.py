@@ -37,13 +37,7 @@ from .acs import Cost
 from .conic import ConicProgram
 from .errors import DomainError, SamplerMissing
 from .moments import SystemSpec
-from .report import (
-    STATUS_ERROR,
-    STATUS_INFEASIBLE,
-    STATUS_ITERATION_LIMIT,
-    STATUS_OPTIMAL,
-    SolveReport,
-)
+from .report import STATUS_ERROR, STATUS_OPTIMAL, SolveReport
 from .stochastics import child_seed
 
 
@@ -184,15 +178,9 @@ def solve_scenario(
     program = ConicProgram(P=P, c=c, A_u=A_all, b_u=b_all)
     outcome = conic.solve(program, solver_opts)
 
-    status_map = {
-        conic.STATUS_OPTIMAL: STATUS_OPTIMAL,
-        conic.STATUS_INFEASIBLE: STATUS_INFEASIBLE,
-        conic.STATUS_ITERATION_LIMIT: STATUS_ITERATION_LIMIT,
-        conic.STATUS_NUMERICAL_FAILURE: STATUS_ERROR,
-    }
     report = SolveReport(
         method="scenario",
-        status=status_map[outcome.status],
+        status={conic.STATUS_NUMERICAL_FAILURE: STATUS_ERROR}.get(outcome.status, outcome.status),
         alpha=float(jcc.alpha),
         sample_count=n_s,
         seed=sc.rng_seed,
@@ -200,7 +188,7 @@ def solve_scenario(
         wall_time_ms=(time.perf_counter() - start) * 1e3,
         inputs=inputs_echo,
     )
-    if outcome.x is not None and outcome.status == conic.STATUS_OPTIMAL:
+    if outcome.x is not None and outcome.status == STATUS_OPTIMAL:
         report.U = outcome.x.reshape(spec.horizon, spec.m).tolist()
         report.objective = cost.value(outcome.x)
         report.objective_per_step = cost.per_step_values(outcome.x)

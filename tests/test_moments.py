@@ -7,18 +7,22 @@ from vpcc.errors import DomainError, NotPSD
 from vpcc.moments import (
     RandomEntry,
     RandomMatrixModel,
+    SystemSpec,
     _finalize_moments,
-    column_covariance,
     constraint_moments,
-    product_mean,
-    product_vector_variance,
     quad_form_mean,
-    stacked_column_selector,
 )
-from vpcc.stochastics import finite_support
+from vpcc.stochastics import beta_dist, constant, finite_support, weibull
 
 from conftest import coin_entry, deterministic_spec, scalar_iid_spec
 from enum_oracle import enumerate_margin, mc_margin, random_finite_system
+from moments_oracle import (
+    column_covariance,
+    oracle_constraint_moments,
+    product_mean,
+    product_vector_variance,
+    stacked_column_selector,
+)
 
 
 def coin_model(n: int = 1) -> RandomMatrixModel:
@@ -271,6 +275,66 @@ class TestConstraintMoments:
             constraint_moments(two_bus_spec, np.zeros(6), 2)
 
 
+def mixed_family_system(rng: np.random.Generator, n: int, N: int, m: int = 2):
+    """A system whose entries mix Weibull, Beta, constant and plain values."""
+
+    def cell():
+        u = rng.random()
+        if u < 0.3:
+            return weibull(rng.uniform(0.5, 2.0), rng.uniform(1.5, 3.0), int(rng.integers(1, 3)))
+        if u < 0.6:
+            return beta_dist(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
+        if u < 0.8:
+            return constant(rng.uniform(-0.5, 0.5))
+        return float(rng.uniform(-0.5, 0.5))
+
+    models = tuple(RandomMatrixModel.from_grid([[cell() for _ in range(n)] for _ in range(n)]) for _ in range(N))
+    spec = SystemSpec(
+        horizon=N,
+        a_models=models,
+        B=rng.uniform(-1.0, 1.0, (n, m)),
+        x0=rng.uniform(-1.0, 1.0, n),
+        A_u=np.vstack([np.eye(m), -np.eye(m)]),
+        b_u=np.full(2 * m, 1.0),
+    )
+    return spec, rng.uniform(-1.0, 1.0, n)
+
+
+class TestAgainstOracle:
+    """The backward recursion against the stacked-column assembly."""
+
+    @staticmethod
+    def assert_close(spec, G, k):
+        # The oracle leaves round-off of about 1e-19 in structurally zero
+        # entries, so each polynomial is compared relative to its largest
+        # coefficient (and at least 1), not entry by entry.
+        new = constraint_moments(spec, G, k)
+        ref = oracle_constraint_moments(spec, G, k)
+        for fields in (("a", "b"), ("Q", "q", "r")):
+            scale = max(1.0, *(np.abs(getattr(ref, f)).max(initial=0.0) for f in fields))
+            for f in fields:
+                np.testing.assert_allclose(getattr(new, f), getattr(ref, f), rtol=1e-12, atol=1e-12 * scale, err_msg=f)
+
+    def test_random_finite_systems(self):
+        rng = np.random.default_rng(2210)
+        for _ in range(200):
+            spec, G, k, _ = random_finite_system(rng)
+            self.assert_close(spec, G, k)
+
+    @pytest.mark.parametrize("n,N", [(1, 3), (2, 4), (3, 6), (4, 8), (6, 12)])
+    def test_mixed_family_systems(self, n, N):
+        spec, G = mixed_family_system(np.random.default_rng(10 * n + N), n, N)
+        for k in sorted({1, max(1, N // 2), N}):
+            self.assert_close(spec, G, k)
+
+    def test_two_bus_rows_bitwise(self, two_bus_spec):
+        for G in ([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], [-1.0, -1.0, 0.0, -1.0, 0.0, 1.0]):
+            new = constraint_moments(two_bus_spec, np.array(G), 1)
+            ref = oracle_constraint_moments(two_bus_spec, np.array(G), 1)
+            assert new.a.tobytes() == ref.a.tobytes()
+            assert (new.b, new.r) == (ref.b, ref.r)
+
+
 class TestEnumerationEquivalence:
     def test_closed_forms_match_enumeration(self):
         rng = np.random.default_rng(2024)
@@ -331,6 +395,18 @@ class TestPsdRepair:
         m = _finalize_moments(np.zeros(2), 0.0, Q, np.zeros(2), 1.0)
         assert np.linalg.eigvalsh(m.Q).min() >= 0.0
         assert m.L.shape == (2, 1)
+
+    def test_round_off_eigenvalues_give_no_norm_columns(self):
+        w = np.array([1.0, 2.0, -1.0])
+        noise = np.random.default_rng(4).normal(0.0, 1e-17, (3, 3))
+        Q = np.outer(w, w) + 0.5 * (noise + noise.T)
+        q = 0.3 * w
+        m = _finalize_moments(np.zeros(3), 0.0, Q, q, 1.0)
+        assert m.L.shape == (3, 1)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            U = rng.uniform(-2, 2, 3)
+            assert m.norm_variance(U) == pytest.approx(m.variance(U), rel=1e-12, abs=1e-12)
 
     def test_genuinely_indefinite_raises(self):
         with pytest.raises(NotPSD):
