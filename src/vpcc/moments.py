@@ -173,20 +173,6 @@ class RandomMatrixModel:
     def is_deterministic(self) -> bool:
         return not self.variance_matrix.any()
 
-    def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` realisations, (count, n, n). Entry order is fixed
-        row-major so a given generator state always yields the same batch."""
-        n = self.n
-        out = np.empty((count, n, n))
-        for i in range(n):
-            for j in range(n):
-                entry = self.entries[i][j]
-                if entry.kind == "deterministic":
-                    out[:, i, j] = entry.mean
-                else:
-                    out[:, i, j] = entry.sample(rng, count)
-        return out
-
 
 @dataclass(frozen=True)
 class SystemSpec:

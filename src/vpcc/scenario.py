@@ -12,7 +12,8 @@ confidence 1 - beta. The sample count uses the ceiling of the bound; when
 the ceiling differs from the floor the report notes both values, since the
 bound is often quoted rounded down. The ``+ 2`` is Calafiore and Campi's
 decision dimension d = N * m (IEEE TAC 2006) at its two-bus value N = 1,
-m = 2; any larger d needs more samples than this bound gives.
+m = 2; any larger d needs more samples than this bound gives, and the report
+then notes d and the count that ``(2/alpha)(ln(1/beta) + d)`` requires.
 
 Stream contract: scenario s draws from its own child stream
 ``child_seed(seed, s)``, so a shorter draw is a prefix of a longer one, and
@@ -57,15 +58,16 @@ class ScenarioConfig:
             raise DomainError("explicit sample_count must be >= 1")
 
 
-def required_samples(alpha: float, beta: float) -> int:
-    """Smallest integer satisfying N_S >= (2/alpha)(ln(1/beta) + 2).
+def required_samples(alpha: float, beta: float, d: int = 2) -> int:
+    """Smallest integer satisfying N_S >= (2/alpha)(ln(1/beta) + d), for
+    decision dimension d (2 in the two-bus case).
 
     alpha = 1 is admitted for the bare formula even though ScenarioConfig
     keeps its violation level strictly inside (0, 1).
     """
     if not (0.0 < alpha <= 1.0) or not (0.0 < beta < 1.0):
         raise DomainError("need 0 < alpha <= 1 and 0 < beta < 1")
-    return int(math.ceil((2.0 / alpha) * (math.log(1.0 / beta) + 2.0)))
+    return int(math.ceil((2.0 / alpha) * (math.log(1.0 / beta) + d)))
 
 
 def sample_count_note(alpha: float, beta: float) -> str:
@@ -165,6 +167,11 @@ def solve_scenario(
     start = time.perf_counter()
     n_s = sc.sample_count if sc.sample_count is not None else required_samples(sc.alpha, sc.beta)
     notes = [sample_count_note(sc.alpha, sc.beta)] if sc.sample_count is None else []
+    if spec.input_dim > 2:
+        notes.append(
+            f"decision dimension d = N*m = {spec.input_dim}: (2/alpha)(ln(1/beta)+d) requires "
+            f"{required_samples(sc.alpha, sc.beta, spec.input_dim)} samples; {n_s} were drawn"
+        )
 
     matrices = sample_state_matrices(spec, sc.rng_seed, n_s)
     coef, rhs = _scenario_rows(spec, matrices, jcc.rows)

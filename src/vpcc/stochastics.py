@@ -16,6 +16,13 @@ double-check the order when importing parameter tables from elsewhere.
 state constraints under a fixed input sequence and reports an exact one-sided
 99% Clopper-Pearson upper confidence bound (Wald intervals are invalid when
 the violation count is near zero, which is the regime certification targets).
+
+MC stream contract: batch b of ``_MC_BATCH`` trajectories draws from
+``child_seed(seed, b)``; per time step only entries whose kind is not
+"deterministic" draw, row-major within A(t), each in one ``sample`` call for
+the whole batch (all first draws, then all second draws for beta). The draws
+are thus fixed by (seed, samples) and the system, so the result does not
+depend on how the states are advanced between draws.
 """
 
 from __future__ import annotations
@@ -249,7 +256,9 @@ def mc_certify(
     joint violation probability is at most alpha.
 
     Sampling is batched with counter-based child streams so the result is a
-    pure function of (seed, samples).
+    pure function of (seed, samples). A batch is an (n, count) state array;
+    a step is one product with the deterministic part of A(t), plus A_ij(t)
+    x_j(t) added to state row i for each random entry.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -258,6 +267,15 @@ def mc_certify(
     for row in jcc.rows:
         rows_by_k.setdefault(int(row.k), []).append(row)
     max_k = max(rows_by_k) if rows_by_k else 0
+    checks = {
+        k: (np.array([row.G for row in rows], dtype=float), np.array([[row.h] for row in rows]))
+        for k, rows in rows_by_k.items()
+    }
+    steps = []  # (deterministic part of A(t), B u(t) as a column, random entries row-major)
+    for t, model in enumerate(spec.a_models[:max_k]):
+        drawn = np.array([[entry.kind != "deterministic" for entry in row] for row in model.entries])
+        random_entries = [(i, j, model.entries[i][j]) for i, j in zip(*np.nonzero(drawn))]
+        steps.append((np.where(drawn, 0.0, model.mean_matrix), (spec.B @ U[t])[:, None], random_entries))
 
     violations = 0
     done = 0
@@ -266,12 +284,17 @@ def mc_certify(
         count = min(_MC_BATCH, samples - done)
         rng = np.random.default_rng(child_seed(seed, batch_index))
         violated = np.zeros(count, dtype=bool)
-        x = np.broadcast_to(spec.x0, (count, spec.n)).copy()
-        for t in range(max_k):
-            a_batch = spec.a_models[t].sample_batch(rng, count)
-            x = np.einsum("sij,sj->si", a_batch, x) + spec.B @ U[t]
-            for row in rows_by_k.get(t + 1, ()):
-                violated |= x @ row.G > row.h
+        x = spec.x0[:, None]  # one column until the first step spreads it over the batch
+        for t, (a_det, drive, random_entries) in enumerate(steps):
+            x_next = a_det @ x + drive
+            if t == 0:
+                x_next = np.repeat(x_next, count, axis=1)
+            for i, j, entry in random_entries:
+                x_next[i] += entry.sample(rng, count) * x[j]
+            x = x_next
+            if t + 1 in checks:
+                G, h = checks[t + 1]
+                violated |= (G @ x > h).any(axis=0)
         violations += int(violated.sum())
         done += count
         batch_index += 1

@@ -3,7 +3,7 @@ import pytest
 
 import vpcc
 from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
-from vpcc.stochastics import finite_support
+from vpcc.stochastics import DistributionSpec, beta_dist, finite_support, weibull
 
 
 @pytest.fixture(scope="session")
@@ -45,4 +45,33 @@ def deterministic_spec(A, B, x0, horizon, box=10.0) -> SystemSpec:
         x0=x0,
         A_u=np.vstack([np.eye(m), -np.eye(m)]),
         b_u=np.full(2 * m, box),
+    )
+
+
+def mixed_family_spec() -> SystemSpec:
+    """n = 3 over 3 steps with every family and power, a beta entry between
+    uniform entries of one step, and a "distributional" entry whose dist is
+    constant (it draws nothing)."""
+    fin = RandomEntry.from_distribution
+    squared_constant = RandomEntry("distributional", 0.49, 0.0, dist=DistributionSpec("constant", (0.7,), 2))
+    grids = [
+        [
+            [fin(weibull(0.5, 30, power=3)), fin(beta_dist(2, 5)), fin(finite_support([0.1, 0.3], [0.4, 0.6]))],
+            [0.2, squared_constant, fin(weibull(0.4, 8))],
+            [0.0, 0.1, fin(beta_dist(50, 50, power=2))],
+        ],
+        [
+            [fin(finite_support([-0.2, 0.5, 0.9], [0.2, 0.3, 0.5], power=3)), 0.1, 0.0],
+            [fin(beta_dist(3, 3, power=3)), fin(beta_dist(1.5, 4)), fin(weibull(0.9, 12, power=2))],
+            [0.3, fin(finite_support([0.4, 0.6], [0.5, 0.5], power=2)), 0.5],
+        ],
+        [[0.9, 0.0, 0.1], [0.0, 0.8, 0.0], [0.1, 0.0, 0.7]],
+    ]
+    return SystemSpec(
+        horizon=3,
+        a_models=tuple(RandomMatrixModel.from_grid(grid) for grid in grids),
+        B=np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]]),
+        x0=np.array([1.0, -2.0, 3.0]),
+        A_u=np.vstack([np.eye(2), -np.eye(2)]),
+        b_u=np.full(4, 5.0),
     )

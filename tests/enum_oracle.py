@@ -15,6 +15,8 @@ import numpy as np
 from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
 from vpcc.stochastics import finite_support
 
+from mc_oracle import sample_batch
+
 
 def enumerate_margin(spec: SystemSpec, G, k: int, U) -> tuple[float, float]:
     """Exact (mean, variance) of G x(k) by exhaustive outcome enumeration."""
@@ -60,7 +62,7 @@ def mc_margin(spec: SystemSpec, G, k: int, U, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     x = np.repeat(spec.x0[None, :], samples, axis=0)
     for t in range(k):
-        batch = spec.a_models[t].sample_batch(rng, samples)
+        batch = sample_batch(spec.a_models[t], rng, samples)
         x = np.einsum("sij,sj->si", batch, x) + spec.B @ U[t]
     g = x @ G
     mean = float(g.mean())

@@ -1,0 +1,73 @@
+"""Matrix-batch reference for Monte-Carlo certification.
+
+``sample_batch`` draws ``count`` realisations of one random state matrix as a
+``(count, n, n)`` array, every random entry's whole batch in one call,
+row-major. ``oracle_mc_certify`` advances each batch of trajectories by
+multiplying every trajectory's state with its own full sampled matrix, with
+no split of A(t) into a deterministic part and random entries. It follows the
+stream contract stated in ``vpcc.stochastics``, so it must count the same
+violations as ``vpcc.stochastics.mc_certify``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from vpcc.errors import DomainError
+from vpcc.moments import RandomMatrixModel, SystemSpec
+from vpcc.stochastics import _MC_BATCH, McCertificate, child_seed, clopper_pearson_upper
+
+
+def sample_batch(model: RandomMatrixModel, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw ``count`` realisations, (count, n, n). Entry order is fixed
+    row-major so a given generator state always yields the same batch."""
+    n = model.n
+    out = np.empty((count, n, n))
+    for i in range(n):
+        for j in range(n):
+            entry = model.entries[i][j]
+            if entry.kind == "deterministic":
+                out[:, i, j] = entry.mean
+            else:
+                out[:, i, j] = entry.sample(rng, count)
+    return out
+
+
+def oracle_mc_certify(
+    spec: SystemSpec, jcc, U, samples: int, seed: int, confidence: float = 0.99
+) -> McCertificate:
+    """``mc_certify`` with one full sampled matrix per trajectory and step."""
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    U = np.asarray(U, dtype=float).reshape(spec.horizon, spec.m)
+    rows_by_k: dict[int, list] = {}
+    for row in jcc.rows:
+        rows_by_k.setdefault(int(row.k), []).append(row)
+    max_k = max(rows_by_k) if rows_by_k else 0
+
+    violations = 0
+    done = 0
+    batch_index = 0
+    while done < samples:
+        count = min(_MC_BATCH, samples - done)
+        rng = np.random.default_rng(child_seed(seed, batch_index))
+        violated = np.zeros(count, dtype=bool)
+        x = np.broadcast_to(spec.x0, (count, spec.n)).copy()
+        for t in range(max_k):
+            a_batch = sample_batch(spec.a_models[t], rng, count)
+            x = np.einsum("sij,sj->si", a_batch, x) + spec.B @ U[t]
+            for row in rows_by_k.get(t + 1, ()):
+                violated |= x @ row.G > row.h
+        violations += int(violated.sum())
+        done += count
+        batch_index += 1
+
+    upper = clopper_pearson_upper(violations, samples, confidence)
+    return McCertificate(
+        samples=samples,
+        violations=violations,
+        empirical_violation=violations / samples,
+        upper_ci_99=upper,
+        alpha=float(jcc.alpha),
+        passed=bool(upper <= jcc.alpha),
+    )

@@ -18,39 +18,8 @@ from vpcc.scenario import (
     sample_state_matrices,
     solve_scenario,
 )
-from vpcc.stochastics import DistributionSpec, beta_dist, finite_support, weibull
-
-from conftest import deterministic_spec, scalar_iid_spec
+from conftest import deterministic_spec, mixed_family_spec, scalar_iid_spec
 from scenario_oracle import oracle_rows, oracle_state_matrices
-
-
-def mixed_family_spec() -> SystemSpec:
-    """n = 3 over 3 steps with every family and power, a beta entry between
-    uniform entries of one step, and a "distributional" entry whose dist is
-    constant (it draws nothing)."""
-    fin = RandomEntry.from_distribution
-    squared_constant = RandomEntry("distributional", 0.49, 0.0, dist=DistributionSpec("constant", (0.7,), 2))
-    grids = [
-        [
-            [fin(weibull(0.5, 30, power=3)), fin(beta_dist(2, 5)), fin(finite_support([0.1, 0.3], [0.4, 0.6]))],
-            [0.2, squared_constant, fin(weibull(0.4, 8))],
-            [0.0, 0.1, fin(beta_dist(50, 50, power=2))],
-        ],
-        [
-            [fin(finite_support([-0.2, 0.5, 0.9], [0.2, 0.3, 0.5], power=3)), 0.1, 0.0],
-            [fin(beta_dist(3, 3, power=3)), fin(beta_dist(1.5, 4)), fin(weibull(0.9, 12, power=2))],
-            [0.3, fin(finite_support([0.4, 0.6], [0.5, 0.5], power=2)), 0.5],
-        ],
-        [[0.9, 0.0, 0.1], [0.0, 0.8, 0.0], [0.1, 0.0, 0.7]],
-    ]
-    return SystemSpec(
-        horizon=3,
-        a_models=tuple(RandomMatrixModel.from_grid(grid) for grid in grids),
-        B=np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]]),
-        x0=np.array([1.0, -2.0, 3.0]),
-        A_u=np.vstack([np.eye(2), -np.eye(2)]),
-        b_u=np.full(4, 5.0),
-    )
 
 
 def mixed_family_rows() -> list:
@@ -65,6 +34,11 @@ class TestRequiredSamples:
     def test_reference_counts(self):
         assert required_samples(0.16, 0.001) == 112
         assert required_samples(0.01, 0.001) == 1782
+
+    def test_decision_dimension(self):
+        # (2/0.05)(ln(1000) + 12) = 756.3
+        assert required_samples(0.05, 0.001, d=12) == 757
+        assert required_samples(0.05, 0.001, d=2) == required_samples(0.05, 0.001) == 357
 
     def test_synthetic_exact(self):
         # alpha = 1, beta = e^-1: (2/1)(1 + 2) = 6 exactly
@@ -170,6 +144,20 @@ class TestSolveScenario:
         assert report.status == "optimal"
         assert report.sample_count == 1782
         assert any("1781" in note for note in report.notes)
+
+    def test_report_notes_decision_dimension(self, two_bus_cfg):
+        two_bus = solve_scenario(
+            two_bus_cfg.system_spec(), two_bus_cfg.row_set(), two_bus_cfg.cost(), two_bus_cfg.scenario_config(seed=3)
+        )
+        assert not any("decision dimension" in note for note in two_bus.notes)
+        spec = mixed_family_spec()
+        rows = RowSet(tuple(mixed_family_rows()), 0.05)
+        cost = Cost.repeated(np.eye(2), np.zeros(2), 3)
+        report = solve_scenario(spec, rows, cost, ScenarioConfig(alpha=0.05))
+        assert report.sample_count == 357
+        (note,) = [note for note in report.notes if "decision dimension" in note]
+        # (2/0.05)(ln(1000) + 6) = 516.3
+        assert "d = N*m = 6" in note and "requires 517 samples" in note and "357 were drawn" in note
 
     def test_objective_trend_in_sample_count(self, two_bus_cfg):
         """More scenarios can only shrink the feasible set, so the median

@@ -8,7 +8,9 @@ from scipy import special
 
 import vpcc
 from vpcc.errors import DomainError, MomentUndefined, SamplerMissing
+from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
 from vpcc.stochastics import (
+    _MC_BATCH,
     DistributionSpec,
     beta_dist,
     clopper_pearson_upper,
@@ -19,7 +21,8 @@ from vpcc.stochastics import (
     weibull,
 )
 
-from conftest import deterministic_spec
+from conftest import deterministic_spec, mixed_family_spec
+from mc_oracle import oracle_mc_certify
 
 
 class TestRawMoments:
@@ -176,8 +179,6 @@ class TestMcCertify:
         assert results[0] >= results[1] >= results[2]
 
     def test_sampler_missing(self):
-        from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
-
         entry = RandomEntry("distributional", 1.0, 1.0, dist=None)
         spec = SystemSpec(
             horizon=1,
@@ -190,3 +191,63 @@ class TestMcCertify:
         rows = (vpcc.ConstraintRow(G=np.array([1.0]), h=10.0, k=1, id="r"),)
         with pytest.raises(SamplerMissing):
             mc_certify(spec, vpcc.RowSet(rows, 0.1), np.zeros(1), samples=10, seed=0)
+
+
+_MIXED_U = np.array([0.5, -0.5, 1.0, 0.2, -0.3, 0.4])
+
+
+def _mixed_rowset() -> vpcc.RowSet:
+    """Rows at k = 1, 2, 3, two of them at k = 1, each violated in 5-10% of
+    trajectories of ``mixed_family_spec`` under ``_MIXED_U``."""
+    rows = (
+        vpcc.ConstraintRow(G=np.array([1.0, 0.0, 0.0]), h=1.3, k=1, id="k1a"),
+        vpcc.ConstraintRow(G=np.array([0.5, -1.0, 2.0]), h=0.0, k=1, id="k1b"),
+        vpcc.ConstraintRow(G=np.array([0.0, 1.0, 0.0]), h=0.85, k=2, id="k2"),
+        vpcc.ConstraintRow(G=np.array([0.0, 1.0, 1.0]), h=2.3, k=3, id="k3"),
+    )
+    return vpcc.RowSet(rows, 0.25)
+
+
+class TestAgainstOracle:
+    """``mc_certify`` must count exactly the violations of the full-matrix
+    reference in ``tests/mc_oracle.py``, which draws the same stream."""
+
+    @pytest.mark.parametrize("U", [(600.0, 300.0), (500.0, 280.0), (400.0, 300.0)])
+    def test_two_bus(self, two_bus_spec, two_bus_cfg, U):
+        jcc = two_bus_cfg.jcc()
+        for seed in range(5):
+            fast = mc_certify(two_bus_spec, jcc, np.array(U), samples=10**5, seed=seed)
+            slow = oracle_mc_certify(two_bus_spec, jcc, np.array(U), samples=10**5, seed=seed)
+            assert fast == slow
+
+    @pytest.mark.parametrize("samples", [1, _MC_BATCH, _MC_BATCH + 1, 2 * _MC_BATCH + 7])
+    def test_mixed_families_across_batch_edges(self, samples):
+        spec, jcc = mixed_family_spec(), _mixed_rowset()
+        for seed in (3, 4):
+            fast = mc_certify(spec, jcc, _MIXED_U, samples=samples, seed=seed)
+            assert fast == oracle_mc_certify(spec, jcc, _MIXED_U, samples=samples, seed=seed)
+        if samples > 1:
+            assert 0 < fast.violations < samples
+
+    def test_each_time_step_is_checked(self):
+        spec = mixed_family_spec()
+        for row in _mixed_rowset().rows:
+            jcc = vpcc.RowSet((row,), 0.25)
+            fast = mc_certify(spec, jcc, _MIXED_U, samples=5000, seed=11)
+            assert fast == oracle_mc_certify(spec, jcc, _MIXED_U, samples=5000, seed=11)
+            assert 0 < fast.violations < 5000
+
+    @pytest.mark.parametrize("h2, expected", [(5.0, 0), (0.1, 1000)])
+    def test_fully_deterministic(self, h2, expected):
+        spec = deterministic_spec(
+            np.array([[0.9, 0.1], [0.0, 1.1]]), np.eye(2), np.array([0.1, 0.2]), horizon=2
+        )
+        rows = (
+            vpcc.ConstraintRow(G=np.array([1.0, 0.0]), h=5.0, k=1, id="k1"),
+            vpcc.ConstraintRow(G=np.array([0.0, 1.0]), h=h2, k=2, id="k2"),
+        )
+        jcc = vpcc.RowSet(rows, 0.1)
+        U = np.array([0.1, 0.0, 0.0, 0.1])
+        fast = mc_certify(spec, jcc, U, samples=1000, seed=2)
+        assert fast == oracle_mc_certify(spec, jcc, U, samples=1000, seed=2)
+        assert fast.violations == expected
