@@ -12,9 +12,13 @@ margin over (x, sigma); it exits early once a strictly feasible point is
 found, declares infeasibility when the certified lower bound on the margin
 is positive, and falls back to a stall rule (no margin progress above the
 tolerance for 50 Newton steps) so it detects rather than hangs. Phase 2
-follows the central path with damped Newton steps and a backtracking line
-search, stopping when the barrier duality gap nu / t is below the requested
-relative tolerance.
+follows the central path with damped Newton steps, stopping when the barrier
+duality gap nu / t is below the requested relative tolerance. A Newton step
+forms the slacks of all rows once and factors its system once (Cholesky). Its
+backtracking line search moves the slacks, which are affine in x, along the
+direction's images and takes the quadratic objective in closed form, so a
+trial costs no product with the rows; the accepted point is confirmed strictly
+feasible by one direct product, and halving goes on if it is not.
 
 Everything is dense numpy with a fixed iteration order and no randomness,
 so identical inputs produce identical iterates. Problem sizes in scope are
@@ -32,6 +36,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DomainError
 from .report import STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, STATUS_OPTIMAL
@@ -155,18 +160,15 @@ class ConicProgram:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.P @ x + self.c @ x + self.constant)
 
+    def margin_values(self, x: np.ndarray) -> np.ndarray:
+        """All constraint values minus bounds: linear rows, then cone rows."""
+        lin = self.A_u @ x - self.b_u
+        return np.concatenate([lin, [row.margin(x) for row in self.soc]]) if self.soc else lin
+
     def margins(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """All constraint values minus bounds, with ("linear"|"soc", index) labels."""
-        vals = []
-        labels = []
-        if self.A_u.shape[0]:
-            lin = self.A_u @ x - self.b_u
-            vals.extend(lin.tolist())
-            labels.extend(("linear", i) for i in range(self.A_u.shape[0]))
-        for i, row in enumerate(self.soc):
-            vals.append(row.margin(x))
-            labels.append(("soc", i))
-        return np.asarray(vals), labels
+        """``margin_values`` with ("linear"|"soc", index) labels."""
+        labels = [("linear", i) for i in range(self.A_u.shape[0])] + [("soc", i) for i in range(len(self.soc))]
+        return self.margin_values(x), labels
 
     # -- serialisation ----------------------------------------------------
 
@@ -255,9 +257,10 @@ class SolverOutcome:
 
 
 class _Cone:
-    """Internal form t0 - a'x >= ||(W x + w ; zeta)||, barrier -log(t^2 - |z|^2)."""
+    """Internal form t0 - a'x >= ||(W x + w ; zeta)||, barrier -log(t^2 - |z|^2).
+    ``curv`` holds the constant 2 (a a' - W'W); the Hessian subtracts curv / cval."""
 
-    __slots__ = ("W", "w", "zeta2", "a", "t0")
+    __slots__ = ("W", "w", "zeta2", "a", "t0", "curv")
 
     def __init__(self, W, w, zeta, a, t0):
         self.W = W
@@ -265,60 +268,60 @@ class _Cone:
         self.zeta2 = zeta * zeta
         self.a = a
         self.t0 = t0
+        self.curv = 2.0 * (np.outer(a, a) - W.T @ W)
 
 
 class _Barrier:
+    """Log barrier at the slacks rhs - rows @ x of x: r = lin_b - lin_A x for
+    the linear rows, then t = t0 - a'x and z = W x + w for each cone."""
+
     def __init__(self, lin_A: np.ndarray, lin_b: np.ndarray, cones: list[_Cone]):
-        self.lin_A = lin_A
-        self.lin_b = lin_b
+        self.m = lin_A.shape[0]
         self.cones = cones
-        self.nu = lin_A.shape[0] + 2 * len(cones)
+        self.nu = self.m + 2 * len(cones)
+        self.rows = np.vstack([lin_A] + [np.vstack([cone.a, -cone.W]) for cone in cones])
+        self.rhs = np.concatenate([lin_b] + [np.concatenate([[cone.t0], cone.w]) for cone in cones])
 
-    def strictly_feasible(self, x: np.ndarray) -> bool:
-        if self.lin_A.shape[0]:
-            if (self.lin_b - self.lin_A @ x).min() <= 0.0:
-                return False
-        for cone in self.cones:
-            t = cone.t0 - cone.a @ x
-            if t <= 0.0:
-                return False
-            z = cone.W @ x + cone.w
-            if t * t - z @ z - cone.zeta2 <= 0.0:
-                return False
-        return True
+    def slacks(self, x: np.ndarray) -> np.ndarray:
+        return self.rhs - self.rows @ x
 
-    def value(self, x: np.ndarray) -> float:
-        out = 0.0
-        if self.lin_A.shape[0]:
-            resid = self.lin_b - self.lin_A @ x
-            out -= float(np.log(resid).sum())
+    def _cone_slacks(self, slacks):
+        start = self.m
         for cone in self.cones:
-            t = cone.t0 - cone.a @ x
-            z = cone.W @ x + cone.w
+            end = start + 1 + cone.W.shape[0]
+            yield cone, slacks[start], slacks[start + 1 : end]
+            start = end
+
+    def feasible(self, slacks) -> bool:
+        if self.m and slacks[: self.m].min() <= 0.0:
+            return False
+        return all(t > 0.0 and t * t - z @ z - cone.zeta2 > 0.0 for cone, t, z in self._cone_slacks(slacks))
+
+    def value(self, slacks) -> float:
+        """Barrier value, +inf unless the slacks are strictly feasible."""
+        if not self.feasible(slacks):
+            return math.inf
+        out = -float(np.log(slacks[: self.m]).sum())
+        for cone, t, z in self._cone_slacks(slacks):
             out -= math.log(t * t - z @ z - cone.zeta2)
         return out
 
-    def value_grad_hess(self, x: np.ndarray):
-        d = x.shape[0]
-        val = 0.0
-        grad = np.zeros(d)
-        hess = np.zeros((d, d))
-        if self.lin_A.shape[0]:
-            resid = self.lin_b - self.lin_A @ x
-            val -= float(np.log(resid).sum())
-            inv = 1.0 / resid
-            grad += self.lin_A.T @ inv
-            hess += (self.lin_A * (inv * inv)[:, None]).T @ self.lin_A
-        for cone in self.cones:
-            t = cone.t0 - cone.a @ x
-            z = cone.W @ x + cone.w
+    def grad(self, slacks) -> np.ndarray:
+        grad = self.rows[: self.m].T @ (1.0 / slacks[: self.m])
+        for cone, t, z in self._cone_slacks(slacks):
+            grad += (2.0 * t * cone.a + 2.0 * (cone.W.T @ z)) / (t * t - z @ z - cone.zeta2)
+        return grad
+
+    def hess(self, slacks) -> np.ndarray:
+        lin_A = self.rows[: self.m]
+        inv = 1.0 / slacks[: self.m]
+        hess = (lin_A * (inv * inv)[:, None]).T @ lin_A
+        for cone, t, z in self._cone_slacks(slacks):
             cval = t * t - z @ z - cone.zeta2
-            val -= math.log(cval)
             gc = -2.0 * t * cone.a - 2.0 * (cone.W.T @ z)
-            grad -= gc / cval
             hess += np.outer(gc, gc) / (cval * cval)
-            hess -= (2.0 * np.outer(cone.a, cone.a) - 2.0 * cone.W.T @ cone.W) / cval
-        return val, grad, hess
+            hess -= cone.curv / cval
+        return hess
 
 
 def _canonical(program: ConicProgram):
@@ -348,19 +351,18 @@ def _canonical(program: ConicProgram):
 
 
 def _solve_step(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve H step = rhs for PD H, escalating a ridge on breakdown."""
+    """Solve H step = rhs for PD H by Cholesky, escalating a ridge on breakdown."""
+    if not np.isfinite(H).all():
+        return None
     scale = max(1.0, float(np.trace(H)) / max(1, H.shape[0]))
-    eye = np.eye(H.shape[0])
     ridge = 0.0
     for _ in range(6):
-        regularised = H + ridge * eye if ridge else H
-        try:
-            np.linalg.cholesky(regularised)
-            step = np.linalg.solve(regularised, rhs)
-            if np.all(np.isfinite(step)):
+        regularised = H + ridge * np.eye(H.shape[0]) if ridge else H
+        factor, info = lapack.dpotrf(regularised, lower=1)
+        if info == 0:
+            step, info = lapack.dpotrs(factor, rhs, lower=1)
+            if info == 0 and np.isfinite(step).all():
                 return step
-        except np.linalg.LinAlgError:
-            pass
         ridge = max(ridge * 100.0, 1e-14 * scale)
     return None
 
@@ -391,43 +393,44 @@ def _conditioning_diag(H: np.ndarray) -> str:
 def _center(P, c, barrier: _Barrier, x, t_bar, budget: _Budget, early_exit=None):
     """Damped Newton minimisation of t*f0 + phi from a strictly feasible x.
 
-    Returns (x, flag) with flag one of "centered", "early", "stalled",
-    "budget", "numfail".
+    Returns (x, slacks of x, flag) with flag one of "centered", "early",
+    "stalled", "budget", "numfail".
     """
-
-    def psi(pt, bval):
-        return t_bar * (0.5 * pt @ P @ pt + c @ pt) + bval
-
+    slacks = barrier.slacks(x)
     for _ in range(_INNER_CAP):
         if budget.exhausted:
-            return x, "budget"
-        bval, bgrad, bhess = barrier.value_grad_hess(x)
-        g = t_bar * (P @ x + c) + bgrad
-        H = t_bar * P + bhess
+            return x, slacks, "budget"
+        Px = P @ x
+        g = t_bar * (Px + c) + barrier.grad(slacks)
+        H = t_bar * P + barrier.hess(slacks)
         dx = _solve_step(H, -g)
         if dx is None:
             budget.diagnostic = _conditioning_diag(H)
-            return x, "numfail"
+            return x, slacks, "numfail"
         budget.spent += 1
         dec2 = float(-g @ dx)
         if not math.isfinite(dec2) or dec2 <= 2.0 * _CENTER_TOL:
-            return x, "centered"
-        base = psi(x, bval)
+            return x, slacks, "centered"
+        f0 = float(0.5 * x @ Px + c @ x)
+        slope = float((Px + c) @ dx)
+        curv = float(dx @ P @ dx)
+        base = t_bar * f0 + barrier.value(slacks)
+        images = barrier.rows @ -dx  # slack change per unit step
         step = 1.0
-        accepted = False
         for _ in range(_LS_CAP):
-            xn = x + step * dx
-            if barrier.strictly_feasible(xn):
-                if psi(xn, barrier.value(xn)) <= base - 0.01 * step * dec2:
-                    accepted = True
+            trial = barrier.value(slacks + step * images)
+            if t_bar * (f0 + step * slope + 0.5 * step * step * curv) + trial <= base - 0.01 * step * dec2:
+                xn = x + step * dx
+                direct = barrier.slacks(xn)
+                if barrier.feasible(direct):
                     break
             step *= 0.5
-        if not accepted:
-            return x, "stalled"
-        x = xn
+        else:
+            return x, slacks, "stalled"
+        x, slacks = xn, direct
         if early_exit is not None and early_exit(x):
-            return x, "early"
-    return x, "centered"
+            return x, slacks, "early"
+    return x, slacks, "centered"
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +445,7 @@ def _phase1(program: ConicProgram, lin_A, lin_b, cones, opts, budget, x_hint):
     Returns (x, None) on success or (None, outcome_fields) on failure.
     """
     d = program.d
-    g0, _ = program.margins(x_hint)
+    g0 = program.margin_values(x_hint)
     gmax0 = float(g0.max()) if g0.size else -1.0
     if gmax0 < 0.0:
         return x_hint.copy(), None
@@ -471,7 +474,7 @@ def _phase1(program: ConicProgram, lin_A, lin_b, cones, opts, budget, x_hint):
         for cone in cones
     ]
     barrier = _Barrier(lin_A1, lin_b1, cones1)
-    if not barrier.strictly_feasible(ext):  # pragma: no cover - sigma0 guarantees this
+    if not barrier.feasible(barrier.slacks(ext)):  # pragma: no cover - sigma0 guarantees this
         ext[d] = gmax0 + 10.0 * scale
 
     c1 = np.zeros(d + 1)
@@ -487,7 +490,7 @@ def _phase1(program: ConicProgram, lin_A, lin_b, cones, opts, budget, x_hint):
         return pt[d] <= -feas_margin
 
     while True:
-        ext, flag = _center(P1, c1, barrier, ext, t_bar, budget, early_exit=early)
+        ext, _, flag = _center(P1, c1, barrier, ext, t_bar, budget, early_exit=early)
         sigma = float(ext[d])
         if sigma < best_sigma - opts.tol * scale:
             best_sigma = sigma
@@ -536,10 +539,10 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
     d = program.d
     budget = _Budget(opts.max_iter)
 
-    def done(status, x, diagnostic=None, gap=0.0):
+    def done(status, x, diagnostic=None, gap=0.0, dual=0.0):
         obj = program.objective(x) if x is not None else None
         if x is not None:
-            vals, _ = program.margins(x)
+            vals = program.margin_values(x)
             primal = float(max(0.0, vals.max())) if vals.size else 0.0
         else:
             primal = math.inf
@@ -548,7 +551,7 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
             x=None if x is None else np.array(x, dtype=float),
             objective=obj,
             primal_residual=primal,
-            dual_residual=0.0,
+            dual_residual=dual,
             gap=gap,
             iterations=budget.spent,
             wall_time_ms=(time.perf_counter() - start) * 1e3,
@@ -580,22 +583,18 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
     t_bar = nu / max(1.0, abs(program.objective(x0)))
     t_bar = min(max(t_bar, 1e-8), 1e8)
     while True:
-        x, flag = _center(program.P, program.c, barrier, x, t_bar, budget)
+        x, slacks, flag = _center(program.P, program.c, barrier, x, t_bar, budget)
         if flag == "numfail":
             return done(STATUS_NUMERICAL_FAILURE, x, f"phase 2: {budget.diagnostic}")
         gap = nu / t_bar
         if gap <= opts.tol * max(1.0, abs(program.objective(x))):
             break
         if budget.exhausted:
-            out = done(STATUS_ITERATION_LIMIT, x, "iteration budget exhausted in phase 2", gap=gap)
-            return out
+            return done(STATUS_ITERATION_LIMIT, x, "iteration budget exhausted in phase 2", gap=gap)
         t_bar *= _MU
 
-    _, bgrad, _ = barrier.value_grad_hess(x)
-    dual_res = float(np.abs(program.P @ x + program.c + bgrad / t_bar).max())
-    out = done(STATUS_OPTIMAL, x, gap=nu / t_bar)
-    out.dual_residual = dual_res
-    return out
+    dual = float(np.abs(program.P @ x + program.c + barrier.grad(slacks) / t_bar).max())
+    return done(STATUS_OPTIMAL, x, gap=nu / t_bar, dual=dual)
 
 
 # ---------------------------------------------------------------------------

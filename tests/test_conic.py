@@ -1,4 +1,4 @@
-"""In-repo solver: contracts, determinism, serialisation, cross-validation."""
+"""In-repo solver: contracts, determinism, serialisation, oracle and cross-validation."""
 
 import math
 
@@ -9,6 +9,9 @@ import vpcc
 from vpcc import acs, conic
 from vpcc.conic import ConicProgram, SocRow, SolverOptions, solve, solve_reference
 from vpcc.errors import DomainError
+from vpcc.scenario import solve_scenario
+
+from conic_oracle import PointBarrier, oracle_solve, oracle_solve_step
 
 
 def no_lin(d):
@@ -176,3 +179,120 @@ class TestCrossValidation:
         row = SocRow(a=np.zeros(1), b=0.0, lam=2.0, L=np.zeros((1, 0)), v=np.zeros(0), s=1.0, h=1.0)
         prog = ConicProgram(P=np.zeros((1, 1)), c=np.ones(1), soc=(row,), **no_lin(1))
         assert solve_reference(prog).status == conic.STATUS_INFEASIBLE
+
+
+def random_linear_program(rng: np.random.Generator, rows: int, d: int, quadratic: bool = True) -> ConicProgram:
+    """Scenario-shaped: many random rows around a strictly feasible point, inside a box."""
+    M = rng.uniform(-1, 1, (d, d // 2 + 1))
+    P = M @ M.T if quadratic else np.zeros((d, d))
+    A = rng.standard_normal((rows, d))
+    b = A @ rng.uniform(-1, 1, d) + rng.uniform(0.01, 1.0, rows)
+    A_box, b_box = box_rows(d, -3.0, 3.0)
+    return ConicProgram(P=P, c=rng.uniform(-5, 5, d), A_u=np.vstack([A, A_box]), b_u=np.concatenate([b, b_box]))
+
+
+class TestAgainstOracle:
+    """Against ``tests/conic_oracle.py``: the point-wise line search with LU steps."""
+
+    @staticmethod
+    def assert_agree(prog, opts=SolverOptions()):
+        mine = solve(prog, opts)
+        ref = oracle_solve(prog, opts)
+        assert mine.status == ref.status
+        # Same Newton directions; round-off in the line search may shift a step or two.
+        assert mine.iterations <= ref.iterations + 5
+        if ref.status == conic.STATUS_OPTIMAL:
+            assert abs(mine.objective - ref.objective) <= opts.tol * max(1.0, abs(ref.objective))
+            assert prog.margins(mine.x)[0].max() < 0.0
+        return mine
+
+    @pytest.mark.parametrize(
+        "rows, d, quadratic", [(5, 2, True), (200, 6, True), (2000, 12, True), (2000, 4, False), (10000, 6, True)]
+    )
+    def test_linear_rows(self, rows, d, quadratic):
+        rng = np.random.default_rng(rows + d)
+        for _ in range(2):
+            assert self.assert_agree(random_linear_program(rng, rows, d, quadratic)).status == conic.STATUS_OPTIMAL
+
+    def test_cone_rows(self):
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            assert self.assert_agree(random_feasible_program(rng)).status == conic.STATUS_OPTIMAL
+
+    def test_barrier_derivatives_match_pointwise(self):
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            prog = random_feasible_program(rng)
+            x = solve(prog, SolverOptions(tol=0.1)).x  # off the boundary, where slacks are well conditioned
+            lin_A, lin_b, cones = conic._canonical(prog)
+            barrier = conic._Barrier(lin_A, lin_b, cones)
+            slacks = barrier.slacks(x)
+            val, grad, hess = PointBarrier(lin_A, lin_b, cones).value_grad_hess(x)
+            assert barrier.value(slacks) == pytest.approx(val, rel=1e-12)
+            assert np.allclose(barrier.grad(slacks), grad, rtol=1e-9, atol=1e-9 * np.abs(grad).max())
+            assert np.allclose(barrier.hess(slacks), hess, rtol=1e-9, atol=1e-9 * np.abs(hess).max())
+
+    def test_infeasible_box(self):
+        rng = np.random.default_rng(6)
+        prog = random_linear_program(rng, 300, 3)
+        A = np.vstack([prog.A_u, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]])
+        b = np.concatenate([prog.b_u, [-1.0, -1.0]])  # u_0 <= -1 and u_0 >= 1
+        out = self.assert_agree(ConicProgram(P=prog.P, c=prog.c, A_u=A, b_u=b))
+        assert out.status == conic.STATUS_INFEASIBLE
+
+    def test_two_bus_scenario_program(self, two_bus_cfg, monkeypatch):
+        programs = []
+        inner = conic.solve
+
+        def record(program, opts=None, x_hint=None):
+            programs.append(program)
+            return inner(program, opts, x_hint=x_hint)
+
+        monkeypatch.setattr(conic, "solve", record)
+        cfg = two_bus_cfg.with_alpha(0.01)
+        solve_scenario(cfg.system_spec(), cfg.row_set(), cfg.cost(), cfg.scenario_config(seed=3))
+        monkeypatch.undo()
+        (prog,) = programs
+        assert prog.A_u.shape[0] > 1000
+        assert self.assert_agree(prog).status == conic.STATUS_OPTIMAL
+
+
+class TestNewtonStep:
+    def test_indefinite_escalates_ridge(self):
+        H = np.diag([1.0, -1e-9])
+        rhs = np.array([1.0, 2.0])
+        step = conic._solve_step(H, rhs)
+        # Ridges 1e-14 ... 1e-10 leave H indefinite; 1e-8 is the first that works.
+        assert step is not None
+        assert np.allclose((H + 1e-8 * np.eye(2)) @ step, rhs, rtol=1e-12, atol=0.0)
+        assert step == pytest.approx(oracle_solve_step(H, rhs), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite(self, bad):
+        H = np.array([[bad, 0.0], [0.0, 1.0]])
+        assert conic._solve_step(H, np.ones(2)) is None
+        barrier = conic._Barrier(np.eye(2), np.ones(2), [])
+        budget = conic._Budget(10)
+        _, _, flag = conic._center(H, np.zeros(2), barrier, np.full(2, 0.5), 1.0, budget)
+        assert flag == "numfail" and budget.spent == 0
+        assert "non-finite entries" in budget.diagnostic
+
+    def test_accepted_points_are_checked_directly(self):
+        """A trial the moved slacks call feasible is accepted only if the
+        direct product agrees; a cut seen only by the direct product shows it."""
+
+        class HiddenCut(conic._Barrier):
+            def slacks(self, x):
+                out = super().slacks(x)
+                if x[0] > 0.5:
+                    out[0] = -1.0
+                return out
+
+        barrier = HiddenCut(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), [])
+        accepted = []
+        budget = conic._Budget(100)
+        x, slacks, _ = conic._center(
+            np.zeros((1, 1)), -np.ones(1), barrier, np.zeros(1), 10.0, budget, early_exit=accepted.append
+        )
+        assert accepted and max(pt[0] for pt in accepted) <= 0.5
+        assert x[0] <= 0.5 and np.array_equal(slacks, barrier.slacks(x))
