@@ -12,7 +12,7 @@ certification; ``config``/``cli`` wrap everything for batch use.
 """
 
 from .acs import AcsConfig, Cost, build_input_program, init_lambdas, lambda_step, run, u_step
-from .conic import ConicProgram, SocRow, SolverOptions, SolverOutcome, solve, solve_reference
+from .conic import ConicProgram, SocRow, SolverOptions, SolverOutcome, solve
 from .config import ProblemConfig, load_config, load_two_bus, parse_config, two_bus_config_path
 from .errors import (
     AllocationInfeasible,

@@ -11,6 +11,7 @@ numbers with 17 significant digits) plus per-point reports and a log.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,6 +42,8 @@ def _load(path: str) -> ProblemConfig:
     cfg = load_config(path)
     env_seed = os.environ.get("VPCC_SEED")
     if env_seed is not None:
+        if not (env_seed.isascii() and env_seed.isdigit()):
+            raise ConfigError("VPCC_SEED", f"expected a non-negative integer, got {env_seed!r}")
         cfg = cfg.with_seed(int(env_seed))
     return cfg
 
@@ -295,7 +298,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="vpcc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

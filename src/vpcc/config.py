@@ -264,7 +264,9 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     schema = _need(data, "schema", "", int)
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema}; this build reads {SCHEMA_VERSION}")
-    seed = int(data.get("seed", 0))
+    seed = data.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed", f"seed must be a non-negative integer, got {seed!r}")
 
     system = _need(data, "system", "", dict)
     n = _need(system, "n", "system", int)

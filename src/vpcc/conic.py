@@ -23,9 +23,6 @@ feasible by one direct product, and halving goes on if it is not.
 Everything is dense numpy with a fixed iteration order and no randomness,
 so identical inputs produce identical iterates. Problem sizes in scope are
 desk scale (a few hundred variables, a few thousand rows).
-
-``solve_reference`` adapts the same program onto cvxpy for cross-validation;
-cvxpy is imported on use only.
 """
 
 from __future__ import annotations
@@ -281,6 +278,7 @@ class _Barrier:
         self.nu = self.m + 2 * len(cones)
         self.rows = np.vstack([lin_A] + [np.vstack([cone.a, -cone.W]) for cone in cones])
         self.rhs = np.concatenate([lin_b] + [np.concatenate([[cone.t0], cone.w]) for cone in cones])
+        self.centered = None  # (x, slacks, value, grad, hess) where the last centering converged
 
     def slacks(self, x: np.ndarray) -> np.ndarray:
         return self.rhs - self.rows @ x
@@ -292,36 +290,45 @@ class _Barrier:
             yield cone, slacks[start], slacks[start + 1 : end]
             start = end
 
+    # The line search calls feasible and value several times per Newton step,
+    # so they use the ufunc reductions directly and skip the cone walk when
+    # there are no cones.
     def feasible(self, slacks) -> bool:
-        if self.m and slacks[: self.m].min() <= 0.0:
+        if self.m and np.minimum.reduce(slacks[: self.m]) <= 0.0:
             return False
-        return all(t > 0.0 and t * t - z @ z - cone.zeta2 > 0.0 for cone, t, z in self._cone_slacks(slacks))
+        return not self.cones or all(
+            t > 0.0 and t * t - z @ z - cone.zeta2 > 0.0 for cone, t, z in self._cone_slacks(slacks)
+        )
 
     def value(self, slacks) -> float:
         """Barrier value, +inf unless the slacks are strictly feasible."""
         if not self.feasible(slacks):
             return math.inf
-        out = -float(np.log(slacks[: self.m]).sum())
-        for cone, t, z in self._cone_slacks(slacks):
-            out -= math.log(t * t - z @ z - cone.zeta2)
+        out = -float(np.add.reduce(np.log(slacks[: self.m])))
+        if self.cones:
+            for cone, t, z in self._cone_slacks(slacks):
+                out -= math.log(t * t - z @ z - cone.zeta2)
         return out
 
     def grad(self, slacks) -> np.ndarray:
-        grad = self.rows[: self.m].T @ (1.0 / slacks[: self.m])
-        for cone, t, z in self._cone_slacks(slacks):
-            grad += (2.0 * t * cone.a + 2.0 * (cone.W.T @ z)) / (t * t - z @ z - cone.zeta2)
-        return grad
+        return self.grad_hess(slacks)[0]
 
     def hess(self, slacks) -> np.ndarray:
+        return self.grad_hess(slacks)[1]
+
+    def grad_hess(self, slacks) -> tuple[np.ndarray, np.ndarray]:
         lin_A = self.rows[: self.m]
         inv = 1.0 / slacks[: self.m]
+        grad = lin_A.T @ inv
         hess = (lin_A * (inv * inv)[:, None]).T @ lin_A
         for cone, t, z in self._cone_slacks(slacks):
             cval = t * t - z @ z - cone.zeta2
-            gc = -2.0 * t * cone.a - 2.0 * (cone.W.T @ z)
+            Wz = cone.W.T @ z
+            grad += (2.0 * t * cone.a + 2.0 * Wz) / cval
+            gc = -2.0 * t * cone.a - 2.0 * Wz
             hess += np.outer(gc, gc) / (cval * cval)
             hess -= cone.curv / cval
-        return hess
+        return grad, hess
 
 
 def _canonical(program: ConicProgram):
@@ -354,7 +361,6 @@ def _solve_step(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve H step = rhs for PD H by Cholesky, escalating a ridge on breakdown."""
     if not np.isfinite(H).all():
         return None
-    scale = max(1.0, float(np.trace(H)) / max(1, H.shape[0]))
     ridge = 0.0
     for _ in range(6):
         regularised = H + ridge * np.eye(H.shape[0]) if ridge else H
@@ -363,7 +369,7 @@ def _solve_step(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
             step, info = lapack.dpotrs(factor, rhs, lower=1)
             if info == 0 and np.isfinite(step).all():
                 return step
-        ridge = max(ridge * 100.0, 1e-14 * scale)
+        ridge = ridge * 100.0 if ridge else 1e-14 * max(1.0, float(np.trace(H)) / max(1, H.shape[0]))
     return None
 
 
@@ -394,40 +400,56 @@ def _center(P, c, barrier: _Barrier, x, t_bar, budget: _Budget, early_exit=None)
     """Damped Newton minimisation of t*f0 + phi from a strictly feasible x.
 
     Returns (x, slacks of x, flag) with flag one of "centered", "early",
-    "stalled", "budget", "numfail".
+    "stalled", "budget", "numfail". The barrier value of an accepted point
+    both confirms it strictly feasible and serves the next step's line search.
+    The next centering starts where this one converged, at a larger t, so the
+    barrier keeps its value and derivatives there.
     """
-    slacks = barrier.slacks(x)
+    if barrier.centered is not None and barrier.centered[0] is x:
+        _, slacks, phi, grad, hess = barrier.centered
+    else:
+        slacks = barrier.slacks(x)
+        phi = barrier.value(slacks)
+        grad = None
+    tP = t_bar * P
     for _ in range(_INNER_CAP):
         if budget.exhausted:
             return x, slacks, "budget"
+        if grad is None:
+            grad, hess = barrier.grad_hess(slacks)
         Px = P @ x
-        g = t_bar * (Px + c) + barrier.grad(slacks)
-        H = t_bar * P + barrier.hess(slacks)
-        dx = _solve_step(H, -g)
+        Pxc = Px + c
+        g = t_bar * Pxc + grad
+        H = tP + hess
+        neg_g = -g
+        dx = _solve_step(H, neg_g)
         if dx is None:
             budget.diagnostic = _conditioning_diag(H)
             return x, slacks, "numfail"
         budget.spent += 1
-        dec2 = float(-g @ dx)
+        dec2 = float(neg_g @ dx)
         if not math.isfinite(dec2) or dec2 <= 2.0 * _CENTER_TOL:
+            barrier.centered = (x, slacks, phi, grad, hess)
             return x, slacks, "centered"
         f0 = float(0.5 * x @ Px + c @ x)
-        slope = float((Px + c) @ dx)
+        slope = float(Pxc @ dx)
         curv = float(dx @ P @ dx)
-        base = t_bar * f0 + barrier.value(slacks)
+        base = t_bar * f0 + phi
         images = barrier.rows @ -dx  # slack change per unit step
         step = 1.0
         for _ in range(_LS_CAP):
-            trial = barrier.value(slacks + step * images)
+            # A full step skips the product by 1.0, which is exact.
+            trial = barrier.value(slacks + images if step == 1.0 else slacks + step * images)
             if t_bar * (f0 + step * slope + 0.5 * step * step * curv) + trial <= base - 0.01 * step * dec2:
-                xn = x + step * dx
+                xn = x + dx if step == 1.0 else x + step * dx
                 direct = barrier.slacks(xn)
-                if barrier.feasible(direct):
+                phi = barrier.value(direct)
+                if phi != math.inf:
                     break
             step *= 0.5
         else:
             return x, slacks, "stalled"
-        x, slacks = xn, direct
+        x, slacks, grad = xn, direct, None
         if early_exit is not None and early_exit(x):
             return x, slacks, "early"
     return x, slacks, "centered"
@@ -507,10 +529,11 @@ def _phase1(program: ConicProgram, lin_A, lin_b, cones, opts, budget, x_hint):
         if flag == "centered" and sigma - barrier.nu / t_bar > opts.tol * scale:
             return None, (STATUS_INFEASIBLE, best_x, _violation_diag(program, best_x))
         if flag in ("stalled", "centered") and barrier.nu / t_bar <= opts.tol * scale:
-            # Margin minimised to tolerance without reaching strict feasibility.
-            if sigma > -feas_margin:
-                return None, (STATUS_INFEASIBLE, best_x, _violation_diag(program, best_x))
-            return ext[:d].copy(), None
+            # Margin minimised to tolerance short of -feas_margin: a point whose
+            # direct margins are all negative still goes on to phase 2.
+            if program.margin_values(ext[:d]).max() < 0.0:
+                return ext[:d].copy(), None
+            return None, (STATUS_INFEASIBLE, best_x, _violation_diag(program, best_x))
         if stall > _STALL_LIMIT:
             return None, (STATUS_INFEASIBLE, best_x, _violation_diag(program, best_x) + " (phase-1 stall)")
         if budget.exhausted:
@@ -595,53 +618,3 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
 
     dual = float(np.abs(program.P @ x + program.c + barrier.grad(slacks) / t_bar).max())
     return done(STATUS_OPTIMAL, x, gap=nu / t_bar, dual=dual)
-
-
-# ---------------------------------------------------------------------------
-# Independent reference solver (cross-validation seam)
-# ---------------------------------------------------------------------------
-
-
-def solve_reference(program: ConicProgram, solver: str = "CLARABEL") -> SolverOutcome:
-    """Solve with cvxpy as an independent cross-check. Optional dependency."""
-    try:
-        import cvxpy as cp
-    except ImportError as exc:  # pragma: no cover - environment dependent
-        raise RuntimeError("solve_reference requires the optional cvxpy dependency") from exc
-
-    start = time.perf_counter()
-    x = cp.Variable(program.d)
-    objective = 0.5 * cp.quad_form(x, cp.psd_wrap(program.P)) + program.c @ x + program.constant
-    constraints = []
-    if program.A_u.shape[0]:
-        constraints.append(program.A_u @ x <= program.b_u)
-    for row in program.soc:
-        rhs = row.h - row.b - row.a @ x
-        if row.lam == 0.0 or not (row.L.size and np.any(row.L)):
-            # Same reduction as the in-repo canonicaliser: a constant
-            # deviation makes the row affine (cvxpy mishandles constant cones).
-            constraints.append(rhs >= row.lam * math.sqrt(row.s))
-            continue
-        parts = [row.L.T @ x + row.v, np.array([math.sqrt(row.s)])]
-        constraints.append(cp.SOC(rhs, row.lam * cp.hstack(parts)))
-    problem = cp.Problem(cp.Minimize(objective), constraints)
-    problem.solve(solver=solver, verbose=False)
-    status_map = {
-        cp.OPTIMAL: STATUS_OPTIMAL,
-        cp.OPTIMAL_INACCURATE: STATUS_OPTIMAL,
-        cp.INFEASIBLE: STATUS_INFEASIBLE,
-        cp.INFEASIBLE_INACCURATE: STATUS_INFEASIBLE,
-    }
-    status = status_map.get(problem.status, STATUS_NUMERICAL_FAILURE)
-    xv = None if x.value is None else np.asarray(x.value, dtype=float)
-    return SolverOutcome(
-        status=status,
-        x=xv,
-        objective=None if xv is None else program.objective(xv),
-        primal_residual=0.0,
-        dual_residual=0.0,
-        gap=0.0,
-        iterations=0,
-        wall_time_ms=(time.perf_counter() - start) * 1e3,
-        diagnostic=f"cvxpy/{solver}: {problem.status}",
-    )

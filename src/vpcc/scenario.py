@@ -15,9 +15,11 @@ decision dimension d = N * m (IEEE TAC 2006) at its two-bus value N = 1,
 m = 2; any larger d needs more samples than this bound gives, and the report
 then notes d and the count that ``(2/alpha)(ln(1/beta) + d)`` requires.
 
-Stream contract: scenario s draws from its own child stream
-``child_seed(seed, s)``, so a shorter draw is a prefix of a longer one, and
-takes its random entries time-ascending, row-major within each A(t). A
+Stream contract: scenario s draws from child stream s of the seed, the
+stream of ``default_rng(SeedSequence(seed, spawn_key=(s,)))``, so a shorter
+draw is a prefix of a longer one, and takes its random entries
+time-ascending, row-major within each A(t). ``child_streams`` seeds all of
+them in one pass and gives the same bits as building each generator. A
 weibull or finite entry consumes one uniform double, a beta entry two
 unit-scale Gamma draws (shape a, then b), a constant or deterministic entry
 nothing. The transforms from draws to entries are elementwise, so drawing
@@ -39,7 +41,7 @@ from .conic import ConicProgram
 from .errors import DomainError, SamplerMissing
 from .moments import SystemSpec
 from .report import STATUS_ERROR, STATUS_OPTIMAL, SolveReport
-from .stochastics import child_seed
+from .stochastics import child_streams
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,7 @@ def sample_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray
                         calls.append([width, 1, shape])
                     width += 1
     draws = np.empty((width, count))
-    for s in range(count):
-        rng = np.random.default_rng(child_seed(seed, s))
+    for s, rng in enumerate(child_streams(seed, count)):
         for first, length, shape in calls:
             if shape is None:
                 draws[first : first + length, s] = rng.random(length)

@@ -17,18 +17,20 @@ state constraints under a fixed input sequence and reports an exact one-sided
 99% Clopper-Pearson upper confidence bound (Wald intervals are invalid when
 the violation count is near zero, which is the regime certification targets).
 
-MC stream contract: batch b of ``_MC_BATCH`` trajectories draws from
-``child_seed(seed, b)``; per time step only entries whose kind is not
-"deterministic" draw, row-major within A(t), each in one ``sample`` call for
-the whole batch (all first draws, then all second draws for beta). The draws
-are thus fixed by (seed, samples) and the system, so the result does not
-depend on how the states are advanced between draws.
+MC stream contract: batch b of ``_MC_BATCH`` trajectories draws from child
+stream b of the seed, which ``child_streams`` seeds in one pass with the bits
+of ``default_rng(SeedSequence(seed, spawn_key=(b,)))``; per time step only
+entries whose kind is not "deterministic" draw, row-major within A(t), each
+in one ``sample`` call for the whole batch (all first draws, then all second
+draws for beta). The draws are thus fixed by (seed, samples) and the
+system, so the result does not depend on how the states are advanced between
+draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 from scipy import special, stats
@@ -40,6 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 FAMILIES = ("weibull", "beta", "finite", "constant")
 _MC_BATCH = 1 << 15
+
+# SeedSequence (numpy.random.bit_generator) and PCG64 seeding constants.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -199,9 +210,65 @@ def as_generator(seed_stream) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed_stream))
 
 
-def child_seed(seed: int, index: int) -> np.random.SeedSequence:
-    """Counter-based child stream: deterministic per (seed, index), order-free."""
-    return np.random.SeedSequence(seed, spawn_key=(index,))
+def child_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """Child streams 0, ..., count-1 of ``seed``, in order: stream i draws the
+    bits of ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.
+
+    SeedSequence hashes the seed's 32-bit words, zero-padded to the pool
+    size, and then the key word i. Only that last stage depends on i, so
+    ``SeedSequence(seed)`` runs the stages before it once (its pool is a
+    child's pool before the key: a missing seed word hashes like a padded
+    zero) and the last one runs as uint32 arithmetic over the key column.
+    Each child's four 64-bit output words then seed PCG64. One generator is
+    yielded for every child, reseeded in turn, so a stream is valid until
+    the next one is drawn.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    if not 0 <= count <= 1 << 32:  # a larger key needs a second 32-bit word
+        raise DomainError(f"child stream count must lie in [0, 2**32], got {count}")
+    # The stages before the key made one hashmix call per pool word per seed word.
+    words = max(_POOL_SIZE, -(-int(seed).bit_length() // 32))
+    consts = _hash_consts(_HASH_INIT_A, _HASH_MULT_A, _POOL_SIZE * words, _POOL_SIZE)
+    key = np.arange(count, dtype=np.uint32)
+    pool = _mix(np.random.SeedSequence(seed).pool[:, None], _hashmix(key, *consts))
+    # generate_state(4, uint64) hashes pool words 0-3 twice and reads the
+    # eight uint32 results as little-endian pairs.
+    out = _hashmix(np.concatenate((pool, pool)), *_OUTPUT_CONSTS).astype(np.uint64)
+    return _pcg64_streams(*(out[0::2] | out[1::2] << 32).tolist())
+
+
+def _hash_consts(init: int, mult: int, first: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) uint32 columns of hashmix calls first, ...,
+    first + calls - 1: call k xors with the running constant init * mult**k
+    mod 2**32 and multiplies by the next one."""
+    consts = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + calls + 1)], dtype=np.uint32)
+    return consts[:-1, None], consts[1:, None]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult  # uint32 arrays wrap mod 2**32
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ value >> 16
+
+
+_OUTPUT_CONSTS = _hash_consts(_HASH_INIT_B, _HASH_MULT_B, 0, 8)
+
+
+def _pcg64_streams(init_hi, init_lo, seq_hi, seq_lo) -> Iterator[np.random.Generator]:
+    """One generator, set to each child's PCG64 state in turn, as ``srandom``
+    seeds it: inc = 2 seq + 1, state = (inc + init) MULT + inc mod 2**128."""
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for ih, il, sh, sl in zip(init_hi, init_lo, seq_hi, seq_lo):
+        inc = (sh << 65 | sl << 1 | 1) & _MASK128
+        state = ((inc + (ih << 64 | il)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +346,8 @@ def mc_certify(
 
     violations = 0
     done = 0
-    batch_index = 0
-    while done < samples:
+    for rng in child_streams(seed, -(-samples // _MC_BATCH)):
         count = min(_MC_BATCH, samples - done)
-        rng = np.random.default_rng(child_seed(seed, batch_index))
         violated = np.zeros(count, dtype=bool)
         x = spec.x0[:, None]  # one column until the first step spreads it over the batch
         for t, (a_det, drive, random_entries) in enumerate(steps):
@@ -297,7 +362,6 @@ def mc_certify(
                 violated |= (G @ x > h).any(axis=0)
         violations += int(violated.sum())
         done += count
-        batch_index += 1
 
     empirical = violations / samples
     upper = clopper_pearson_upper(violations, samples, confidence)

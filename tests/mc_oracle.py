@@ -15,7 +15,7 @@ import numpy as np
 
 from vpcc.errors import DomainError
 from vpcc.moments import RandomMatrixModel, SystemSpec
-from vpcc.stochastics import _MC_BATCH, McCertificate, child_seed, clopper_pearson_upper
+from vpcc.stochastics import _MC_BATCH, McCertificate, clopper_pearson_upper
 
 
 def sample_batch(model: RandomMatrixModel, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -50,7 +50,7 @@ def oracle_mc_certify(
     batch_index = 0
     while done < samples:
         count = min(_MC_BATCH, samples - done)
-        rng = np.random.default_rng(child_seed(seed, batch_index))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch_index,)))
         violated = np.zeros(count, dtype=bool)
         x = np.broadcast_to(spec.x0, (count, spec.n)).copy()
         for t in range(max_k):

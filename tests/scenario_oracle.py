@@ -14,7 +14,7 @@ import numpy as np
 
 from vpcc.errors import SamplerMissing
 from vpcc.moments import SystemSpec
-from vpcc.stochastics import DistributionSpec, child_seed
+from vpcc.stochastics import DistributionSpec
 
 
 def oracle_variate(dist: DistributionSpec, rng: np.random.Generator) -> float:
@@ -46,7 +46,7 @@ def oracle_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray
     """(count, N, n, n) realisations, one entry at a time."""
     out = np.empty((count, spec.horizon, spec.n, spec.n))
     for s in range(count):
-        rng = np.random.default_rng(child_seed(seed, s))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(s,)))
         for t, model in enumerate(spec.a_models):
             for i, row in enumerate(model.entries):
                 for j, entry in enumerate(row):

@@ -99,6 +99,32 @@ class TestSolve:
         assert report.inputs["seed"] == 99
 
 
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+    def test_config_seed_rejected(self, seed):
+        data = scalar_toy_config()
+        data["seed"] = seed
+        with pytest.raises(ConfigError) as info:
+            parse_config(data)
+        assert info.value.field == "seed"
+
+    @pytest.mark.parametrize("method", ["proposed", "scenario"])
+    def test_negative_config_seed_exits_1(self, method, tmp_path, capsys):
+        data = scalar_toy_config()
+        data["seed"] = -3
+        path = write_config(tmp_path, data)
+        assert main(["solve", path, "--method", method, "--out", str(tmp_path)]) == 1
+        assert "config error at seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["proposed", "scenario"])
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
+    def test_bad_env_seed_exits_1(self, method, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("VPCC_SEED", value)
+        path = write_config(tmp_path, scalar_toy_config())
+        assert main(["solve", path, "--method", method, "--out", str(tmp_path)]) == 1
+        assert "config error at VPCC_SEED" in capsys.readouterr().err
+
+
 class TestMoments:
     def test_toy_chain_values(self, tmp_path, capsys):
         path = write_config(tmp_path, scalar_toy_config())

@@ -1,17 +1,20 @@
 """In-repo solver: contracts, determinism, serialisation, oracle and cross-validation."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vpcc
 from vpcc import acs, conic
-from vpcc.conic import ConicProgram, SocRow, SolverOptions, solve, solve_reference
+from vpcc.conic import ConicProgram, SocRow, SolverOptions, solve
 from vpcc.errors import DomainError
 from vpcc.scenario import solve_scenario
 
 from conic_oracle import PointBarrier, oracle_solve, oracle_solve_step
+from cvxpy_oracle import solve_reference
 
 
 def no_lin(d):
@@ -122,6 +125,21 @@ class TestOptimalContracts:
         assert one.x.tobytes() == two.x.tobytes()
         assert one.objective == two.objective
         assert one.iterations == two.iterations
+
+
+class TestPhase1NearZeroMargin:
+    """Phase 1 ends with its margin within tolerance of zero, short of
+    -feas_margin, at a point whose direct margins are all negative. Both
+    programs are ACS input steps once declared infeasible there."""
+
+    @pytest.mark.parametrize("name", ["phase1_p18-n4N5", "phase1_p57-n5N6"])
+    def test_goes_on_to_optimal(self, name):
+        data = json.loads((Path(__file__).parent / "fixtures" / f"{name}.json").read_text())
+        prog = ConicProgram.from_dict(data["program"])
+        hint = None if data["x_hint"] is None else np.array(data["x_hint"])
+        out = solve(prog, SolverOptions(**data["options"]), hint)
+        assert out.status == conic.STATUS_OPTIMAL
+        assert prog.margin_values(out.x).max() < 0.0
 
 
 class TestSerialisation:

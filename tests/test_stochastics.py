@@ -13,6 +13,7 @@ from vpcc.stochastics import (
     _MC_BATCH,
     DistributionSpec,
     beta_dist,
+    child_streams,
     clopper_pearson_upper,
     constant,
     finite_support,
@@ -121,6 +122,48 @@ class TestSamplers:
         a = sample(weibull(5, 30, power=3), 123, 1000)
         b = sample(weibull(5, 30, power=3), 123, 1000)
         assert np.array_equal(a, b)
+
+
+class TestChildStreams:
+    """``child_streams`` against numpy building each child's generator."""
+
+    @staticmethod
+    def draws(rng):
+        return rng.random(7), rng.standard_gamma(50.0, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9])
+    @pytest.mark.parametrize("count", [0, 1, 1782])
+    def test_matches_numpy_seeding(self, seed, count):
+        checked = {0, 1, count - 1} & set(range(count))
+        seen = 0
+        for i, rng in enumerate(child_streams(seed, count)):
+            seen += 1
+            if i in checked:
+                ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                for got, want in zip(self.draws(rng), self.draws(ref)):
+                    assert np.array_equal(got, want), (seed, count, i)
+        assert seen == count
+
+    def test_each_child_starts_fresh(self):
+        # A 32-bit draw leaves half a 64-bit word buffered in the bit generator.
+        streams = child_streams(5, 2)
+        next(streams).integers(0, 2**32, size=1, dtype=np.uint32)
+        ref = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(1,)))
+        assert np.array_equal(next(streams).random(7), ref.random(7))
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(DomainError):
+            child_streams(seed, 1)
+
+    @pytest.mark.parametrize("count", [-1, 2**32 + 1])
+    def test_count_outside_one_key_word_raises_before_allocating(self, count, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated the key column")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(DomainError, match="2\\*\\*32"):
+            child_streams(0, count)
 
 
 class TestClopperPearson:
