@@ -6,19 +6,33 @@ Problem form over x in R^d:
     subject to  A_u x <= b_u                                     (linear rows)
                 a' x + b + lam ||(L' x + v ; sqrt(s))|| <= h     (cone rows)
 
-with P symmetric PSD, lam >= 0 and s >= 0. The solver is a two-phase
-log-barrier path-following method. Phase 1 minimizes the worst constraint
-margin over (x, sigma); it exits early once a strictly feasible point is
-found, declares infeasibility when the certified lower bound on the margin
-is positive, and falls back to a stall rule (no margin progress above the
-tolerance for 50 Newton steps) so it detects rather than hangs. Phase 2
-follows the central path with damped Newton steps, stopping when the barrier
-duality gap nu / t is below the requested relative tolerance. A Newton step
-forms the slacks of all rows once and factors its system once (Cholesky). Its
-backtracking line search moves the slacks, which are affine in x, along the
-direction's images and takes the quadratic objective in closed form, so a
-trial costs no product with the rows; the accepted point is confirmed strictly
-feasible by one direct product, and halving goes on if it is not.
+with P symmetric PSD, lam >= 0 and s >= 0. The solver has two phases.
+Phase 1 is a log-barrier method that minimizes the worst constraint margin
+over (x, sigma); it exits early once a strictly feasible point is found,
+declares infeasibility when the certified lower bound on the margin is
+positive, and falls back to a stall rule (no margin progress above the
+tolerance for 50 Newton steps) so it detects rather than hangs.
+
+Phase 2 starts from phase 1's strictly feasible point and takes one of two
+paths, chosen by the input:
+
+* Some genuine cone row (``_canonical`` turns degenerate cones into affine
+  rows): the barrier follows the central path with damped Newton steps and stops when its gap
+  nu / t is at most tol max(1, |f(x)|). A Newton step forms the slacks of
+  all rows once and factors its system once (Cholesky). Its backtracking
+  line search moves the slacks, which are affine in x, along the direction's
+  images and takes the quadratic objective in closed form, so a trial costs
+  no product with the rows. Its duals are z = 1 / (t s).
+* Linear rows only: a Mehrotra predictor-corrector primal-dual method
+  (``_primal_dual``) with one Cholesky factorisation and two solves per
+  iteration. It stops when s'z <= tol max(1, |f(x)|) and the dual residual
+  ||P x + c + A'z||_inf <= tol max(1, ||P x + c||_inf), taken at its own
+  duals z.
+
+Either way an accepted point is confirmed strictly feasible by one direct
+product with the rows, and the step is halved until it is. On "optimal" the
+outcome's ``gap`` is s'z (nu / t for the barrier) and ``dual_residual`` is
+||P x + c + A'z||_inf; with no constraints, ``dual_residual`` is ||P x + c||_inf.
 
 Everything is dense numpy with a fixed iteration order and no randomness,
 so identical inputs produce identical iterates. Problem sizes in scope are
@@ -357,20 +371,27 @@ def _canonical(program: ConicProgram):
     return lin_A, lin_b, cones
 
 
-def _solve_step(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve H step = rhs for PD H by Cholesky, escalating a ridge on breakdown."""
+def _cholesky(H: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of PD H, escalating a ridge on breakdown; None
+    if H has a non-finite entry or stays indefinite."""
     if not np.isfinite(H).all():
         return None
     ridge = 0.0
     for _ in range(6):
-        regularised = H + ridge * np.eye(H.shape[0]) if ridge else H
-        factor, info = lapack.dpotrf(regularised, lower=1)
+        factor, info = lapack.dpotrf(H + ridge * np.eye(H.shape[0]) if ridge else H, lower=1)
         if info == 0:
-            step, info = lapack.dpotrs(factor, rhs, lower=1)
-            if info == 0 and np.isfinite(step).all():
-                return step
+            return factor
         ridge = ridge * 100.0 if ridge else 1e-14 * max(1.0, float(np.trace(H)) / max(1, H.shape[0]))
     return None
+
+
+def _solve_step(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve H step = rhs for PD H by Cholesky (``_cholesky``)."""
+    factor = _cholesky(H)
+    if factor is None:
+        return None
+    step, info = lapack.dpotrs(factor, rhs, lower=1)
+    return step if info == 0 and np.isfinite(step).all() else None
 
 
 class _Budget:
@@ -541,6 +562,95 @@ def _phase1(program: ConicProgram, lin_A, lin_b, cones, opts, budget, x_hint):
         t_bar *= _MU
 
 
+def _barrier_phase2(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, tol):
+    """Follow the central path from a strictly feasible x, raising t by _MU
+    after each centering, until nu / t <= tol max(1, |f(x)|).
+
+    Returns (x, flag, gap, dual residual) with flag "optimal", "budget" or
+    "numfail"; the gap is nu / t and the dual residual ||P x + c + A'z||_inf
+    is taken at the barrier's duals z = 1 / (t s).
+    """
+    while True:
+        x, slacks, flag = _center(program.P, program.c, barrier, x, t_bar, budget)
+        if flag == "numfail":
+            return x, flag, math.nan, math.nan
+        gap = barrier.nu / t_bar
+        converged = gap <= tol * max(1.0, abs(program.objective(x)))
+        if converged or budget.exhausted:
+            dual = float(np.abs(program.P @ x + program.c + barrier.grad(slacks) / t_bar).max())
+            return x, "optimal" if converged else "budget", gap, dual
+        t_bar *= _MU
+
+
+def _to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest a with v + a dv >= 0 (inf when dv >= 0)."""
+    neg = dv < 0.0
+    return float((v[neg] / -dv[neg]).min()) if neg.any() else math.inf
+
+
+def _primal_dual(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, tol):
+    """Mehrotra predictor-corrector for a program whose rows are all linear.
+
+    Starts from a strictly feasible x with slacks s = b - A x and duals
+    z = 1 / (t s), the barrier's own dual estimate at t. Each iteration
+    factors H = P + A' diag(z/s) A once and solves twice: the affine
+    direction, then the direction aimed at sigma mu, sigma = (mu_aff / mu)^3,
+    with the second-order correction. Steps go 0.99 of the way to the
+    boundary, and are equal in x and z when P != 0, so the dual residual
+    shrinks with the step. A primal iterate is accepted only once one direct
+    product b - A x shows it strictly feasible; until then the primal step is
+    halved. Stops when s'z <= tol max(1, |f(x)|) and
+    ||P x + c + A'z||_inf <= tol max(1, ||P x + c||_inf).
+
+    Returns (x, flag, gap, dual residual) like ``_barrier_phase2``.
+    """
+    P, c, A = program.P, program.c, barrier.rows
+    coupled = bool(P.any())
+    s = barrier.slacks(x)
+    z = 1.0 / (t_bar * s)
+    while True:
+        Pxc = P @ x + c
+        r_d = Pxc + A.T @ z
+        gap = float(s @ z)
+        dual = float(np.abs(r_d).max())
+        if gap <= tol * max(1.0, abs(program.objective(x))) and dual <= tol * max(1.0, float(np.abs(Pxc).max())):
+            return x, "optimal", gap, dual
+        if budget.exhausted:
+            return x, "budget", gap, dual
+        w = z / s
+        H = P + (A * w[:, None]).T @ A
+        factor = _cholesky(H)
+        if factor is None:
+            budget.diagnostic = _conditioning_diag(H)
+            return x, "numfail", gap, dual
+        budget.spent += 1
+        # Predictor: the affine direction, aimed at s z = 0.
+        ds = A @ -lapack.dpotrs(factor, -Pxc, lower=1)[0]
+        dz = -z - w * ds
+        a_p, a_d = min(1.0, _to_boundary(s, ds)), min(1.0, _to_boundary(z, dz))
+        if coupled:
+            a_p = a_d = min(a_p, a_d)
+        sigma = (float((s + a_p * ds) @ (z + a_d * dz)) / gap) ** 3  # (mu_aff / mu)^3
+        # Corrector: aimed at s z = sigma mu, less the predictor's product ds dz.
+        r_c = s * z + ds * dz - sigma * gap / s.shape[0]
+        dx = lapack.dpotrs(factor, A.T @ (r_c / s) - r_d, lower=1)[0]
+        ds = A @ -dx
+        dz = (-r_c - z * ds) / s
+        a_p, a_d = min(1.0, 0.99 * _to_boundary(s, ds)), min(1.0, 0.99 * _to_boundary(z, dz))
+        if coupled:
+            a_p = a_d = min(a_p, a_d)
+        for _ in range(_LS_CAP):
+            xn = x + a_p * dx
+            direct = barrier.slacks(xn)
+            if np.minimum.reduce(direct) > 0.0:
+                x, s = xn, direct
+                break
+            a_p *= 0.5
+        if coupled:
+            a_d = min(a_d, a_p)
+        z = z + a_d * dz
+
+
 def _violation_diag(program: ConicProgram, x: np.ndarray) -> str:
     vals, labels = program.margins(x)
     if not vals.size:
@@ -554,8 +664,9 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
     """Solve the program to relative tolerance ``opts.tol``.
 
     On "optimal" the returned point is strictly feasible and the relative
-    barrier duality gap is at most tol. "infeasible" carries a diagnostic
-    naming the most violated constraint at the least-infeasible point found.
+    duality gap is at most tol (see the module docstring for the dual
+    residual). "infeasible" carries a diagnostic naming the most violated
+    constraint at the least-infeasible point found.
     """
     opts = opts or SolverOptions()
     start = time.perf_counter()
@@ -589,10 +700,11 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
             x = np.linalg.lstsq(program.P, -program.c, rcond=None)[0]
         except np.linalg.LinAlgError:
             return done(STATUS_NUMERICAL_FAILURE, None, "quadratic solve failed")
-        resid = np.linalg.norm(program.P @ x + program.c)
-        if resid > opts.tol * max(1.0, np.linalg.norm(program.c)):
-            return done(STATUS_NUMERICAL_FAILURE, None, f"stationarity residual {resid:.3e}; objective may be unbounded")
-        return done(STATUS_OPTIMAL, x)
+        resid = program.P @ x + program.c
+        norm = np.linalg.norm(resid)
+        if norm > opts.tol * max(1.0, np.linalg.norm(program.c)):
+            return done(STATUS_NUMERICAL_FAILURE, None, f"stationarity residual {norm:.3e}; objective may be unbounded")
+        return done(STATUS_OPTIMAL, x, dual=float(np.abs(resid).max()))
 
     hint = np.zeros(d) if x_hint is None else np.asarray(x_hint, dtype=float)
     x0, failure = _phase1(program, lin_A, lin_b, cones, opts, budget, hint)
@@ -601,20 +713,11 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
         return done(status, None, diag)
 
     barrier = _Barrier(lin_A, lin_b, cones)
-    nu = barrier.nu
-    x = x0
-    t_bar = nu / max(1.0, abs(program.objective(x0)))
-    t_bar = min(max(t_bar, 1e-8), 1e8)
-    while True:
-        x, slacks, flag = _center(program.P, program.c, barrier, x, t_bar, budget)
-        if flag == "numfail":
-            return done(STATUS_NUMERICAL_FAILURE, x, f"phase 2: {budget.diagnostic}")
-        gap = nu / t_bar
-        if gap <= opts.tol * max(1.0, abs(program.objective(x))):
-            break
-        if budget.exhausted:
-            return done(STATUS_ITERATION_LIMIT, x, "iteration budget exhausted in phase 2", gap=gap)
-        t_bar *= _MU
-
-    dual = float(np.abs(program.P @ x + program.c + barrier.grad(slacks) / t_bar).max())
-    return done(STATUS_OPTIMAL, x, gap=nu / t_bar, dual=dual)
+    t_bar = min(max(barrier.nu / max(1.0, abs(program.objective(x0))), 1e-8), 1e8)
+    phase2 = _barrier_phase2 if cones else _primal_dual
+    x, flag, gap, dual = phase2(program, barrier, x0, t_bar, budget, opts.tol)
+    if flag == "numfail":
+        return done(STATUS_NUMERICAL_FAILURE, x, f"phase 2: {budget.diagnostic}")
+    if flag == "budget":
+        return done(STATUS_ITERATION_LIMIT, x, "iteration budget exhausted in phase 2", gap=gap, dual=dual)
+    return done(STATUS_OPTIMAL, x, gap=gap, dual=dual)

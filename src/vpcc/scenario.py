@@ -150,6 +150,18 @@ def _scenario_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.nda
     return coef, rhs
 
 
+def _distinct_rows(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of [A | b] in lexicographic order, as coefficients
+    and right-hand sides: the rows of ``np.unique(stacked, axis=0)``, from a
+    lexsort of the columns (first column primary) rather than a sort of the
+    rows as one structured dtype."""
+    stacked = stacked[np.lexsort(stacked.T[::-1])]
+    keep = np.ones(stacked.shape[0], dtype=bool)
+    keep[1:] = (stacked[1:] != stacked[:-1]).any(axis=1)
+    stacked = stacked[keep]
+    return stacked[:, :-1], stacked[:, -1]
+
+
 def solve_scenario(
     spec: SystemSpec,
     jcc,
@@ -179,8 +191,7 @@ def solve_scenario(
     A_poly, b_poly = spec.stacked_polytope()
     A_all = np.vstack([coef, A_poly])
     b_all = np.concatenate([rhs, b_poly])
-    stacked = np.unique(np.hstack([A_all, b_all[:, None]]), axis=0)
-    A_all, b_all = stacked[:, :-1], stacked[:, -1]
+    A_all, b_all = _distinct_rows(np.hstack([A_all, b_all[:, None]]))
 
     P, c = cost.stacked()
     program = ConicProgram(P=P, c=c, A_u=A_all, b_u=b_all)

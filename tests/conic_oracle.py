@@ -7,7 +7,10 @@ strict-feasibility test and another for the barrier value, and
 ``oracle_solve_step`` tests positive definiteness with a Cholesky
 factorisation and then solves with an LU factorisation. The phases are
 shared, so the two solvers take the same decisions up to round-off and must
-agree on the status and, within the tolerance, on the objective.
+agree on the status and, within the tolerance, on the objective. Programs
+whose rows are all linear go to the barrier's phase 2 here too, in place of
+``solve``'s primal-dual one, so the oracle stays an independent reference
+for them.
 """
 
 from __future__ import annotations
@@ -151,6 +154,7 @@ def _center(P, c, barrier: PointBarrier, x, t_bar, budget: _Budget, early_exit=N
 
 
 def oracle_solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.ndarray | None = None) -> SolverOutcome:
-    """``vpcc.conic.solve`` with the point-wise barrier, line search and LU steps."""
-    with mock.patch.multiple(conic, _Barrier=PointBarrier, _center=_center):
+    """``vpcc.conic.solve`` with the point-wise barrier, line search and LU
+    steps, and the barrier's phase 2 for every program."""
+    with mock.patch.multiple(conic, _Barrier=PointBarrier, _center=_center, _primal_dual=conic._barrier_phase2):
         return conic.solve(program, opts, x_hint=x_hint)

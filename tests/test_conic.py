@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import vpcc
 from vpcc import acs, conic
+from vpcc.acs import Cost
 from vpcc.conic import ConicProgram, SocRow, SolverOptions, solve
 from vpcc.errors import DomainError
-from vpcc.scenario import solve_scenario
+from vpcc.scenario import ScenarioConfig, solve_scenario
 
 from conic_oracle import PointBarrier, oracle_solve, oracle_solve_step
 from cvxpy_oracle import solve_reference
@@ -55,6 +57,15 @@ class TestBasics:
         assert out.status == conic.STATUS_OPTIMAL
         assert out.x == pytest.approx(np.ones(d), abs=1e-9)
         assert out.objective == pytest.approx(-d / 2.0)
+
+    def test_unconstrained_reports_stationarity_residual(self):
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((4, 4))
+        prog = ConicProgram(P=M @ M.T + np.eye(4), c=rng.standard_normal(4), **no_lin(4))
+        out = solve(prog)
+        assert out.status == conic.STATUS_OPTIMAL
+        assert out.dual_residual == float(np.abs(prog.P @ out.x + prog.c).max())
+        assert out.dual_residual > 0.0  # measured, not a placeholder
 
     def test_constant_soc_infeasible(self):
         # 0*u + 0 + 2*||(; sqrt(1))|| <= 1 reads 2 <= 1
@@ -209,6 +220,25 @@ def random_linear_program(rng: np.random.Generator, rows: int, d: int, quadratic
     return ConicProgram(P=P, c=rng.uniform(-5, 5, d), A_u=np.vstack([A, A_box]), b_u=np.concatenate([b, b_box]))
 
 
+def captured_scenario_program(monkeypatch, cfg, cost, sc: ScenarioConfig) -> ConicProgram:
+    """The one program ``solve_scenario`` hands to ``conic.solve``."""
+    programs = []
+    inner = conic.solve
+
+    def record(program, opts=None, x_hint=None):
+        programs.append(program)
+        return inner(program, opts, x_hint=x_hint)
+
+    monkeypatch.setattr(conic, "solve", record)
+    solve_scenario(cfg.system_spec(), cfg.row_set(), cost, sc)
+    monkeypatch.undo()
+    (prog,) = programs
+    return prog
+
+
+LINEAR_ROW_SIZES = [(5, 2, True), (200, 6, True), (2000, 12, True), (2000, 4, False), (10000, 6, True)]
+
+
 class TestAgainstOracle:
     """Against ``tests/conic_oracle.py``: the point-wise line search with LU steps."""
 
@@ -224,9 +254,7 @@ class TestAgainstOracle:
             assert prog.margins(mine.x)[0].max() < 0.0
         return mine
 
-    @pytest.mark.parametrize(
-        "rows, d, quadratic", [(5, 2, True), (200, 6, True), (2000, 12, True), (2000, 4, False), (10000, 6, True)]
-    )
+    @pytest.mark.parametrize("rows, d, quadratic", LINEAR_ROW_SIZES)
     def test_linear_rows(self, rows, d, quadratic):
         rng = np.random.default_rng(rows + d)
         for _ in range(2):
@@ -259,18 +287,8 @@ class TestAgainstOracle:
         assert out.status == conic.STATUS_INFEASIBLE
 
     def test_two_bus_scenario_program(self, two_bus_cfg, monkeypatch):
-        programs = []
-        inner = conic.solve
-
-        def record(program, opts=None, x_hint=None):
-            programs.append(program)
-            return inner(program, opts, x_hint=x_hint)
-
-        monkeypatch.setattr(conic, "solve", record)
         cfg = two_bus_cfg.with_alpha(0.01)
-        solve_scenario(cfg.system_spec(), cfg.row_set(), cfg.cost(), cfg.scenario_config(seed=3))
-        monkeypatch.undo()
-        (prog,) = programs
+        prog = captured_scenario_program(monkeypatch, cfg, cfg.cost(), cfg.scenario_config(seed=3))
         assert prog.A_u.shape[0] > 1000
         assert self.assert_agree(prog).status == conic.STATUS_OPTIMAL
 
@@ -314,3 +332,112 @@ class TestNewtonStep:
         )
         assert accepted and max(pt[0] for pt in accepted) <= 0.5
         assert x[0] <= 0.5 and np.array_equal(slacks, barrier.slacks(x))
+
+
+def origin_feasible_lp(rng: np.random.Generator, rows: int = 200, d: int = 6) -> ConicProgram:
+    """Random rows with positive right-hand sides, so x = 0 is strictly feasible."""
+    A = rng.standard_normal((rows, d))
+    return ConicProgram(P=np.zeros((d, d)), c=rng.uniform(-5, 5, d), A_u=A, b_u=rng.uniform(0.1, 1.0, rows))
+
+
+class TestPrimalDual:
+    """Phase 2 of programs whose rows are all linear: the primal-dual path."""
+
+    def test_accepted_iterates_are_checked_directly(self):
+        """A step the ratio test allows is accepted only if the direct product
+        agrees; a cut seen only by the direct product shows it."""
+
+        class HiddenCut(conic._Barrier):
+            def slacks(self, x):
+                out = super().slacks(x)
+                self.proposed.append(x[0])
+                if x[0] > 0.5:
+                    out[0] = -1.0
+                return out
+
+        prog = ConicProgram(P=np.zeros((1, 1)), c=-np.ones(1), A_u=np.array([[1.0], [-1.0]]), b_u=np.ones(2))
+        barrier = HiddenCut(prog.A_u, prog.b_u, [])
+        barrier.proposed = []
+        budget = conic._Budget(30)
+        x, flag, gap, _ = conic._primal_dual(prog, barrier, np.zeros(1), 1.0, budget, 1e-6)
+        assert max(barrier.proposed) > 0.5  # the cut was reached
+        assert flag == "budget" and budget.spent == 30
+        assert 0.0 < x[0] <= 0.5 and gap > 0.1  # optimal only beyond the cut
+
+    def test_budget_gives_iteration_limit(self):
+        prog = origin_feasible_lp(np.random.default_rng(9))
+        assert solve(prog).status == conic.STATUS_OPTIMAL
+        out = solve(prog, SolverOptions(max_iter=4))  # x = 0 is strictly feasible: phase 1 takes no step
+        assert out.status == conic.STATUS_ITERATION_LIMIT and out.iterations == 4
+        assert out.diagnostic == "iteration budget exhausted in phase 2"
+        assert prog.margin_values(out.x).max() < 0.0
+        assert 1e-6 * max(1.0, abs(out.objective)) < out.gap < math.inf
+
+    def test_small_gap_alone_does_not_stop(self):
+        """Started at t = 1e12, s'z = m / t is already below tol, but z is far
+        from dual feasible: the path goes on until the dual residual is below
+        its bound too."""
+        prog = origin_feasible_lp(np.random.default_rng(10))
+        budget = conic._Budget(500)
+        tol = SolverOptions().tol
+        barrier = conic._Barrier(prog.A_u, prog.b_u, [])
+        x, flag, gap, dual = conic._primal_dual(prog, barrier, np.zeros(prog.d), 1e12, budget, tol)
+        assert flag == "optimal" and budget.spent > 0
+        assert dual <= tol * max(1.0, float(np.abs(prog.c).max()))
+        ref = solve(prog).objective
+        assert abs(prog.objective(x) - ref) <= tol * max(1.0, abs(ref))
+
+    def test_non_finite_newton_system(self):
+        # Slack 1e-160 at the start: z / s = 1 / (t s^2) overflows.
+        A, b = np.array([[1.0], [-1.0]]), np.array([1.0, 1e-160])
+        prog = ConicProgram(P=np.zeros((1, 1)), c=np.ones(1), A_u=A, b_u=b)
+        with np.errstate(over="ignore"):
+            out = solve(prog)
+        assert out.status == conic.STATUS_NUMERICAL_FAILURE
+        assert out.diagnostic.startswith("phase 2:") and "non-finite entries" in out.diagnostic
+        assert out.iterations == 0
+
+    @pytest.mark.parametrize("rows, d, quadratic", LINEAR_ROW_SIZES)
+    def test_optimal_certificate(self, rows, d, quadratic):
+        """On "optimal": s'z <= tol max(1, |f|), ||Px + c + A'z||_inf <= tol max(1, ||Px + c||_inf)."""
+        rng = np.random.default_rng(rows + d + 1)
+        tol = SolverOptions().tol
+        for _ in range(2):
+            prog = random_linear_program(rng, rows, d, quadratic)
+            out = solve(prog)
+            assert out.status == conic.STATUS_OPTIMAL
+            assert 0.0 < out.gap <= tol * max(1.0, abs(out.objective))
+            assert out.dual_residual <= tol * max(1.0, float(np.abs(prog.P @ out.x + prog.c).max()))
+            assert prog.margin_values(out.x).max() < 0.0
+
+
+class TestAgainstHighs:
+    """P = 0 programs against scipy's HiGHS LP solver, to ``tol`` relative."""
+
+    @staticmethod
+    def assert_agree(prog, opts=SolverOptions()):
+        mine = solve(prog, opts)
+        ref = linprog(prog.c, A_ub=prog.A_u, b_ub=prog.b_u, bounds=(None, None), method="highs")
+        if ref.status == 2:
+            assert mine.status == conic.STATUS_INFEASIBLE
+            return mine
+        assert ref.status == 0 and mine.status == conic.STATUS_OPTIMAL
+        assert abs(mine.objective - ref.fun) <= opts.tol * max(1.0, abs(ref.fun))
+        return mine
+
+    @pytest.mark.parametrize("rows, d", [(5, 2), (60, 3), (300, 5), (2000, 4), (2000, 12)])
+    def test_random_linear_programs(self, rows, d):
+        rng = np.random.default_rng(rows * d)
+        for _ in range(3):
+            self.assert_agree(random_linear_program(rng, rows, d, quadratic=False))
+
+    def test_scenario_lp(self, two_bus_cfg, monkeypatch):
+        linear = Cost((np.zeros((2, 2)),), two_bus_cfg.cost().linear)
+        prog = captured_scenario_program(monkeypatch, two_bus_cfg, linear, ScenarioConfig(alpha=0.01, rng_seed=3))
+        assert not prog.P.any() and prog.A_u.shape[0] > 1000
+        self.assert_agree(prog)
+
+    def test_infeasible_box(self):
+        A = np.array([[1.0], [-1.0]])
+        b = np.array([-1.0, -1.0])  # u <= -1 and u >= 1
+        self.assert_agree(ConicProgram(P=np.zeros((1, 1)), c=np.ones(1), A_u=A, b_u=b))

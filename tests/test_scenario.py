@@ -12,6 +12,7 @@ from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
 from vpcc.reformulate import RowSet
 from vpcc.scenario import (
     ScenarioConfig,
+    _distinct_rows,
     _scenario_rows,
     required_samples,
     sample_count_note,
@@ -110,6 +111,34 @@ class TestAgainstOracle:
         ref_coef, ref_rhs = oracle_rows(spec, matrices, rows)
         assert np.array_equal(coef, ref_coef)
         assert np.allclose(rhs, ref_rhs, rtol=1e-12, atol=0.0)
+
+
+class TestDistinctRows:
+    """The lexsort dedup against ``np.unique(..., axis=0)``: same rows, same order."""
+
+    @staticmethod
+    def assert_matches_unique(stacked):
+        A, b = _distinct_rows(stacked)
+        assert np.array_equal(np.hstack([A, b[:, None]]), np.unique(stacked, axis=0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_rows_with_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        for rows, width in [(1, 3), (40, 2), (500, 4), (3000, 13)]:
+            base = np.round(rng.standard_normal((rows, width)), int(rng.integers(0, 3)))
+            stacked = np.vstack([base, base[rng.integers(0, rows, rows // 2 + 1)]])
+            self.assert_matches_unique(stacked[rng.permutation(stacked.shape[0])])
+
+    @pytest.mark.parametrize("case", ["two_bus", "mixed_family"])
+    def test_scenario_rows(self, case, two_bus_cfg):
+        if case == "two_bus":
+            spec, rows = two_bus_cfg.system_spec(), two_bus_cfg.constraint_rows()
+        else:
+            spec, rows = mixed_family_spec(), mixed_family_rows()
+        coef, rhs = _scenario_rows(spec, sample_state_matrices(spec, 4, 300), rows)
+        A_poly, b_poly = spec.stacked_polytope()
+        stacked = np.hstack([np.vstack([coef, A_poly]), np.concatenate([rhs, b_poly])[:, None]])
+        self.assert_matches_unique(np.vstack([stacked, stacked[::3]]))  # with every third row twice
 
 
 class TestSolveScenario:
