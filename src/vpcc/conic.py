@@ -17,12 +17,17 @@ Phase 2 starts from phase 1's strictly feasible point and takes one of two
 paths, chosen by the input:
 
 * Some genuine cone row (``_canonical`` turns degenerate cones into affine
-  rows): the barrier follows the central path with damped Newton steps and stops when its gap
-  nu / t is at most tol max(1, |f(x)|). A Newton step forms the slacks of
-  all rows once and factors its system once (Cholesky). Its backtracking
-  line search moves the slacks, which are affine in x, along the direction's
-  images and takes the quadratic objective in closed form, so a trial costs
-  no product with the rows. Its duals are z = 1 / (t s).
+  rows): the barrier follows the central path with damped Newton steps and
+  stops when its gap nu / t is at most tol max(1, |f(x)|). The barrier holds
+  one stacked row matrix: the linear rows, then per cone its head row a'
+  (slack t) and its -W rows (slack z). Each cone's t^2 + |z|^2 is a segment
+  sum over its rows, and the Hessian is rows' diag(D) rows + G'G, with one
+  row of G per cone, so no step walks the cones in Python. A Newton step
+  forms the slacks of all rows once and factors its system once (Cholesky).
+  Its backtracking line search moves the slacks, which are affine in x,
+  along the direction's images and takes the quadratic objective in closed
+  form, so a trial costs no product with the rows. Its duals are
+  z = 1 / (t s).
 * Linear rows only: a Mehrotra predictor-corrector primal-dual method
   (``_primal_dual``) with one Cholesky factorisation and two solves per
   iteration. It stops when s'z <= tol max(1, |f(x)|) and the dual residual
@@ -257,118 +262,104 @@ class SolverOutcome:
     wall_time_ms: float
     diagnostic: str | None = None
 
-    @property
-    def kkt_residuals(self) -> tuple[float, float, float]:
-        return (self.primal_residual, self.dual_residual, self.gap)
-
 
 # ---------------------------------------------------------------------------
 # Barrier machinery
 # ---------------------------------------------------------------------------
 
 
-class _Cone:
-    """Internal form t0 - a'x >= ||(W x + w ; zeta)||, barrier -log(t^2 - |z|^2).
-    ``curv`` holds the constant 2 (a a' - W'W); the Hessian subtracts curv / cval."""
-
-    __slots__ = ("W", "w", "zeta2", "a", "t0", "curv")
-
-    def __init__(self, W, w, zeta, a, t0):
-        self.W = W
-        self.w = w
-        self.zeta2 = zeta * zeta
-        self.a = a
-        self.t0 = t0
-        self.curv = 2.0 * (np.outer(a, a) - W.T @ W)
-
-
 class _Barrier:
-    """Log barrier at the slacks rhs - rows @ x of x: r = lin_b - lin_A x for
-    the linear rows, then t = t0 - a'x and z = W x + w for each cone."""
+    """Log barrier at the slacks s = rhs - rows @ x, over one stacked row matrix.
 
-    def __init__(self, lin_A: np.ndarray, lin_b: np.ndarray, cones: list[_Cone]):
-        self.m = lin_A.shape[0]
-        self.cones = cones
-        self.nu = self.m + 2 * len(cones)
-        self.rows = np.vstack([lin_A] + [np.vstack([cone.a, -cone.W]) for cone in cones])
-        self.rhs = np.concatenate([lin_b] + [np.concatenate([[cone.t0], cone.w]) for cone in cones])
+    The first m rows are linear, with barrier -log s. Then each cone
+    t0 - a'x >= ||(W x + w ; zeta)|| gives its head row a' (slack t = t0 - a'x)
+    followed by its -W rows (slack z = W x + w), with barrier -log cval,
+    cval = t^2 - |z|^2 - zeta^2; ``starts`` holds each head's offset past m.
+    In the slacks the barrier Hessian is diag(D) plus, per cone, the outer
+    product of its part of the gradient u (see ``grad_hess``); in x it is
+    rows' diag(D) rows + G'G, G holding one segment sum of u * rows per cone.
+    """
+
+    def __init__(self, rows: np.ndarray, rhs: np.ndarray, m: int, starts: np.ndarray, zeta2: np.ndarray):
+        self.rows = rows
+        self.rhs = rhs
+        self.m = m
+        self.starts = starts
+        self.zeta2 = zeta2
+        self.nu = m + 2 * starts.shape[0]
+        if starts.size:  # only the cone branches read these
+            self.heads = m + starts
+            # On the cone rows D = sign / cval and u = -D s: sign is -2 on heads, 2 on z rows.
+            self.sign = np.full(rows.shape[0] - m, 2.0)
+            self.sign[starts] = -2.0
+            self.sizes = np.diff(np.append(starts, rows.shape[0] - m))
         self.centered = None  # (x, slacks, value, grad, hess) where the last centering converged
 
     def slacks(self, x: np.ndarray) -> np.ndarray:
         return self.rhs - self.rows @ x
 
-    def _cone_slacks(self, slacks):
-        start = self.m
-        for cone in self.cones:
-            end = start + 1 + cone.W.shape[0]
-            yield cone, slacks[start], slacks[start + 1 : end]
-            start = end
+    def _cval(self, slacks) -> np.ndarray:
+        """t^2 - |z|^2 - zeta^2 per cone; each segment sums t^2 + |z|^2."""
+        cone = slacks[self.m :]
+        return 2.0 * slacks[self.heads] ** 2 - np.add.reduceat(cone * cone, self.starts) - self.zeta2
 
-    # The line search calls feasible and value several times per Newton step,
-    # so they use the ufunc reductions directly and skip the cone walk when
-    # there are no cones.
     def feasible(self, slacks) -> bool:
-        if self.m and np.minimum.reduce(slacks[: self.m]) <= 0.0:
-            return False
-        return not self.cones or all(
-            t > 0.0 and t * t - z @ z - cone.zeta2 > 0.0 for cone, t, z in self._cone_slacks(slacks)
-        )
+        return self.value(slacks) != math.inf
 
+    # The line search calls value several times per Newton step, so it uses
+    # the ufunc reductions directly.
     def value(self, slacks) -> float:
         """Barrier value, +inf unless the slacks are strictly feasible."""
-        if not self.feasible(slacks):
+        if self.m and np.minimum.reduce(slacks[: self.m]) <= 0.0:
             return math.inf
         out = -float(np.add.reduce(np.log(slacks[: self.m])))
-        if self.cones:
-            for cone, t, z in self._cone_slacks(slacks):
-                out -= math.log(t * t - z @ z - cone.zeta2)
+        if self.starts.size:
+            if np.minimum.reduce(slacks[self.heads]) <= 0.0:
+                return math.inf
+            cval = self._cval(slacks)
+            if np.minimum.reduce(cval) <= 0.0:
+                return math.inf
+            out -= float(np.add.reduce(np.log(cval)))
         return out
 
-    def grad(self, slacks) -> np.ndarray:
-        return self.grad_hess(slacks)[0]
-
-    def hess(self, slacks) -> np.ndarray:
-        return self.grad_hess(slacks)[1]
-
     def grad_hess(self, slacks) -> tuple[np.ndarray, np.ndarray]:
-        lin_A = self.rows[: self.m]
-        inv = 1.0 / slacks[: self.m]
-        grad = lin_A.T @ inv
-        hess = (lin_A * (inv * inv)[:, None]).T @ lin_A
-        for cone, t, z in self._cone_slacks(slacks):
-            cval = t * t - z @ z - cone.zeta2
-            Wz = cone.W.T @ z
-            grad += (2.0 * t * cone.a + 2.0 * Wz) / cval
-            gc = -2.0 * t * cone.a - 2.0 * Wz
-            hess += np.outer(gc, gc) / (cval * cval)
-            hess -= cone.curv / cval
-        return grad, hess
+        rows, m = self.rows, self.m
+        inv = 1.0 / slacks[:m]
+        if not self.starts.size:
+            return rows.T @ inv, (rows * (inv * inv)[:, None]).T @ rows
+        # u = (1/s ; 2t/cval ; -2z/cval), D = (1/s^2 ; -2/cval ; 2/cval)
+        w = self.sign / np.repeat(self._cval(slacks), self.sizes)
+        u = np.concatenate([inv, -w * slacks[m:]])
+        D = np.concatenate([inv * inv, w])
+        G = np.add.reduceat(u[m:, None] * rows[m:], self.starts)
+        return rows.T @ u, (rows * D[:, None]).T @ rows + G.T @ G
 
 
 def _canonical(program: ConicProgram):
-    """Split into plain linear rows and genuine cones (degenerate cones with a
-    zero deviation map reduce to affine rows with a constant offset)."""
+    """The stacked (rows, rhs, m, starts, zeta2) of ``_Barrier``: linear rows
+    first (a degenerate cone, lam = 0 or a zero deviation map, is an affine
+    row with the constant offset lam ||(v ; sqrt(s))||), then each genuine
+    cone's head and -W rows."""
     lin_rows = [program.A_u]
     lin_rhs = [program.b_u]
-    cones: list[_Cone] = []
+    cone_rows, cone_rhs, starts, zeta2 = [], [], [], []
+    offset = 0
     for row in program.soc:
         has_map = row.L.size > 0 and bool(np.any(row.L))
         if row.lam == 0.0 or not has_map:
             lin_rows.append(row.a.reshape(1, -1))
-            lin_rhs.append(np.array([row.h - row.b - row.lam * math.sqrt(row.s)]))
+            lin_rhs.append(np.array([row.h - row.b - row.lam * math.sqrt(float(row.v @ row.v) + row.s)]))
         else:
-            cones.append(
-                _Cone(
-                    W=row.lam * row.L.T,
-                    w=row.lam * row.v,
-                    zeta=row.lam * math.sqrt(row.s),
-                    a=row.a.copy(),
-                    t0=row.h - row.b,
-                )
-            )
-    lin_A = np.vstack(lin_rows)
-    lin_b = np.concatenate(lin_rhs)
-    return lin_A, lin_b, cones
+            zeta = row.lam * math.sqrt(row.s)
+            cone_rows += [row.a.reshape(1, -1), -(row.lam * row.L.T)]
+            cone_rhs += [np.array([row.h - row.b]), row.lam * row.v]
+            starts.append(offset)
+            zeta2.append(zeta * zeta)
+            offset += 1 + row.L.shape[1]
+    m = sum(block.shape[0] for block in lin_rows)
+    rows = np.vstack(lin_rows + cone_rows)
+    rhs = np.concatenate(lin_rhs + cone_rhs)
+    return rows, rhs, m, np.array(starts, dtype=np.intp), np.array(zeta2)
 
 
 def _cholesky(H: np.ndarray) -> np.ndarray | None:
@@ -481,10 +472,12 @@ def _center(P, c, barrier: _Barrier, x, t_bar, budget: _Budget, early_exit=None)
 # ---------------------------------------------------------------------------
 
 
-def _phase1(program: ConicProgram, lin_A, lin_b, cones, opts, budget, x_hint):
+def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
     """Find a strictly feasible point or evidence that none exists.
 
-    Minimizes sigma over (x, sigma) with every margin pushed below sigma.
+    Minimizes sigma over (x, sigma) with every margin pushed below sigma: the
+    cap row sigma >= -cap goes after the linear rows, and the sigma column
+    holds -1 on the linear, cap and head rows.
     Returns (x, None) on success or (None, outcome_fields) on failure.
     """
     d = program.d
@@ -501,22 +494,13 @@ def _phase1(program: ConicProgram, lin_A, lin_b, cones, opts, budget, x_hint):
     ext[:d] = x_hint
     ext[d] = sigma0
 
-    lin_A1 = np.hstack([lin_A, -np.ones((lin_A.shape[0], 1))])
-    cap_row = np.zeros((1, d + 1))
-    cap_row[0, d] = -1.0
-    lin_A1 = np.vstack([lin_A1, cap_row])
-    lin_b1 = np.concatenate([lin_b, [cap]])
-    cones1 = [
-        _Cone(
-            W=np.hstack([cone.W, np.zeros((cone.W.shape[0], 1))]),
-            w=cone.w,
-            zeta=math.sqrt(cone.zeta2),
-            a=np.concatenate([cone.a, [-1.0]]),
-            t0=cone.t0,
-        )
-        for cone in cones
-    ]
-    barrier = _Barrier(lin_A1, lin_b1, cones1)
+    rows, rhs, m, starts, zeta2 = canon
+    rows1 = np.zeros((rows.shape[0] + 1, d + 1))
+    rows1[:m, :d] = rows[:m]
+    rows1[m + 1 :, :d] = rows[m:]
+    rows1[: m + 1, d] = -1.0
+    rows1[m + 1 + starts, d] = -1.0
+    barrier = _Barrier(rows1, np.concatenate([rhs[:m], [cap], rhs[m:]]), m + 1, starts, zeta2)
     if not barrier.feasible(barrier.slacks(ext)):  # pragma: no cover - sigma0 guarantees this
         ext[d] = gmax0 + 10.0 * scale
 
@@ -577,7 +561,7 @@ def _barrier_phase2(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, 
         gap = barrier.nu / t_bar
         converged = gap <= tol * max(1.0, abs(program.objective(x)))
         if converged or budget.exhausted:
-            dual = float(np.abs(program.P @ x + program.c + barrier.grad(slacks) / t_bar).max())
+            dual = float(np.abs(program.P @ x + program.c + barrier.grad_hess(slacks)[0] / t_bar).max())
             return x, "optimal" if converged else "budget", gap, dual
         t_bar *= _MU
 
@@ -692,10 +676,10 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
             diagnostic=diagnostic,
         )
 
-    lin_A, lin_b, cones = _canonical(program)
+    canon = _canonical(program)
 
     # Constraint-free program: plain quadratic minimisation.
-    if lin_A.shape[0] == 0 and not cones:
+    if canon[0].shape[0] == 0:
         try:
             x = np.linalg.lstsq(program.P, -program.c, rcond=None)[0]
         except np.linalg.LinAlgError:
@@ -707,14 +691,14 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
         return done(STATUS_OPTIMAL, x, dual=float(np.abs(resid).max()))
 
     hint = np.zeros(d) if x_hint is None else np.asarray(x_hint, dtype=float)
-    x0, failure = _phase1(program, lin_A, lin_b, cones, opts, budget, hint)
+    x0, failure = _phase1(program, canon, opts, budget, hint)
     if x0 is None:
         status, _, diag = failure
         return done(status, None, diag)
 
-    barrier = _Barrier(lin_A, lin_b, cones)
+    barrier = _Barrier(*canon)
     t_bar = min(max(barrier.nu / max(1.0, abs(program.objective(x0))), 1e-8), 1e8)
-    phase2 = _barrier_phase2 if cones else _primal_dual
+    phase2 = _barrier_phase2 if canon[3].size else _primal_dual  # cone rows remain
     x, flag, gap, dual = phase2(program, barrier, x0, t_bar, budget, opts.tol)
     if flag == "numfail":
         return done(STATUS_NUMERICAL_FAILURE, x, f"phase 2: {budget.diagnostic}")

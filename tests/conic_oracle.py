@@ -16,26 +16,43 @@ for them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
 
 from vpcc import conic
-from vpcc.conic import _CENTER_TOL, _INNER_CAP, _LS_CAP, ConicProgram, SolverOptions, SolverOutcome, _Budget, _Cone
+from vpcc.conic import _CENTER_TOL, _INNER_CAP, _LS_CAP, ConicProgram, SolverOptions, SolverOutcome, _Budget
+
+
+@dataclass
+class Cone:
+    """t0 - a'x >= ||(W x + w ; zeta)||, barrier -log(t^2 - |z|^2 - zeta^2)."""
+
+    a: np.ndarray
+    t0: float
+    W: np.ndarray
+    w: np.ndarray
+    zeta2: float
 
 
 class PointBarrier:
     """The barrier evaluated at a point: every call forms its own row products.
 
     In ``conic.solve`` the point stands in for its slacks: ``slacks(x)`` is x
-    itself, and ``feasible`` and ``grad`` take the point.
+    itself, and ``feasible`` and ``grad_hess`` take the point.
     """
 
-    def __init__(self, lin_A: np.ndarray, lin_b: np.ndarray, cones: list[_Cone]):
-        self.lin_A = lin_A
-        self.lin_b = lin_b
-        self.cones = cones
-        self.nu = lin_A.shape[0] + 2 * len(cones)
+    def __init__(self, rows: np.ndarray, rhs: np.ndarray, m: int, starts: np.ndarray, zeta2: np.ndarray):
+        self.lin_A = rows[:m]
+        self.lin_b = rhs[:m]
+        # Each cone back from its stacked rows: head a' with rhs t0, then -W with rhs w.
+        ends = list(starts[1:]) + [rows.shape[0] - m]
+        self.cones = [
+            Cone(a=rows[m + i], t0=rhs[m + i], W=-rows[m + i + 1 : m + j], w=rhs[m + i + 1 : m + j], zeta2=z2)
+            for i, j, z2 in zip(starts, ends, zeta2)
+        ]
+        self.nu = m + 2 * len(self.cones)
 
     def strictly_feasible(self, x: np.ndarray) -> bool:
         if self.lin_A.shape[0]:
@@ -56,8 +73,8 @@ class PointBarrier:
     def feasible(self, x: np.ndarray) -> bool:
         return self.strictly_feasible(x)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.value_grad_hess(x)[1]
+    def grad_hess(self, x: np.ndarray):
+        return self.value_grad_hess(x)[1:]
 
     def value(self, x: np.ndarray) -> float:
         out = 0.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,20 @@ def box_rows(d, lo, hi):
     return np.vstack([np.eye(d), -np.eye(d)]), np.concatenate([np.full(d, hi), -np.full(d, lo)])
 
 
+def random_cone_row(rng: np.random.Generator, u0: np.ndarray, p: int) -> SocRow:
+    """A cone row with p deviation columns and a margin of -0.2 to -1.5 at u0."""
+    d = u0.shape[0]
+    L = rng.uniform(-1, 1, (d, p))
+    v = rng.uniform(-1, 1, p)
+    s = float(rng.uniform(0, 0.5))
+    a = rng.uniform(-1, 1, d)
+    b = float(rng.uniform(-1, 1))
+    lam = float(rng.uniform(1.4, 6.0))
+    dev = math.sqrt(float((L.T @ u0 + v) @ (L.T @ u0 + v)) + s)
+    h = float(a @ u0 + b + lam * dev + rng.uniform(0.2, 1.5))
+    return SocRow(a=a, b=b, lam=lam, L=L, v=v, s=s, h=h)
+
+
 def random_feasible_program(rng: np.random.Generator) -> ConicProgram:
     """A fixed-multiplier subproblem with a known strictly feasible point."""
     d = int(rng.integers(2, 6))
@@ -35,19 +50,27 @@ def random_feasible_program(rng: np.random.Generator) -> ConicProgram:
     c = rng.uniform(-2, 2, d)
     A_u, b_u = box_rows(d, -3.0, 3.0)
     u0 = rng.uniform(-1.5, 1.5, d)
-    soc = []
-    for _ in range(int(rng.integers(1, 4))):
-        p = int(rng.integers(1, 4))
-        L = rng.uniform(-1, 1, (d, p))
-        v = rng.uniform(-1, 1, p)
-        s = float(rng.uniform(0, 0.5))
-        a = rng.uniform(-1, 1, d)
-        b = float(rng.uniform(-1, 1))
-        lam = float(rng.uniform(1.4, 6.0))
-        dev = math.sqrt(float((L.T @ u0 + v) @ (L.T @ u0 + v)) + s)
-        h = float(a @ u0 + b + lam * dev + rng.uniform(0.2, 1.5))
-        soc.append(SocRow(a=a, b=b, lam=lam, L=L, v=v, s=s, h=h))
+    soc = [random_cone_row(rng, u0, int(rng.integers(1, 4))) for _ in range(int(rng.integers(1, 4)))]
     return ConicProgram(P=P, c=c, A_u=A_u, b_u=b_u, soc=tuple(soc))
+
+
+def segment_edge_programs(rng: np.random.Generator) -> list[ConicProgram]:
+    """Layouts at the edges of the barrier's per-cone segment sums: cones and
+    no linear rows; degenerate cones (lam = 0, zero L) among genuine ones;
+    cones with a single deviation column. Each is strictly feasible at u0."""
+    d = 3
+    M = rng.uniform(-1, 1, (d, d))
+    P = M @ M.T + 0.1 * np.eye(d)
+    c = rng.uniform(-2, 2, d)
+    A_u, b_u = box_rows(d, -3.0, 3.0)
+    u0 = rng.uniform(-1.5, 1.5, d)
+    wide, narrow, flat = (random_cone_row(rng, u0, p) for p in (3, 1, 2))
+    no_map = replace(flat, L=np.zeros((d, 2)), h=float(flat.a @ u0 + flat.b + flat.lam * flat.deviation(u0) + 0.5))
+    return [
+        ConicProgram(P=P, c=c, soc=(wide, narrow), **no_lin(d)),
+        ConicProgram(P=P, c=c, A_u=A_u, b_u=b_u, soc=(replace(flat, lam=0.0), wide, no_map, narrow)),
+        ConicProgram(P=P, c=c, A_u=A_u, b_u=b_u, soc=(narrow, random_cone_row(rng, u0, 1))),
+    ]
 
 
 class TestBasics:
@@ -82,12 +105,15 @@ class TestBasics:
         assert "linear" in out.diagnostic
 
     def test_degenerate_soc_becomes_affine(self):
-        # lam ||(; sqrt(s))|| constant offset: u <= h - lam sqrt(s)
-        row = SocRow(a=np.ones(1), b=0.0, lam=2.0, L=np.zeros((1, 0)), v=np.zeros(0), s=4.0, h=5.0)
+        # lam ||(; sqrt(s))|| constant offset: u <= h - lam sqrt(s) = 1; with
+        # L = 0 the offset is lam ||(v ; sqrt(s))||: u <= 2 - 1 * 3 = -1
+        no_cols = SocRow(a=np.ones(1), b=0.0, lam=2.0, L=np.zeros((1, 0)), v=np.zeros(0), s=4.0, h=5.0)
+        zero_map = SocRow(a=np.ones(1), b=0.0, lam=1.0, L=np.zeros((1, 1)), v=np.array([3.0]), s=0.0, h=2.0)
         A_u, b_u = box_rows(1, -10.0, 10.0)
-        out = solve(ConicProgram(P=np.zeros((1, 1)), c=-np.ones(1), A_u=A_u, b_u=b_u, soc=(row,)))
-        assert out.status == conic.STATUS_OPTIMAL
-        assert out.x[0] == pytest.approx(1.0, abs=1e-5)
+        for row, bound in ((no_cols, 1.0), (zero_map, -1.0)):
+            out = solve(ConicProgram(P=np.zeros((1, 1)), c=-np.ones(1), A_u=A_u, b_u=b_u, soc=(row,)))
+            assert out.status == conic.STATUS_OPTIMAL
+            assert out.x[0] == pytest.approx(bound, abs=1e-5)
 
     def test_validation_errors(self):
         with pytest.raises(DomainError):
@@ -267,16 +293,16 @@ class TestAgainstOracle:
 
     def test_barrier_derivatives_match_pointwise(self):
         rng = np.random.default_rng(7)
-        for _ in range(8):
-            prog = random_feasible_program(rng)
+        for prog in [random_feasible_program(rng) for _ in range(8)] + segment_edge_programs(rng):
             x = solve(prog, SolverOptions(tol=0.1)).x  # off the boundary, where slacks are well conditioned
-            lin_A, lin_b, cones = conic._canonical(prog)
-            barrier = conic._Barrier(lin_A, lin_b, cones)
+            canon = conic._canonical(prog)
+            barrier = conic._Barrier(*canon)
             slacks = barrier.slacks(x)
-            val, grad, hess = PointBarrier(lin_A, lin_b, cones).value_grad_hess(x)
+            val, grad, hess = PointBarrier(*canon).value_grad_hess(x)
+            mine_grad, mine_hess = barrier.grad_hess(slacks)
             assert barrier.value(slacks) == pytest.approx(val, rel=1e-12)
-            assert np.allclose(barrier.grad(slacks), grad, rtol=1e-9, atol=1e-9 * np.abs(grad).max())
-            assert np.allclose(barrier.hess(slacks), hess, rtol=1e-9, atol=1e-9 * np.abs(hess).max())
+            assert np.allclose(mine_grad, grad, rtol=1e-9, atol=1e-9 * np.abs(grad).max())
+            assert np.allclose(mine_hess, hess, rtol=1e-9, atol=1e-9 * np.abs(hess).max())
 
     def test_infeasible_box(self):
         rng = np.random.default_rng(6)
@@ -293,6 +319,39 @@ class TestAgainstOracle:
         assert self.assert_agree(prog).status == conic.STATUS_OPTIMAL
 
 
+def linear_barrier(cls, A: np.ndarray, b: np.ndarray) -> conic._Barrier:
+    """A ``_Barrier`` (or subclass) over the linear rows A x <= b alone."""
+    return cls(A, b, A.shape[0], np.zeros(0, dtype=np.intp), np.zeros(0))
+
+
+class TestPhase1Lift:
+    def test_sigma_bounds_every_margin(self, monkeypatch):
+        """The barrier phase 1 builds over (x, sigma) calls a point strictly
+        feasible exactly when sigma is above every margin of x."""
+        built = []
+        inner = conic._Barrier
+
+        def capture(*args):
+            built.append(inner(*args))
+            return built[-1]
+
+        monkeypatch.setattr(conic, "_Barrier", capture)
+        rng = np.random.default_rng(11)
+        for prog in [random_feasible_program(rng) for _ in range(6)] + segment_edge_programs(rng):
+            hint = rng.uniform(-20, 20, prog.d)
+            while prog.margin_values(hint).max() < 0.0:  # phase 1 runs only from an infeasible hint
+                hint = rng.uniform(-20, 20, prog.d)
+            built.clear()
+            solve(prog, x_hint=hint)
+            lifted = built[0]
+            assert lifted.rows.shape[1] == prog.d + 1
+            for _ in range(40):
+                x = rng.uniform(-5, 5, prog.d)
+                gmax = prog.margin_values(x).max()
+                sigma = gmax + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1.0) * 10.0 ** rng.integers(0, 3)
+                assert lifted.feasible(lifted.slacks(np.append(x, sigma))) == (sigma > gmax)
+
+
 class TestNewtonStep:
     def test_indefinite_escalates_ridge(self):
         H = np.diag([1.0, -1e-9])
@@ -307,7 +366,7 @@ class TestNewtonStep:
     def test_non_finite(self, bad):
         H = np.array([[bad, 0.0], [0.0, 1.0]])
         assert conic._solve_step(H, np.ones(2)) is None
-        barrier = conic._Barrier(np.eye(2), np.ones(2), [])
+        barrier = linear_barrier(conic._Barrier, np.eye(2), np.ones(2))
         budget = conic._Budget(10)
         _, _, flag = conic._center(H, np.zeros(2), barrier, np.full(2, 0.5), 1.0, budget)
         assert flag == "numfail" and budget.spent == 0
@@ -324,7 +383,7 @@ class TestNewtonStep:
                     out[0] = -1.0
                 return out
 
-        barrier = HiddenCut(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), [])
+        barrier = linear_barrier(HiddenCut, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
         accepted = []
         budget = conic._Budget(100)
         x, slacks, _ = conic._center(
@@ -356,7 +415,7 @@ class TestPrimalDual:
                 return out
 
         prog = ConicProgram(P=np.zeros((1, 1)), c=-np.ones(1), A_u=np.array([[1.0], [-1.0]]), b_u=np.ones(2))
-        barrier = HiddenCut(prog.A_u, prog.b_u, [])
+        barrier = linear_barrier(HiddenCut, prog.A_u, prog.b_u)
         barrier.proposed = []
         budget = conic._Budget(30)
         x, flag, gap, _ = conic._primal_dual(prog, barrier, np.zeros(1), 1.0, budget, 1e-6)
@@ -380,7 +439,7 @@ class TestPrimalDual:
         prog = origin_feasible_lp(np.random.default_rng(10))
         budget = conic._Budget(500)
         tol = SolverOptions().tol
-        barrier = conic._Barrier(prog.A_u, prog.b_u, [])
+        barrier = linear_barrier(conic._Barrier, prog.A_u, prog.b_u)
         x, flag, gap, dual = conic._primal_dual(prog, barrier, np.zeros(prog.d), 1e12, budget, tol)
         assert flag == "optimal" and budget.spent > 0
         assert dual <= tol * max(1.0, float(np.abs(prog.c).max()))
