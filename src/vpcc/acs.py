@@ -22,6 +22,10 @@ Multiplier step policies:
     the sqrt(5/3) floor). Lower multipliers loosen the next input step while
     the budget stays exactly met.
 
+Both policies start from one tightening pass (``tighten``), which also
+feeds the restoration below: it gives every row's tight multiplier, ratio
+(h_i - E_i(U)) / Std_i(U) and Std at U, and the rows U cannot certify.
+
 The uniform-risk initial allocation can be infeasible even when the problem
 is not (tight budgets want very uneven allocations). When the first input
 step fails, a restoration phase runs: first a floor-multiplier margin solve,
@@ -48,6 +52,7 @@ from .reformulate import (
     LAMBDA_FLOOR,
     LAMBDA_MARGIN,
     LAMBDA_MAX,
+    STD_ZERO,
     JointChanceConstraint,
     ReformulatedConstraint,
     RiskAllocation,
@@ -64,7 +69,6 @@ from .report import (
     SolveReport,
 )
 
-_STD_ZERO = 1e-12
 _DETERMINISTIC_SLACK = 1e-9
 
 
@@ -158,6 +162,41 @@ def init_lambdas(jcc: JointChanceConstraint, policy: str = "uniform-risk", user:
     return RiskAllocation(jcc.alpha, {row.id: lam for row in jcc.rows})
 
 
+def tighten(rows: list[ReformulatedConstraint], U: np.ndarray) -> tuple[dict, list, list, list]:
+    """Closed-form tightening at a fixed input: (tight, ratios, stds, violated).
+
+    ``tight`` maps every certifiable row to the largest multiplier U
+    supports, (h - E) / Std capped at LAMBDA_MAX; a structurally
+    deterministic row takes math.inf (zero risk) and a random row whose
+    deviation vanishes at U takes LAMBDA_MAX, a finite cap that keeps the
+    next input step sound. ``ratios`` and ``stds`` give every row's
+    (h - E) / Std (math.inf where Std vanishes) and Std in row order.
+    ``violated`` lists the rows U cannot certify: a margin that fails
+    outright or a ratio below the sqrt(5/3) floor.
+    """
+    tight: dict[str, float] = {}
+    ratios, stds, violated = [], [], []
+    for rc in rows:
+        mean = rc.mean(U)
+        std = rc.std(U)
+        stds.append(std)
+        deterministic = rc.moments.structurally_deterministic
+        if deterministic or std <= STD_ZERO:
+            ratios.append(math.inf)
+            if mean <= rc.h + _DETERMINISTIC_SLACK * max(1.0, abs(rc.h)):
+                tight[rc.id] = math.inf if deterministic else LAMBDA_MAX
+            else:
+                violated.append(rc.id)
+            continue
+        ratio = (rc.h - mean) / std
+        ratios.append(ratio)
+        if ratio < LAMBDA_FLOOR + LAMBDA_MARGIN:
+            violated.append(rc.id)
+        else:
+            tight[rc.id] = min(ratio, LAMBDA_MAX)
+    return tight, ratios, stds, violated
+
+
 def lambda_step(
     rows: list[ReformulatedConstraint],
     U: np.ndarray,
@@ -170,30 +209,9 @@ def lambda_step(
     margin fails outright, a tight multiplier falls below the sqrt(5/3)
     floor, or the tightened risks already exceed the budget.
     """
-    tight: dict[str, float] = {}
-    violated: list[str] = []
-    for rc in rows:
-        mean = rc.mean(U)
-        std = rc.std(U)
-        slack_scale = max(1.0, abs(rc.h))
-        if rc.moments.structurally_deterministic or std <= _STD_ZERO:
-            if mean <= rc.h + _DETERMINISTIC_SLACK * slack_scale:
-                if rc.moments.structurally_deterministic:
-                    tight[rc.id] = math.inf
-                else:
-                    # Random row whose deviation vanishes at this input: keep a
-                    # finite capped multiplier so the next input step stays sound.
-                    tight[rc.id] = LAMBDA_MAX
-            else:
-                violated.append(rc.id)
-            continue
-        ratio = (rc.h - mean) / std
-        if ratio < LAMBDA_FLOOR + LAMBDA_MARGIN:
-            violated.append(rc.id)
-            continue
-        tight[rc.id] = min(ratio, LAMBDA_MAX)
-
-    risk_sum = sum(0.0 if math.isinf(lam) else vp_bound(lam) for lam in tight.values())
+    tight, _, _, violated = tighten(rows, U)
+    alloc = RiskAllocation(alpha, tight)
+    risk_sum = alloc.risk_sum
     if violated:
         raise AllocationInfeasible(
             f"rows cannot be certified at this input: {', '.join(violated)}",
@@ -205,11 +223,11 @@ def lambda_step(
             detail={"risk_sum": risk_sum},
         )
     if policy == "tight" or risk_sum == 0.0:
-        return RiskAllocation(alpha, tight)
+        return alloc
 
     scale = alpha / risk_sum
     if scale <= 1.0:
-        return RiskAllocation(alpha, tight)
+        return alloc
     omega_cap = vp_bound(LAMBDA_FLOOR + LAMBDA_MARGIN)
     relaxed = {}
     for rid, lam in tight.items():
@@ -226,6 +244,31 @@ def lambda_step(
 # ---------------------------------------------------------------------------
 
 
+def _cone_row(rc: ReformulatedConstraint, lam: float, extra=(), deviation_only: bool = False) -> SocRow:
+    """The row E(U) + lam * Std(U) <= h as a cone row.
+
+    ``extra`` holds the mean coefficients of variables placed after the
+    input (the floor margin's sigma, risk descent's epigraph columns); the
+    deviation map gets zero rows for them. ``deviation_only`` drops the
+    mean and the bound, leaving lam * Std(U) + extra' x <= 0. A
+    structurally deterministic row takes multiplier 0: its deviation is
+    identically zero, so the multiplier is moot, and normalising it keeps
+    the program a pure function of the row.
+    """
+    m = rc.moments
+    extra = np.asarray(extra, dtype=float)
+    a = np.zeros_like(m.a) if deviation_only else m.a
+    return SocRow(
+        a=np.concatenate([a, extra]),
+        b=0.0 if deviation_only else m.b,
+        lam=0.0 if m.structurally_deterministic else lam,
+        L=np.vstack([m.L, np.zeros((extra.size, m.L.shape[1]))]),
+        v=m.v,
+        s=m.s,
+        h=0.0 if deviation_only else rc.h,
+    )
+
+
 def build_input_program(
     spec: SystemSpec,
     rows: list[ReformulatedConstraint],
@@ -239,15 +282,9 @@ def build_input_program(
     soc = []
     for rc in rows:
         lam = lambdas.lam(rc.id)
-        m = rc.moments
-        if m.structurally_deterministic:
-            # The deviation is identically zero, so the multiplier is moot;
-            # normalising it keeps the program a pure function of the row.
-            soc.append(SocRow(a=m.a, b=m.b, lam=0.0, L=np.zeros((m.a.shape[0], 0)), v=np.zeros(0), s=0.0, h=rc.h))
-        elif math.isinf(lam):
+        if math.isinf(lam) and not rc.moments.structurally_deterministic:
             raise DomainError(f"row {rc.id}: infinite multiplier on a row with input-dependent deviation")
-        else:
-            soc.append(SocRow(a=m.a, b=m.b, lam=lam, L=m.L, v=m.v, s=m.s, h=rc.h))
+        soc.append(_cone_row(rc, lam))
     return ConicProgram(P=P, c=c, A_u=A_u, b_u=b_u, soc=tuple(soc))
 
 
@@ -268,16 +305,6 @@ def u_step(
 # ---------------------------------------------------------------------------
 
 
-def _floor_rows(rows: list[ReformulatedConstraint]) -> list[SocRow]:
-    floor = LAMBDA_FLOOR + LAMBDA_MARGIN
-    out = []
-    for rc in rows:
-        m = rc.moments
-        lam = 0.0 if m.structurally_deterministic else floor
-        out.append(SocRow(a=m.a, b=m.b, lam=lam, L=m.L, v=m.v, s=m.s, h=rc.h))
-    return out
-
-
 def _floor_margin_solve(spec: SystemSpec, rows, opts: SolverOptions):
     """Minimise the worst floor-multiplier margin over the polytope.
 
@@ -295,22 +322,10 @@ def _floor_margin_solve(spec: SystemSpec, rows, opts: SolverOptions):
     A_ext = np.vstack([A_ext, guard])
     b_ext = np.concatenate([b_u, [cap]])
 
-    soc = []
-    for row in _floor_rows(rows):
-        soc.append(
-            SocRow(
-                a=np.concatenate([row.a, [-1.0]]),
-                b=row.b,
-                lam=row.lam,
-                L=np.vstack([row.L, np.zeros((1, row.L.shape[1]))]),
-                v=row.v,
-                s=row.s,
-                h=row.h,
-            )
-        )
+    soc = tuple(_cone_row(rc, LAMBDA_FLOOR + LAMBDA_MARGIN, extra=[-1.0]) for rc in rows)
     c = np.zeros(d + 1)
     c[d] = 1.0
-    program = ConicProgram(P=np.zeros((d + 1, d + 1)), c=c, A_u=A_ext, b_u=b_ext, soc=tuple(soc))
+    program = ConicProgram(P=np.zeros((d + 1, d + 1)), c=c, A_u=A_ext, b_u=b_ext, soc=soc)
     return conic.solve(program, opts)
 
 
@@ -325,83 +340,42 @@ def _risk_descent_program(spec, rows, ratios, weights, opts):
     A_u, b_u = spec.stacked_polytope()
     epis = [i for i, rc in enumerate(rows) if rc.moments.L.size > 0]
     dim = d + len(epis)
-    pos = {i: d + slot for slot, i in enumerate(epis)}
+    pos = {i: slot for slot, i in enumerate(epis)}
 
     c = np.zeros(dim)
     for i, rc in enumerate(rows):
         c[:d] += weights[i] * rc.moments.a
         if i in pos:
-            c[pos[i]] = weights[i] * ratios[i]
+            c[d + pos[i]] = weights[i] * ratios[i]
 
     A_ext = np.hstack([A_u, np.zeros((A_u.shape[0], len(epis)))])
     soc = []
     for i, rc in enumerate(rows):
-        m = rc.moments
-        lam = 0.0 if m.structurally_deterministic else LAMBDA_FLOOR + LAMBDA_MARGIN
-        soc.append(
-            SocRow(
-                a=np.concatenate([m.a, np.zeros(len(epis))]),
-                b=m.b,
-                lam=lam,
-                L=np.vstack([m.L, np.zeros((len(epis), m.L.shape[1]))]),
-                v=m.v,
-                s=m.s,
-                h=rc.h,
-            )
-        )
+        soc.append(_cone_row(rc, LAMBDA_FLOOR + LAMBDA_MARGIN, extra=np.zeros(len(epis))))
         if i in pos:
             # ||(L' U + v ; sqrt(s))|| <= tau_i
-            a_epi = np.zeros(dim)
-            a_epi[pos[i]] = -1.0
-            soc.append(
-                SocRow(
-                    a=a_epi,
-                    b=0.0,
-                    lam=1.0,
-                    L=np.vstack([m.L, np.zeros((len(epis), m.L.shape[1]))]),
-                    v=m.v,
-                    s=m.s,
-                    h=0.0,
-                )
-            )
+            tau = np.zeros(len(epis))
+            tau[pos[i]] = -1.0
+            soc.append(_cone_row(rc, 1.0, extra=tau, deviation_only=True))
     program = ConicProgram(P=np.zeros((dim, dim)), c=c, A_u=A_ext, b_u=b_u, soc=tuple(soc))
-    return conic.solve(program, opts), d
+    return conic.solve(program, opts)
 
 
-def _tight_risk(rows, U) -> tuple[float, dict, list]:
-    """Tightened per-row risks at U; uncertifiable rows are listed, not summed."""
-    risks = {}
-    ratios = []
-    bad = []
-    for rc in rows:
-        std = rc.std(U)
-        mean = rc.mean(U)
-        if rc.moments.structurally_deterministic or std <= _STD_ZERO:
-            ratios.append(math.inf)
-            if mean > rc.h + _DETERMINISTIC_SLACK * max(1.0, abs(rc.h)):
-                bad.append(rc.id)
-            else:
-                risks[rc.id] = 0.0
-            continue
-        ratio = (rc.h - mean) / std
-        ratios.append(ratio)
-        if ratio < LAMBDA_FLOOR + LAMBDA_MARGIN:
-            bad.append(rc.id)
-        else:
-            risks[rc.id] = vp_bound(min(ratio, LAMBDA_MAX))
-    if bad:
-        return math.inf, risks, ratios
-    return sum(risks.values()), risks, ratios
+def _tight_risk(rows, U, alpha) -> tuple[float, list, list]:
+    """(total tightened risk, ratios, stds) at U; the risk is math.inf when
+    a row cannot be certified."""
+    tight, ratios, stds, violated = tighten(rows, U)
+    return (math.inf if violated else RiskAllocation(alpha, tight).risk_sum), ratios, stds
 
 
-def _restore_allocation(spec, rows, alpha, config: AcsConfig):
+def _restore_allocation(spec, rows, alpha, config: AcsConfig) -> tuple[RiskAllocation, str]:
     """Search for a certifiable allocation when uniform-risk init fails.
 
-    Returns (allocation, U_seed, note) or raises AllocationInfeasible with
-    the best risk found. The floor-margin failure branch is a sound
-    infeasibility certificate; the risk-descent branch is exact when row
-    deviations do not depend on the input (margins affine) and a documented
-    local heuristic otherwise.
+    Returns (allocation, note) or raises AllocationInfeasible with the best
+    risk found. The floor-margin failure branch is a sound infeasibility
+    certificate; the risk-descent branch is exact when row deviations do
+    not depend on the input (margins affine) and a documented local
+    heuristic otherwise.
     """
     out = _floor_margin_solve(spec, rows, config.solver)
     if out.status != conic.STATUS_OPTIMAL or out.x is None:
@@ -416,48 +390,39 @@ def _restore_allocation(spec, rows, alpha, config: AcsConfig):
             f"even floor multipliers violate the constraints by {sigma:.6g}; problem is infeasible",
             detail={"phase": "floor-margin", "sigma": sigma},
         )
-    U = out.x[: spec.input_dim].copy()
+    d = spec.input_dim
+    U = out.x[:d].copy()
 
     # Descend the tightened total risk to (a local) minimum before handing
     # over, so the relaxed allocation starts with maximal surplus budget.
-    best_risk, _, _ = _tight_risk(rows, U)
-    best_U = U.copy()
-    rounds = 0
-    while rounds < config.restoration_rounds:
-        rounds += 1
-        _, _, ratios = _tight_risk(rows, U)
-        weights = []
-        for rc, ratio in zip(rows, ratios):
-            std = rc.std(U)
-            if math.isinf(ratio) or std <= _STD_ZERO:
-                weights.append(0.0)
-            else:
-                t = max(ratio, LAMBDA_FLOOR + LAMBDA_MARGIN)
-                weights.append(8.0 * t / (9.0 * (t * t + 1.0) ** 2) / std)
+    floor = LAMBDA_FLOOR + LAMBDA_MARGIN
+    risk, ratios, stds = _tight_risk(rows, U, alpha)
+    for rounds in range(1, config.restoration_rounds + 1):
+        clipped = [0.0 if math.isinf(t) else max(t, floor) for t in ratios]
+        weights = [
+            0.0 if math.isinf(ratio) else 8.0 * t / (9.0 * (t * t + 1.0) ** 2) / std
+            for ratio, t, std in zip(ratios, clipped, stds)
+        ]
         top = max(weights, default=0.0)
         if top <= 0.0:
             break
-        weights = [w / top for w in weights]
-        ratios_c = [0.0 if math.isinf(t) else max(t, LAMBDA_FLOOR + LAMBDA_MARGIN) for t in ratios]
-        sub, d = _risk_descent_program(spec, rows, ratios_c, weights, config.solver)
+        sub = _risk_descent_program(spec, rows, clipped, [w / top for w in weights], config.solver)
         if sub.status != conic.STATUS_OPTIMAL or sub.x is None:
             break
-        U = sub.x[:d].copy()
-        risk_new, _, _ = _tight_risk(rows, U)
-        if risk_new < best_risk - max(1e-12, 1e-9 * alpha):
-            best_risk = risk_new
-            best_U = U.copy()
-        else:
+        U_new = sub.x[:d].copy()
+        risk_new, ratios, stds = _tight_risk(rows, U_new, alpha)
+        if not risk_new < risk - max(1e-12, 1e-9 * alpha):
             break
+        risk, U = risk_new, U_new
 
-    if best_risk > alpha:
+    if risk > alpha:
         raise AllocationInfeasible(
-            f"minimal certifiable risk found is {best_risk:.6g} > budget {alpha:.6g}",
-            detail={"phase": "risk-descent", "best_risk": best_risk, "rounds": rounds},
+            f"minimal certifiable risk found is {risk:.6g} > budget {alpha:.6g}",
+            detail={"phase": "risk-descent", "best_risk": risk, "rounds": rounds},
         )
-    allocation = lambda_step(rows, best_U, alpha, policy=config.lambda_step_policy)
+    allocation = lambda_step(rows, U, alpha, policy=config.lambda_step_policy)
     note = f"restoration: uniform-risk start infeasible; recovered allocation in {rounds} descent round(s)"
-    return allocation, best_U, note
+    return allocation, note
 
 
 # ---------------------------------------------------------------------------
@@ -512,43 +477,35 @@ def run(
                 report.feasibility = check_feasibility(rows, U, alloc_used, config.feasibility_tol).to_dict()
         return report
 
-    restored = False
     prev_objective = None
     best: tuple[float, np.ndarray, RiskAllocation] | None = None
-    U = None
-    alloc_used = None
-    status = STATUS_ITERATION_LIMIT
-
-    iteration = 0
-    while iteration < config.max_outer_iters:
-        iteration += 1
+    for iteration in range(1, config.max_outer_iters + 1):
         step_start = time.perf_counter()
-        program = build_input_program(spec, rows, alloc, cost)
         # No warm start: the solve must be a pure function of the program so
         # restarting from the reported allocation reproduces the input exactly.
-        outcome = conic.solve(program, config.solver)
+        outcome = u_step(spec, rows, alloc, cost, config.solver)
+        if outcome.status == conic.STATUS_INFEASIBLE and iteration == 1 and config.restoration:
+            try:
+                alloc, note = _restore_allocation(spec, rows, jcc.alpha, config)
+            except AllocationInfeasible as exc:
+                trace.append(
+                    {
+                        "iteration": iteration,
+                        "phase": "restoration",
+                        "objective": None,
+                        "risk_sum": None,
+                        "lambdas": None,
+                        "inner_status": conic.STATUS_INFEASIBLE,
+                        "inner_iterations": outcome.iterations,
+                        "wall_time_ms": (time.perf_counter() - step_start) * 1e3,
+                    }
+                )
+                return finish(STATUS_INFEASIBLE, extra_note=f"infeasible: {exc}")
+            # Restoration does not consume an outer iteration.
+            notes.append(note)
+            step_start = time.perf_counter()
+            outcome = u_step(spec, rows, alloc, cost, config.solver)
         if outcome.status == conic.STATUS_INFEASIBLE:
-            if iteration == 1 and config.restoration and not restored:
-                try:
-                    alloc, _, note = _restore_allocation(spec, rows, jcc.alpha, config)
-                except AllocationInfeasible as exc:
-                    trace.append(
-                        {
-                            "iteration": iteration,
-                            "phase": "restoration",
-                            "objective": None,
-                            "risk_sum": None,
-                            "lambdas": None,
-                            "inner_status": conic.STATUS_INFEASIBLE,
-                            "inner_iterations": outcome.iterations,
-                            "wall_time_ms": (time.perf_counter() - step_start) * 1e3,
-                        }
-                    )
-                    return finish(STATUS_INFEASIBLE, extra_note=f"infeasible: {exc}")
-                restored = True
-                notes.append(note)
-                iteration -= 1  # restoration does not consume an outer iteration
-                continue
             if best is not None:
                 return finish(STATUS_ERROR, best[1], best[2], extra_note=f"input step failed at iteration {iteration}: {outcome.diagnostic}")
             return finish(STATUS_INFEASIBLE, extra_note=f"infeasible at iteration {iteration}: {outcome.diagnostic}")
@@ -558,7 +515,6 @@ def run(
             return finish(STATUS_ERROR, extra_note=f"inner solver returned {outcome.status}: {outcome.diagnostic}")
 
         U = outcome.x
-        alloc_used = alloc
         objective = cost.value(U)
         trace.append(
             {
@@ -573,28 +529,22 @@ def run(
             }
         )
         if best is None or objective <= best[0]:
-            best = (objective, U.copy(), alloc_used)
+            best = (objective, U.copy(), alloc)
 
         try:
             alloc_next = lambda_step(rows, U, jcc.alpha, policy=config.lambda_step_policy)
         except AllocationInfeasible as exc:
-            return finish(STATUS_ERROR, U, alloc_used, extra_note=f"allocation step failed: {exc}")
+            return finish(STATUS_ERROR, U, alloc, extra_note=f"allocation step failed: {exc}")
 
         if prev_objective is not None and abs(objective - prev_objective) <= config.convergence_rel_tol * max(1.0, abs(prev_objective)):
-            status = STATUS_OPTIMAL
-            break
+            return finish(STATUS_OPTIMAL, U, alloc)
         if all(alloc_next.lam(i) == alloc.lam(i) for i in random_ids):
             # For fixed spec, rows and cost the input subproblem depends only
             # on these multipliers, so the next input step would reproduce U
             # exactly.
-            status = STATUS_OPTIMAL
-            break
+            return finish(STATUS_OPTIMAL, U, alloc)
         prev_objective = objective
         alloc = alloc_next
-    else:
-        status = STATUS_ITERATION_LIMIT
-        if best is not None:
-            U, alloc_used = best[1], best[2]
-            notes.append("outer iteration limit reached; returning best feasible iterate")
 
-    return finish(status, U, alloc_used)
+    notes.append("outer iteration limit reached; returning best feasible iterate")
+    return finish(STATUS_ITERATION_LIMIT, best[1], best[2])

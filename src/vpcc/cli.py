@@ -83,18 +83,11 @@ def _write_report(report: SolveReport, out_dir: str, name: str = "report.json") 
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = _load(args.config)
-        if args.method == "proposed":
-            report = _solve_proposed(cfg)
-        else:
-            report = _solve_scenario(cfg)
-    except ConfigError as exc:
-        print(f"config error at {exc.field or '<root>'}: {exc.reason}", file=sys.stderr)
-        return EXIT_ERROR
-    except VpccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    cfg = _load(args.config)
+    if args.method == "proposed":
+        report = _solve_proposed(cfg)
+    else:
+        report = _solve_scenario(cfg)
     path = _write_report(report, args.out)
     print(f"{report.method}: {report.status}  objective={_fmt(report.objective)}  report={path}")
     if report.status == STATUS_INFEASIBLE:
@@ -162,7 +155,7 @@ def _sweep_task(payload: dict) -> dict:
             report = _solve_proposed(cfg_point, mc_seed=payload["mc_seed"])
         else:
             report = _solve_scenario(cfg_point, seed=payload["scenario_seed"])
-        row["report"] = report.to_dict()
+        row["report"] = report
         row["wall_time_ms"] = report.wall_time_ms
         if report.status == STATUS_OPTIMAL:
             row["feasible"] = "true"
@@ -179,12 +172,8 @@ def _sweep_task(payload: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _load(args.config)
-        points = parse_grid(args.grid)
-    except ConfigError as exc:
-        print(f"config error at {exc.field or '<root>'}: {exc.reason}", file=sys.stderr)
-        return EXIT_ERROR
+    cfg = _load(args.config)
+    points = parse_grid(args.grid)
     methods = ["proposed", "scenario"] if args.methods == "both" else [args.methods]
     tasks = []
     for idx, point in enumerate(points):
@@ -234,43 +223,33 @@ def cmd_sweep(args) -> int:
             else:
                 log_file.write(f"{stamp} objective={_fmt(row['objective'])}\n")
             if row["report"] is not None:
-                name = f"report_{row['one_minus_alpha']:g}_{row['method']}.json"
-                with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as rep:
-                    json.dump(row["report"], rep, indent=2)
-                    rep.write("\n")
+                _write_report(row["report"], args.out, f"report_{row['one_minus_alpha']:g}_{row['method']}.json")
     print(f"sweep: {len(rows)} rows -> {csv_path} ({failures} recorded failure(s))")
     return EXIT_OK
 
 
 def cmd_moments(args) -> int:
-    try:
-        cfg = _load(args.config)
-        spec = cfg.system_spec()
-        rows = cfg.constraint_rows()
-        matches = [r for r in rows if r.k == args.time]
-        if not (1 <= args.row <= len(matches)):
-            print(
-                f"error: --row must lie in [1, {len(matches)}] for time step {args.time}",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-        row = matches[args.row - 1]
-        from .moments import constraint_moments
+    cfg = _load(args.config)
+    spec = cfg.system_spec()
+    rows = cfg.constraint_rows()
+    matches = [r for r in rows if r.k == args.time]
+    if not (1 <= args.row <= len(matches)):
+        print(
+            f"error: --row must lie in [1, {len(matches)}] for time step {args.time}",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
+    row = matches[args.row - 1]
+    from .moments import constraint_moments
 
-        m = constraint_moments(spec, row.G, row.k)
-        if args.u:
-            U = np.array([float(tok) for tok in args.u.split(",")], dtype=float)
-            if U.shape[0] != spec.input_dim:
-                print(f"error: --u needs {spec.input_dim} entries", file=sys.stderr)
-                return EXIT_ERROR
-        else:
-            U = np.zeros(spec.input_dim)
-    except ConfigError as exc:
-        print(f"config error at {exc.field or '<root>'}: {exc.reason}", file=sys.stderr)
-        return EXIT_ERROR
-    except VpccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    m = constraint_moments(spec, row.G, row.k)
+    if args.u:
+        U = np.array([float(tok) for tok in args.u.split(",")], dtype=float)
+        if U.shape[0] != spec.input_dim:
+            print(f"error: --u needs {spec.input_dim} entries", file=sys.stderr)
+            return EXIT_ERROR
+    else:
+        U = np.zeros(spec.input_dim)
     out = {
         "row": row.id,
         "time": row.k,
@@ -284,12 +263,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = _load(args.config)
-        cfg.require_attested()
-    except ConfigError as exc:
-        print(f"config error at {exc.field or '<root>'}: {exc.reason}", file=sys.stderr)
-        return EXIT_ERROR
+    cfg = _load(args.config)
+    cfg.require_attested()
     rows = cfg.constraint_rows()
     print(
         f"ok: schema 1, n={cfg.n} m={cfg.m} horizon={cfg.horizon}, "
@@ -335,7 +310,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except ConfigError as exc:
+        print(f"config error at {exc.field or '<root>'}: {exc.reason}", file=sys.stderr)
+        return EXIT_ERROR
+    except (VpccError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -29,6 +29,7 @@ from .moments import ConstraintMoments, SystemSpec, constraint_moments
 LAMBDA_FLOOR = math.sqrt(5.0 / 3.0)
 LAMBDA_MARGIN = 1e-9  # the floor is an exclusive bound; stay this far above it
 LAMBDA_MAX = 1e6  # cap for tight multipliers; vp_bound(1e6) ~ 4.4e-13
+STD_ZERO = 1e-12  # a row deviation at or below this counts as vanished
 ALPHA_MAX = 1.0 / 6.0
 
 
@@ -251,7 +252,7 @@ def check_feasibility(
         lam = lambdas.lam(rc.id)
         std = rc.std(U)
         if math.isinf(lam):
-            if std > 1e-12:
+            if std > STD_ZERO:
                 lambdas_ok = False
         elif not lam >= LAMBDA_FLOOR + LAMBDA_MARGIN:
             lambdas_ok = False

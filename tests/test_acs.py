@@ -1,5 +1,6 @@
 """Alternating convex search: allocation steps, convergence, fixed points."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 import vpcc
 from vpcc import conic
-from vpcc.acs import AcsConfig, Cost, init_lambdas, lambda_step, run, u_step
+from vpcc.acs import AcsConfig, Cost, init_lambdas, lambda_step, run, tighten, u_step
 from vpcc.errors import AllocationInfeasible, DomainError
-from vpcc.reformulate import LAMBDA_FLOOR, JointChanceConstraint, build_reformulation
+from vpcc.reformulate import LAMBDA_FLOOR, LAMBDA_MAX, JointChanceConstraint, build_reformulation, vp_bound
 
 from conftest import deterministic_spec, scalar_iid_spec
 
@@ -116,6 +117,20 @@ class TestLambdaStep:
         # tight risk 4/105 = 0.038 > alpha
         with pytest.raises(AllocationInfeasible):
             lambda_step(rows, np.array([1.0, 0.0]), alpha=0.01)
+
+    def test_vanishing_std_on_random_row_gets_cap(self):
+        # From x0 = 0, x(2) = a(1) u(0) + u(1): a random row whose Std is 0 at u(0) = 0.
+        spec = dataclasses.replace(scalar_iid_spec(horizon=2), x0=np.array([0.0]))
+        rows = build_reformulation(spec, scalar_jcc())
+        assert not rows[0].moments.structurally_deterministic
+        U = np.array([0.0, 1.0])
+        assert rows[0].std(U) == 0.0
+        alloc = lambda_step(rows, U, alpha=0.1, policy="tight")
+        assert alloc.lambdas["end"] == LAMBDA_MAX
+        assert alloc.risk_sum == vp_bound(LAMBDA_MAX)
+        tight, ratios, stds, violated = tighten(rows, U)
+        assert tight == {"end": LAMBDA_MAX}
+        assert ratios == [math.inf] and stds == [0.0] and violated == []
 
 
 class TestUStep:

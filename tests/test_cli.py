@@ -7,8 +7,8 @@ import pytest
 
 import vpcc
 from vpcc.cli import main, parse_grid
-from vpcc.config import load_config, parse_config, two_bus_config_path
-from vpcc.errors import ConfigError
+from vpcc.config import ProblemConfig, load_config, parse_config, two_bus_config_path
+from vpcc.errors import ConfigError, DomainError
 
 
 @pytest.fixture()
@@ -63,6 +63,14 @@ class TestValidate:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/cfg.json"]) == 1
+
+    def test_package_error_exits_1(self, two_bus_path, monkeypatch, capsys):
+        def broken(self):
+            raise DomainError("broken rows")
+
+        monkeypatch.setattr(ProblemConfig, "constraint_rows", broken)
+        assert main(["validate", two_bus_path]) == 1
+        assert "error: broken rows" in capsys.readouterr().err
 
 
 class TestSolve:
