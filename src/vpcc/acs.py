@@ -294,10 +294,9 @@ def u_step(
     lambdas: RiskAllocation,
     cost: Cost,
     opts: SolverOptions | None = None,
-    x_hint: np.ndarray | None = None,
 ) -> SolverOutcome:
     """Solve the fixed-multiplier input subproblem."""
-    return conic.solve(build_input_program(spec, rows, lambdas, cost), opts, x_hint=x_hint)
+    return conic.solve(build_input_program(spec, rows, lambdas, cost), opts)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _write_report(report: SolveReport, out_dir: str, name: str = "report.json") 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(report.to_json(indent=2))
+        handle.write(report.to_json(indent=None))
         handle.write("\n")
     return path
 
@@ -244,7 +244,11 @@ def cmd_moments(args) -> int:
 
     m = constraint_moments(spec, row.G, row.k)
     if args.u:
-        U = np.array([float(tok) for tok in args.u.split(",")], dtype=float)
+        try:
+            U = np.array([float(tok) for tok in args.u.split(",")], dtype=float)
+        except ValueError:
+            print(f"error: --u needs comma-separated numbers, got {args.u!r}", file=sys.stderr)
+            return EXIT_ERROR
         if U.shape[0] != spec.input_dim:
             print(f"error: --u needs {spec.input_dim} entries", file=sys.stderr)
             return EXIT_ERROR

@@ -7,32 +7,37 @@ Problem form over x in R^d:
                 a' x + b + lam ||(L' x + v ; sqrt(s))|| <= h     (cone rows)
 
 with P symmetric PSD, lam >= 0 and s >= 0. The solver has two phases.
-Phase 1 is a log-barrier method that minimizes the worst constraint margin
-over (x, sigma); it exits early once a strictly feasible point is found,
-declares infeasibility when the certified lower bound on the margin is
-positive, and falls back to a stall rule (no margin progress above the
-tolerance for 50 Newton steps) so it detects rather than hangs.
-
-Phase 2 starts from phase 1's strictly feasible point and takes one of two
-paths, chosen by the input:
+Phase 1 minimizes the worst constraint margin sigma over (x, sigma); it
+exits early once a strictly feasible point is found and declares
+infeasibility when a certified lower bound on the margin is positive. A
+phase-1 point whose margin is minimised to tolerance short of that goes on
+to phase 2 only if its direct margins are all negative. Phase 2 starts from
+phase 1's strictly feasible point. Both take one of two paths, chosen by the
+input:
 
 * Some genuine cone row (``_canonical`` turns degenerate cones into affine
-  rows): the barrier follows the central path with damped Newton steps and
-  stops when its gap nu / t is at most tol max(1, |f(x)|). The barrier holds
-  one stacked row matrix: the linear rows, then per cone its head row a'
-  (slack t) and its -W rows (slack z). Each cone's t^2 + |z|^2 is a segment
-  sum over its rows, and the Hessian is rows' diag(D) rows + G'G, with one
-  row of G per cone, so no step walks the cones in Python. A Newton step
-  forms the slacks of all rows once and factors its system once (Cholesky).
-  Its backtracking line search moves the slacks, which are affine in x,
-  along the direction's images and takes the quadratic objective in closed
-  form, so a trial costs no product with the rows. Its duals are
-  z = 1 / (t s).
+  rows): log-barrier methods. Phase 1 certifies infeasibility by
+  sigma - nu / t > 0 at a centred point, and falls back to a stall rule (no
+  margin progress above the tolerance for 50 Newton steps) so it detects
+  rather than hangs. Phase 2 follows the central path with damped Newton
+  steps and stops when its gap nu / t is at most tol max(1, |f(x)|). The
+  barrier holds one stacked row matrix: the linear rows, then per cone its
+  head row a' (slack t) and its -W rows (slack z). Each cone's t^2 + |z|^2
+  is a segment sum over its rows, and the Hessian is rows' diag(D) rows +
+  G'G, with one row of G per cone, so no step walks the cones in Python. A
+  Newton step forms the slacks of all rows once and factors its system once
+  (Cholesky). Its backtracking line search moves the slacks, which are
+  affine in x, along the direction's images and takes the quadratic
+  objective in closed form, so a trial costs no product with the rows. Its
+  duals are z = 1 / (t s).
 * Linear rows only: a Mehrotra predictor-corrector primal-dual method
   (``_primal_dual``) with one Cholesky factorisation and two solves per
   iteration. It stops when s'z <= tol max(1, |f(x)|) and the dual residual
   ||P x + c + A'z||_inf <= tol max(1, ||P x + c||_inf), taken at its own
-  duals z.
+  duals z. Phase 1 runs it on the lifted LP, with one more row
+  sigma <= sigma0 + 1 + 0.1 scale, and returns at the first accepted
+  iterate with sigma <= -feas_margin; at the LP's optimum, sigma - s'z > 0
+  certifies infeasibility, and the diagnostic states that bound.
 
 Either way an accepted point is confirmed strictly feasible by one direct
 product with the rows, and the step is halved until it is. On "optimal" the
@@ -477,8 +482,10 @@ def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
 
     Minimizes sigma over (x, sigma) with every margin pushed below sigma: the
     cap row sigma >= -cap goes after the linear rows, and the sigma column
-    holds -1 on the linear, cap and head rows.
-    Returns (x, None) on success or (None, outcome_fields) on failure.
+    holds -1 on the linear, cap and head rows. With cone rows the barrier
+    solves it (``_barrier_phase1``); with linear rows only it is an LP, and
+    ``_pd_phase1`` runs it through ``_primal_dual``.
+    Returns (x, None) on success or (None, (status, diagnostic)) on failure.
     """
     d = program.d
     g0 = program.margin_values(x_hint)
@@ -486,13 +493,8 @@ def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
     if gmax0 < 0.0:
         return x_hint.copy(), None
     scale = max(1.0, abs(gmax0))
-    feas_margin = max(opts.tol, 1e-9) * scale
     sigma0 = gmax0 + 1.0 + 0.1 * scale
     cap = abs(sigma0) + 100.0 * scale
-
-    ext = np.zeros(d + 1)
-    ext[:d] = x_hint
-    ext[d] = sigma0
 
     rows, rhs, m, starts, zeta2 = canon
     rows1 = np.zeros((rows.shape[0] + 1, d + 1))
@@ -500,10 +502,22 @@ def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
     rows1[m + 1 :, :d] = rows[m:]
     rows1[: m + 1, d] = -1.0
     rows1[m + 1 + starts, d] = -1.0
-    barrier = _Barrier(rows1, np.concatenate([rhs[:m], [cap], rhs[m:]]), m + 1, starts, zeta2)
-    if not barrier.feasible(barrier.slacks(ext)):  # pragma: no cover - sigma0 guarantees this
-        ext[d] = gmax0 + 10.0 * scale
+    lifted = (rows1, np.concatenate([rhs[:m], [cap], rhs[m:]]), m + 1, starts, zeta2)
+    search = _barrier_phase1 if starts.size else _pd_phase1
+    return search(program, lifted, np.append(x_hint, sigma0), scale, opts, budget)
 
+
+def _barrier_phase1(program: ConicProgram, lifted, ext, scale, opts, budget):
+    """Phase 1 by the barrier from (x_hint, sigma0) = ``ext``.
+
+    Centres at t, then raises t by _MU, and exits early once sigma is at most
+    -feas_margin. It declares infeasibility when the certified lower bound
+    sigma - nu/t on the margin is positive, and falls back to a stall rule (no
+    margin progress above the tolerance for 50 Newton steps).
+    """
+    d = program.d
+    feas_margin = max(opts.tol, 1e-9) * scale
+    barrier = _Barrier(*lifted)
     c1 = np.zeros(d + 1)
     c1[d] = 1.0
     P1 = np.zeros((d + 1, d + 1))
@@ -511,7 +525,7 @@ def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
     best_sigma = ext[d]
     best_x = ext[:d].copy()
     stall = 0
-    t_bar = barrier.nu / max(1.0, abs(sigma0))
+    t_bar = barrier.nu / max(1.0, abs(ext[d]))
 
     def early(pt):
         return pt[d] <= -feas_margin
@@ -528,22 +542,73 @@ def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
         if flag == "early" or sigma <= -feas_margin:
             return ext[:d].copy(), None
         if flag == "numfail":
-            return None, (STATUS_NUMERICAL_FAILURE, best_x, f"phase 1: {budget.diagnostic}")
+            return None, (STATUS_NUMERICAL_FAILURE, f"phase 1: {budget.diagnostic}")
         # sigma - nu/t lower-bounds the optimal margin only near the central
         # path, so the infeasibility certificate is gated on centering.
         if flag == "centered" and sigma - barrier.nu / t_bar > opts.tol * scale:
-            return None, (STATUS_INFEASIBLE, best_x, _violation_diag(program, best_x))
+            return None, (STATUS_INFEASIBLE, _violation_diag(program, best_x))
         if flag in ("stalled", "centered") and barrier.nu / t_bar <= opts.tol * scale:
             # Margin minimised to tolerance short of -feas_margin: a point whose
             # direct margins are all negative still goes on to phase 2.
             if program.margin_values(ext[:d]).max() < 0.0:
                 return ext[:d].copy(), None
-            return None, (STATUS_INFEASIBLE, best_x, _violation_diag(program, best_x))
+            return None, (STATUS_INFEASIBLE, _violation_diag(program, best_x))
         if stall > _STALL_LIMIT:
-            return None, (STATUS_INFEASIBLE, best_x, _violation_diag(program, best_x) + " (phase-1 stall)")
+            return None, (STATUS_INFEASIBLE, _violation_diag(program, best_x) + " (phase-1 stall)")
         if budget.exhausted:
-            return None, (STATUS_ITERATION_LIMIT, best_x, "iteration budget exhausted in phase 1")
+            return None, (STATUS_ITERATION_LIMIT, "iteration budget exhausted in phase 1")
         t_bar *= _MU
+
+
+class _SigmaLP:
+    """Phase 1's objective, the last coordinate sigma, with the P, c and
+    ``objective`` that ``_primal_dual`` reads from a program."""
+
+    def __init__(self, width: int):
+        self.P = np.zeros((width, width))
+        self.c = np.zeros(width)
+        self.c[-1] = 1.0
+
+    @staticmethod
+    def objective(ext: np.ndarray) -> float:
+        return float(ext[-1])
+
+
+def _pd_phase1(program: ConicProgram, lifted, ext, scale, opts, budget):
+    """Phase 1 of a linear-only program: the lifted LP by ``_primal_dual``.
+
+    One more row, sigma <= sigma0 + 1 + 0.1 scale, is strictly slack at the
+    start and inactive near the optimum; it keeps the first, uncentred
+    directions from driving sigma far up. The search returns at the first
+    accepted iterate with sigma <= -feas_margin. At the LP's optimum,
+    sigma - s'z lower-bounds the least worst margin, so a positive bound
+    above the tolerance declares infeasibility; otherwise the point goes on
+    to phase 2 only if its direct margins are all negative.
+    """
+    d = program.d
+    feas_margin = max(opts.tol, 1e-9) * scale
+    rows1, rhs1, m1, starts, zeta2 = lifted
+    lp = _SigmaLP(d + 1)
+    barrier = _Barrier(np.vstack([rows1, lp.c]), np.append(rhs1, ext[d] + 1.0 + 0.1 * scale), m1 + 1, starts, zeta2)
+    t_bar = barrier.nu / max(1.0, abs(ext[d]))
+
+    def early(pt):
+        return pt[d] <= -feas_margin
+
+    ext, flag, gap, _ = _primal_dual(lp, barrier, ext, t_bar, budget, opts.tol, early_exit=early)
+    x = ext[:d].copy()
+    if flag == "early":
+        return x, None
+    if flag == "budget":
+        return None, (STATUS_ITERATION_LIMIT, "iteration budget exhausted in phase 1")
+    if flag == "numfail":
+        return None, (STATUS_NUMERICAL_FAILURE, f"phase 1: {budget.diagnostic}")
+    bound = float(ext[d]) - gap
+    if bound > opts.tol * scale:
+        return None, (STATUS_INFEASIBLE, f"{_violation_diag(program, x)}; phase-1 bound sigma - s'z = {bound:.6e} > 0")
+    if program.margin_values(x).max() < 0.0:
+        return x, None
+    return None, (STATUS_INFEASIBLE, _violation_diag(program, x))
 
 
 def _barrier_phase2(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, tol):
@@ -567,12 +632,13 @@ def _barrier_phase2(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, 
 
 
 def _to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest a with v + a dv >= 0 (inf when dv >= 0)."""
-    neg = dv < 0.0
-    return float((v[neg] / -dv[neg]).min()) if neg.any() else math.inf
+    """Largest a with v + a dv >= 0 for v > 0 (inf when dv >= 0), from one
+    pass over dv / v rather than a masked copy of the decreasing entries."""
+    worst = float(np.minimum.reduce(dv / v))
+    return -1.0 / worst if worst < 0.0 else math.inf
 
 
-def _primal_dual(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, tol):
+def _primal_dual(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, tol, early_exit=None):
     """Mehrotra predictor-corrector for a program whose rows are all linear.
 
     Starts from a strictly feasible x with slacks s = b - A x and duals
@@ -586,7 +652,9 @@ def _primal_dual(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, tol
     halved. Stops when s'z <= tol max(1, |f(x)|) and
     ||P x + c + A'z||_inf <= tol max(1, ||P x + c||_inf).
 
-    Returns (x, flag, gap, dual residual) like ``_barrier_phase2``.
+    Returns (x, flag, gap, dual residual) like ``_barrier_phase2``, or with
+    flag "early" (and the previous iterate's gap and residual) as soon as an
+    accepted iterate satisfies ``early_exit``.
     """
     P, c, A = program.P, program.c, barrier.rows
     coupled = bool(P.any())
@@ -628,6 +696,8 @@ def _primal_dual(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, tol
             direct = barrier.slacks(xn)
             if np.minimum.reduce(direct) > 0.0:
                 x, s = xn, direct
+                if early_exit is not None and early_exit(x):
+                    return x, "early", gap, dual
                 break
             a_p *= 0.5
         if coupled:
@@ -650,7 +720,11 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
     On "optimal" the returned point is strictly feasible and the relative
     duality gap is at most tol (see the module docstring for the dual
     residual). "infeasible" carries a diagnostic naming the most violated
-    constraint at the least-infeasible point found.
+    constraint at the least-infeasible point found. A program with no cone
+    row left after ``_canonical`` runs both phases on the primal-dual path,
+    and its phase-1 "infeasible" diagnostic also states the bound
+    sigma - s'z; a program with cone rows runs both on the barrier. The
+    path follows from the input; no option selects it.
     """
     opts = opts or SolverOptions()
     start = time.perf_counter()
@@ -693,7 +767,7 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
     hint = np.zeros(d) if x_hint is None else np.asarray(x_hint, dtype=float)
     x0, failure = _phase1(program, canon, opts, budget, hint)
     if x0 is None:
-        status, _, diag = failure
+        status, diag = failure
         return done(status, None, diag)
 
     barrier = _Barrier(*canon)

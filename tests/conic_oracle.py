@@ -8,9 +8,9 @@ strict-feasibility test and another for the barrier value, and
 factorisation and then solves with an LU factorisation. The phases are
 shared, so the two solvers take the same decisions up to round-off and must
 agree on the status and, within the tolerance, on the objective. Programs
-whose rows are all linear go to the barrier's phase 2 here too, in place of
-``solve``'s primal-dual one, so the oracle stays an independent reference
-for them.
+whose rows are all linear go to the barrier's phase 1 and phase 2 here too,
+in place of ``solve``'s primal-dual ones, so the oracle stays an independent
+reference for them.
 """
 
 from __future__ import annotations
@@ -172,6 +172,7 @@ def _center(P, c, barrier: PointBarrier, x, t_bar, budget: _Budget, early_exit=N
 
 def oracle_solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.ndarray | None = None) -> SolverOutcome:
     """``vpcc.conic.solve`` with the point-wise barrier, line search and LU
-    steps, and the barrier's phase 2 for every program."""
-    with mock.patch.multiple(conic, _Barrier=PointBarrier, _center=_center, _primal_dual=conic._barrier_phase2):
+    steps, and the barrier's phase 1 and phase 2 for every program."""
+    barrier_phases = dict(_pd_phase1=conic._barrier_phase1, _primal_dual=conic._barrier_phase2)
+    with mock.patch.multiple(conic, _Barrier=PointBarrier, _center=_center, **barrier_phases):
         return conic.solve(program, opts, x_hint=x_hint)

@@ -160,6 +160,10 @@ class TestMoments:
     def test_bad_row_index(self, two_bus_path, capsys):
         assert main(["moments", two_bus_path, "--row", "7", "--time", "1"]) == 1
 
+    def test_non_numeric_input_exits_1(self, two_bus_path, capsys):
+        assert main(["moments", two_bus_path, "--row", "1", "--time", "1", "--u", "abc"]) == 1
+        assert "error: --u needs comma-separated numbers, got 'abc'" in capsys.readouterr().err
+
 
 class TestGrid:
     def test_segments_and_points(self):

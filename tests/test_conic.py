@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -468,6 +469,94 @@ class TestPrimalDual:
             assert 0.0 < out.gap <= tol * max(1.0, abs(out.objective))
             assert out.dual_residual <= tol * max(1.0, float(np.abs(prog.P @ out.x + prog.c).max()))
             assert prog.margin_values(out.x).max() < 0.0
+
+
+def phase1_point(monkeypatch, prog, opts=SolverOptions()):
+    """``solve``'s phase-1 outcome, its Newton steps, and the solve's outcome."""
+    seen = []
+    inner = conic._phase1
+
+    def record(program, canon, opts, budget, x_hint):
+        seen.append(inner(program, canon, opts, budget, x_hint) + (budget.spent,))
+        return seen[-1][:2]
+
+    monkeypatch.setattr(conic, "_phase1", record)
+    out = solve(prog, opts)
+    monkeypatch.undo()
+    (found,) = seen
+    return found, out
+
+
+class TestPrimalDualPhase1:
+    """Phase 1 of programs whose rows are all linear: the lifted LP on the primal-dual path."""
+
+    @pytest.mark.parametrize("rows, d, quadratic", LINEAR_ROW_SIZES)
+    def test_point_is_strictly_feasible(self, rows, d, quadratic, monkeypatch):
+        rng = np.random.default_rng(rows + d + 2)
+        for _ in range(2):
+            prog = random_linear_program(rng, rows, d, quadratic)
+            assert prog.margin_values(np.zeros(d)).max() >= 0.0  # phase 1 has work to do
+            (x0, failure, steps), out = phase1_point(monkeypatch, prog)
+            assert failure is None and steps > 0
+            assert prog.margin_values(x0).max() < 0.0
+            assert out.status == conic.STATUS_OPTIMAL
+
+    def test_infeasible_box_states_its_bound(self):
+        A = np.array([[1.0], [-1.0]])
+        b = np.array([-1.0, -1.0])  # u <= -1 and u >= 1: every point has worst margin >= 1
+        out = solve(ConicProgram(P=np.zeros((1, 1)), c=np.ones(1), A_u=A, b_u=b))
+        assert out.status == conic.STATUS_INFEASIBLE and out.x is None
+        assert "linear" in out.diagnostic
+        bound = float(re.search(r"sigma - s'z = (\S+) > 0", out.diagnostic).group(1))
+        assert 0.0 < bound <= 1.0 + 1e-6
+
+    def test_budget_stops_in_phase1(self):
+        prog = random_linear_program(np.random.default_rng(12), 200, 6)
+        assert prog.margin_values(np.zeros(6)).max() >= 0.0
+        out = solve(prog, SolverOptions(max_iter=2))
+        assert out.status == conic.STATUS_ITERATION_LIMIT and out.iterations == 2
+        assert out.diagnostic == "iteration budget exhausted in phase 1"
+
+    def test_accepted_iterates_are_checked_directly(self, monkeypatch):
+        """Phase 1 from x = 3 toward the box [-1, 1]: iterates below x = 0.5
+        are cut by the direct product alone, and no accepted one crosses."""
+
+        proposed, accepted = [], []
+
+        class HiddenCut(conic._Barrier):
+            def slacks(self, ext):
+                out = super().slacks(ext)
+                proposed.append(ext[0])
+                if ext[0] < 0.5:
+                    out[0] = -1.0
+                return out
+
+        inner = conic._primal_dual
+
+        def spy(program, barrier, x, t_bar, budget, tol, early_exit):
+            def check(pt):
+                accepted.append(pt[0])
+                return early_exit(pt)
+
+            return inner(program, barrier, x, t_bar, budget, tol, early_exit=check)
+
+        monkeypatch.setattr(conic, "_Barrier", HiddenCut)
+        monkeypatch.setattr(conic, "_primal_dual", spy)
+        prog = ConicProgram(P=np.zeros((1, 1)), c=np.ones(1), A_u=np.array([[1.0], [-1.0]]), b_u=np.ones(2))
+        x0, failure = conic._phase1(prog, conic._canonical(prog), SolverOptions(), conic._Budget(100), np.array([3.0]))
+        assert min(proposed) < 0.5  # the cut was reached
+        assert accepted and min(accepted) >= 0.5
+        assert failure is None and 0.5 <= x0[0] < 1.0
+
+    def test_fewer_steps_than_the_barrier(self, two_bus_cfg, monkeypatch):
+        """Guard on the captured two-bus scenario program."""
+        cfg = two_bus_cfg.with_alpha(0.01)
+        prog = captured_scenario_program(monkeypatch, cfg, cfg.cost(), cfg.scenario_config(seed=3))
+        (_, failure, steps), _ = phase1_point(monkeypatch, prog)
+        monkeypatch.setattr(conic, "_pd_phase1", conic._barrier_phase1)
+        (_, failure_barrier, barrier_steps), _ = phase1_point(monkeypatch, prog)
+        assert failure is None and failure_barrier is None
+        assert 0 < steps < barrier_steps
 
 
 class TestAgainstHighs:
