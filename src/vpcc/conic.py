@@ -483,8 +483,8 @@ def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
     Minimizes sigma over (x, sigma) with every margin pushed below sigma: the
     cap row sigma >= -cap goes after the linear rows, and the sigma column
     holds -1 on the linear, cap and head rows. With cone rows the barrier
-    solves it (``_barrier_phase1``); with linear rows only it is an LP, and
-    ``_pd_phase1`` runs it through ``_primal_dual``.
+    solves it (``_barrier_phase1``); with linear rows only it is an LP, with
+    sigma <= sigma0 + 1 + 0.1 scale as its last row, for ``_pd_phase1``.
     Returns (x, None) on success or (None, (status, diagnostic)) on failure.
     """
     d = program.d
@@ -497,12 +497,15 @@ def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
     cap = abs(sigma0) + 100.0 * scale
 
     rows, rhs, m, starts, zeta2 = canon
-    rows1 = np.zeros((rows.shape[0] + 1, d + 1))
+    caps = [cap] if starts.size else [cap, sigma0 + 1.0 + 0.1 * scale]
+    m1 = m + len(caps)
+    rows1 = np.zeros((rows.shape[0] + len(caps), d + 1))
     rows1[:m, :d] = rows[:m]
-    rows1[m + 1 :, :d] = rows[m:]
+    rows1[m1:, :d] = rows[m:]
     rows1[: m + 1, d] = -1.0
-    rows1[m + 1 + starts, d] = -1.0
-    lifted = (rows1, np.concatenate([rhs[:m], [cap], rhs[m:]]), m + 1, starts, zeta2)
+    rows1[m + 1 : m1, d] = 1.0
+    rows1[m1 + starts, d] = -1.0
+    lifted = (rows1, np.concatenate([rhs[:m], caps, rhs[m:]]), m1, starts, zeta2)
     search = _barrier_phase1 if starts.size else _pd_phase1
     return search(program, lifted, np.append(x_hint, sigma0), scale, opts, budget)
 
@@ -577,8 +580,8 @@ class _SigmaLP:
 def _pd_phase1(program: ConicProgram, lifted, ext, scale, opts, budget):
     """Phase 1 of a linear-only program: the lifted LP by ``_primal_dual``.
 
-    One more row, sigma <= sigma0 + 1 + 0.1 scale, is strictly slack at the
-    start and inactive near the optimum; it keeps the first, uncentred
+    The LP's last row, sigma <= sigma0 + 1 + 0.1 scale, is strictly slack at
+    the start and inactive near the optimum; it keeps the first, uncentred
     directions from driving sigma far up. The search returns at the first
     accepted iterate with sigma <= -feas_margin. At the LP's optimum,
     sigma - s'z lower-bounds the least worst margin, so a positive bound
@@ -587,15 +590,13 @@ def _pd_phase1(program: ConicProgram, lifted, ext, scale, opts, budget):
     """
     d = program.d
     feas_margin = max(opts.tol, 1e-9) * scale
-    rows1, rhs1, m1, starts, zeta2 = lifted
-    lp = _SigmaLP(d + 1)
-    barrier = _Barrier(np.vstack([rows1, lp.c]), np.append(rhs1, ext[d] + 1.0 + 0.1 * scale), m1 + 1, starts, zeta2)
+    barrier = _Barrier(*lifted)
     t_bar = barrier.nu / max(1.0, abs(ext[d]))
 
     def early(pt):
         return pt[d] <= -feas_margin
 
-    ext, flag, gap, _ = _primal_dual(lp, barrier, ext, t_bar, budget, opts.tol, early_exit=early)
+    ext, flag, gap, _ = _primal_dual(_SigmaLP(d + 1), barrier, ext, t_bar, budget, opts.tol, early_exit=early)
     x = ext[:d].copy()
     if flag == "early":
         return x, None

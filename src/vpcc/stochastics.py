@@ -14,8 +14,9 @@ double-check the order when importing parameter tables from elsewhere.
 
 ``mc_certify`` estimates the joint violation probability of a set of linear
 state constraints under a fixed input sequence and reports an exact one-sided
-99% Clopper-Pearson upper confidence bound (Wald intervals are invalid when
-the violation count is near zero, which is the regime certification targets).
+99% Clopper-Pearson upper confidence bound, the Beta(v + 1, n - v) quantile
+from ``scipy.special.betaincinv`` (Wald intervals are invalid when the
+violation count is near zero, which is the regime certification targets).
 
 MC stream contract: batch b of ``_MC_BATCH`` trajectories draws from child
 stream b of the seed, which ``child_streams`` seeds in one pass with the bits
@@ -29,11 +30,11 @@ draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DomainError, MomentUndefined
 
@@ -288,14 +289,7 @@ class McCertificate:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "violations": self.violations,
-            "empirical_violation": self.empirical_violation,
-            "upper_ci_99": self.upper_ci_99,
-            "alpha": self.alpha,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.99) -> float:
@@ -304,7 +298,7 @@ def clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.9
         raise DomainError("need 0 <= violations <= samples, samples >= 1")
     if violations == samples:
         return 1.0
-    return float(stats.beta.ppf(confidence, violations + 1, samples - violations))
+    return float(special.betaincinv(violations + 1, samples - violations, confidence))
 
 
 def mc_certify(

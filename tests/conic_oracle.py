@@ -170,9 +170,17 @@ def _center(P, c, barrier: PointBarrier, x, t_bar, budget: _Budget, early_exit=N
     return x, x, "centered"
 
 
+def barrier_phase1(program: ConicProgram, lifted, ext, scale, opts, budget):
+    """``conic._barrier_phase1`` in place of ``_pd_phase1``: the lifted
+    program less its last row, sigma <= sigma0 + 1 + 0.1 scale, which only
+    the primal-dual path needs."""
+    rows, rhs, m, starts, zeta2 = lifted
+    return conic._barrier_phase1(program, (rows[:-1], rhs[:-1], m - 1, starts, zeta2), ext, scale, opts, budget)
+
+
 def oracle_solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.ndarray | None = None) -> SolverOutcome:
     """``vpcc.conic.solve`` with the point-wise barrier, line search and LU
     steps, and the barrier's phase 1 and phase 2 for every program."""
-    barrier_phases = dict(_pd_phase1=conic._barrier_phase1, _primal_dual=conic._barrier_phase2)
+    barrier_phases = dict(_pd_phase1=barrier_phase1, _primal_dual=conic._barrier_phase2)
     with mock.patch.multiple(conic, _Barrier=PointBarrier, _center=_center, **barrier_phases):
         return conic.solve(program, opts, x_hint=x_hint)

@@ -6,16 +6,29 @@ row-major. ``oracle_mc_certify`` advances each batch of trajectories by
 multiplying every trajectory's state with its own full sampled matrix, with
 no split of A(t) into a deterministic part and random entries. It follows the
 stream contract stated in ``vpcc.stochastics``, so it must count the same
-violations as ``vpcc.stochastics.mc_certify``.
+violations as ``vpcc.stochastics.mc_certify``. Its upper bound comes from
+``oracle_clopper_pearson_upper``, the Beta quantile by ``scipy.stats.beta.ppf``,
+which the program no longer imports, so it checks ``clopper_pearson_upper``
+(``scipy.special.betaincinv``) independently.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import stats
 
 from vpcc.errors import DomainError
 from vpcc.moments import RandomMatrixModel, SystemSpec
-from vpcc.stochastics import _MC_BATCH, McCertificate, clopper_pearson_upper
+from vpcc.stochastics import _MC_BATCH, McCertificate
+
+
+def oracle_clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.99) -> float:
+    """The one-sided Clopper-Pearson upper bound: the ``confidence`` quantile
+    of Beta(violations + 1, samples - violations), or 1 when every sample
+    violates."""
+    if violations == samples:
+        return 1.0
+    return float(stats.beta.ppf(confidence, violations + 1, samples - violations))
 
 
 def sample_batch(model: RandomMatrixModel, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -62,7 +75,7 @@ def oracle_mc_certify(
         done += count
         batch_index += 1
 
-    upper = clopper_pearson_upper(violations, samples, confidence)
+    upper = oracle_clopper_pearson_upper(violations, samples, confidence)
     return McCertificate(
         samples=samples,
         violations=violations,

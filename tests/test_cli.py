@@ -1,6 +1,9 @@
 """Command-line front door: exit codes, artifacts, config round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,3 +263,32 @@ class TestConfigRoundTrip:
         assert cfg.row_set().alpha == 0.2
         with pytest.raises(ConfigError, match="1/6"):
             cfg.jcc()
+
+
+class TestImportFootprint:
+    """``import vpcc, vpcc.cli`` in a fresh interpreter loads no scipy
+    subpackage beyond ``linalg`` and ``special``; module names only."""
+
+    UNLOADED = (
+        "scipy.stats",
+        "scipy.optimize",
+        "scipy.sparse",
+        "scipy.spatial",
+        "scipy.ndimage",
+        "scipy.interpolate",
+        "scipy.integrate",
+    )
+
+    def test_no_heavy_scipy_subpackage(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(vpcc.__file__)))
+        probe = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import vpcc, vpcc.cli\n"
+            "print(json.dumps([vpcc.__file__, sorted(sys.modules)]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120)
+        path, modules = json.loads(out.stdout.splitlines()[-1])
+        assert path == vpcc.__file__
+        assert {"scipy.linalg", "scipy.special"} <= set(modules)
+        assert [name for name in self.UNLOADED if name in modules] == []

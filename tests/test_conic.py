@@ -17,7 +17,7 @@ from vpcc.conic import ConicProgram, SocRow, SolverOptions, solve
 from vpcc.errors import DomainError
 from vpcc.scenario import ScenarioConfig, solve_scenario
 
-from conic_oracle import PointBarrier, oracle_solve, oracle_solve_step
+from conic_oracle import PointBarrier, barrier_phase1, oracle_solve, oracle_solve_step
 from cvxpy_oracle import solve_reference
 
 
@@ -553,7 +553,7 @@ class TestPrimalDualPhase1:
         cfg = two_bus_cfg.with_alpha(0.01)
         prog = captured_scenario_program(monkeypatch, cfg, cfg.cost(), cfg.scenario_config(seed=3))
         (_, failure, steps), _ = phase1_point(monkeypatch, prog)
-        monkeypatch.setattr(conic, "_pd_phase1", conic._barrier_phase1)
+        monkeypatch.setattr(conic, "_pd_phase1", barrier_phase1)
         (_, failure_barrier, barrier_steps), _ = phase1_point(monkeypatch, prog)
         assert failure is None and failure_barrier is None
         assert 0 < steps < barrier_steps

@@ -23,7 +23,7 @@ from vpcc.stochastics import (
 )
 
 from conftest import deterministic_spec, mixed_family_spec
-from mc_oracle import oracle_mc_certify
+from mc_oracle import oracle_clopper_pearson_upper, oracle_mc_certify
 
 
 class TestRawMoments:
@@ -178,6 +178,17 @@ class TestClopperPearson:
     def test_monotone_in_violations(self):
         bounds = [clopper_pearson_upper(v, 200) for v in range(0, 201, 20)]
         assert all(b1 < b2 for b1, b2 in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    @pytest.mark.parametrize("samples", [100, 20000, 100000])
+    def test_against_beta_ppf(self, samples, confidence):
+        """``scipy.special.betaincinv`` against the retired ``scipy.stats.beta.ppf``
+        in ``tests/mc_oracle.py``; at the bound the Beta CDF is the confidence."""
+        interior = (2, 7, samples // 100, samples // 10, samples // 2, samples - 2)
+        for v in sorted({0, 1, *interior, samples - 1}):
+            upper = clopper_pearson_upper(v, samples, confidence)
+            assert upper == pytest.approx(oracle_clopper_pearson_upper(v, samples, confidence), rel=1e-10)
+            assert special.betainc(v + 1, samples - v, upper) == pytest.approx(confidence, rel=0, abs=1e-10)
 
 
 def _toy_rowset(h1: float, h2: float, alpha: float = 0.1):
