@@ -6,43 +6,34 @@ Problem form over x in R^d:
     subject to  A_u x <= b_u                                     (linear rows)
                 a' x + b + lam ||(L' x + v ; sqrt(s))|| <= h     (cone rows)
 
-with P symmetric PSD, lam >= 0 and s >= 0. The solver has two phases.
-Phase 1 minimizes the worst constraint margin sigma over (x, sigma); it
-exits early once a strictly feasible point is found and declares
-infeasibility when a certified lower bound on the margin is positive. A
-phase-1 point whose margin is minimised to tolerance short of that goes on
-to phase 2 only if its direct margins are all negative. Phase 2 starts from
-phase 1's strictly feasible point. Both take one of two paths, chosen by the
-input:
+with P symmetric PSD, lam >= 0 and s >= 0. ``_canonical`` stacks every
+constraint into one row matrix with slacks rhs - rows x: the linear rows,
+with degenerate cones as affine rows, then per genuine cone a block (t; z),
+t >= ||z||, of its head row a', its -lam L' rows and, when s > 0, a zero
+row with right-hand side lam sqrt(s).
 
-* Some genuine cone row (``_canonical`` turns degenerate cones into affine
-  rows): log-barrier methods. Phase 1 certifies infeasibility by
-  sigma - nu / t > 0 at a centred point, and falls back to a stall rule (no
-  margin progress above the tolerance for 50 Newton steps) so it detects
-  rather than hangs. Phase 2 follows the central path with damped Newton
-  steps and stops when its gap nu / t is at most tol max(1, |f(x)|). The
-  barrier holds one stacked row matrix: the linear rows, then per cone its
-  head row a' (slack t) and its -W rows (slack z). Each cone's t^2 + |z|^2
-  is a segment sum over its rows, and the Hessian is rows' diag(D) rows +
-  G'G, with one row of G per cone, so no step walks the cones in Python. A
-  Newton step forms the slacks of all rows once and factors its system once
-  (Cholesky). Its backtracking line search moves the slacks, which are
-  affine in x, along the direction's images and takes the quadratic
-  objective in closed form, so a trial costs no product with the rows. Its
-  duals are z = 1 / (t s).
-* Linear rows only: a Mehrotra predictor-corrector primal-dual method
-  (``_primal_dual``) with one Cholesky factorisation and two solves per
-  iteration. It stops when s'z <= tol max(1, |f(x)|) and the dual residual
-  ||P x + c + A'z||_inf <= tol max(1, ||P x + c||_inf), taken at its own
-  duals z. Phase 1 runs it on the lifted LP, with one more row
-  sigma <= sigma0 + 1 + 0.1 scale, and returns at the first accepted
-  iterate with sigma <= -feas_margin; at the LP's optimum, sigma - s'z > 0
-  certifies infeasibility, and the diagnostic states that bound.
+One Mehrotra predictor-corrector primal-dual method (``_primal_dual``) runs
+both phases. Nesterov-Todd scaling turns each cone block's part of the
+Newton matrix into a signed diagonal plus one rank-one term, so the matrix
+is P + rows' diag(D) rows + G'G with one row of G per cone: one Cholesky
+factorisation and two solves per iteration, and no per-cone Python loop.
+Phase 1 minimizes the worst constraint margin sigma over (x, sigma), with
+sigma bounded below by -cap and above by sigma0 + 1 + 0.1 scale. It
+returns at the first accepted iterate with sigma <= -feas_margin; at its
+optimum, sigma - s'z > 0 certifies infeasibility, and the diagnostic states
+that bound. A phase-1 optimum short of both goes on to phase 2 if its direct
+margins are all negative, and else phase 1 goes on once at tol / 1000
+before it declares infeasibility. Phase 2 starts from phase 1's strictly feasible
+point and stops when s'z <= tol max(1, |f(x)|) and the dual residual
+||P x + c + rows'z||_inf <= tol max(1, ||P x + c||_inf), with z in the dual
+cone. An affine direction d with P d = 0, -rows d in the cone and c'd < 0
+shows the objective unbounded below; the solve then ends
+"numerical_failure" with d in its diagnostic.
 
-Either way an accepted point is confirmed strictly feasible by one direct
-product with the rows, and the step is halved until it is. On "optimal" the
-outcome's ``gap`` is s'z (nu / t for the barrier) and ``dual_residual`` is
-||P x + c + A'z||_inf; with no constraints, ``dual_residual`` is ||P x + c||_inf.
+Every accepted point is confirmed strictly feasible by one direct product
+with the rows, and the step is halved until it is. On "optimal" the
+outcome's ``gap`` is s'z and ``dual_residual`` is ||P x + c + rows'z||_inf;
+with no constraints, ``dual_residual`` is ||P x + c||_inf.
 
 Everything is dense numpy with a fixed iteration order and no randomness,
 so identical inputs produce identical iterates. Problem sizes in scope are
@@ -64,11 +55,7 @@ from .report import STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, STATUS_OPTIMAL
 
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
-_MU = 20.0  # barrier parameter growth per outer step
-_CENTER_TOL = 1e-10  # Newton decrement^2 / 2 threshold
-_INNER_CAP = 50  # Newton steps per centering
-_LS_CAP = 60  # backtracking halvings
-_STALL_LIMIT = 50  # phase-1 Newton steps without progress before giving up
+_LS_CAP = 60  # halvings of a primal step the direct product rejects
 
 
 def _readonly(values) -> np.ndarray:
@@ -269,102 +256,172 @@ class SolverOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Barrier machinery
+# Stacked rows and Nesterov-Todd scaling
 # ---------------------------------------------------------------------------
 
 
-class _Barrier:
-    """Log barrier at the slacks s = rhs - rows @ x, over one stacked row matrix.
+class _Cones:
+    """Second-order-cone blocks (t; z), t >= ||z||, laid end to end.
 
-    The first m rows are linear, with barrier -log s. Then each cone
-    t0 - a'x >= ||(W x + w ; zeta)|| gives its head row a' (slack t = t0 - a'x)
-    followed by its -W rows (slack z = W x + w), with barrier -log cval,
-    cval = t^2 - |z|^2 - zeta^2; ``starts`` holds each head's offset past m.
-    In the slacks the barrier Hessian is diag(D) plus, per cone, the outer
-    product of its part of the gradient u (see ``grad_hess``); in x it is
-    rows' diag(D) rows + G'G, G holding one segment sum of u * rows per cone.
+    ``starts`` holds each head's offset. A per-cone quantity is a segment sum
+    (``np.add.reduceat``) and goes back onto the rows by ``spread``, so no
+    step walks the cones in Python. ``sign`` is J = diag(1, -I) per block.
     """
 
-    def __init__(self, rows: np.ndarray, rhs: np.ndarray, m: int, starts: np.ndarray, zeta2: np.ndarray):
+    def __init__(self, starts: np.ndarray, size: int):
+        self.starts = starts
+        self.sizes = np.diff(np.append(starts, size))
+        self.sign = np.full(size, -1.0)
+        self.sign[starts] = 1.0
+
+    def spread(self, per_cone: np.ndarray) -> np.ndarray:
+        return per_cone.repeat(self.sizes)
+
+    def tail_dot(self, u, v) -> np.ndarray:
+        """u1'v1 per cone, the heads left out."""
+        prod = u * v
+        prod[self.starts] = 0.0
+        return np.add.reduceat(prod, self.starts)
+
+    def det(self, v) -> np.ndarray:
+        """v0^2 - ||v1||^2 per cone, as (v0 - ||v1||)(v0 + ||v1||)."""
+        norm = np.sqrt(self.tail_dot(v, v))
+        head = v[self.starts]
+        return (head - norm) * (head + norm)
+
+    def interior(self, v) -> bool:
+        return bool(np.minimum.reduce(v[self.starts] - np.sqrt(self.tail_dot(v, v))) > 0.0)
+
+    def inverse(self, v) -> np.ndarray:
+        """The Jordan inverse J v / det(v), for v inside the cones."""
+        return self.sign * v / self.spread(self.det(v))
+
+    def eig_min(self, v, dv, det) -> np.ndarray:
+        """Per cone, the smaller eigenvalue l of dv scaled by v^(-1/2), for v
+        inside the cone with ``det(v)`` = det. det(v + a dv) =
+        det(v) (1 + a l1)(1 + a l2), so the mean and product of l1 and l2 are
+        that quadratic's coefficients over det(v)."""
+        head, dhead = v[self.starts], dv[self.starts]
+        mean = (head * dhead - self.tail_dot(v, dv)) / det
+        prod = (dhead * dhead - self.tail_dot(dv, dv)) / det
+        return mean - np.sqrt(np.maximum(mean * mean - prod, 0.0))
+
+
+class _Scaling:
+    """Nesterov-Todd scaling of the cone blocks at (s, z) inside them.
+
+    W = beta H(w), with H(w) the hyperbolic rotation taking e = (1; 0) to w,
+    w'Jw = 1, maps z and s to one point lam = W z = W^{-1} s. Per block
+    W^{-2} = beta^{-2} (2 (J w)(J w)' - J) = diag(D) + g g'.
+    """
+
+    def __init__(self, cones: _Cones, s, z, s_det, z_det):
+        self.cones = cones
+        s_norm, z_norm = np.sqrt(s_det), np.sqrt(z_det)
+        s_bar, z_bar = s / cones.spread(s_norm), z / cones.spread(z_norm)
+        gamma = np.sqrt(0.5 + 0.5 * np.add.reduceat(s_bar * z_bar, cones.starts))
+        self.w = (s_bar + cones.sign * z_bar) / cones.spread(2.0 * gamma)
+        self.beta = cones.spread(np.sqrt(s_norm / z_norm))
+        self.D = -cones.sign / (self.beta * self.beta)
+        self.g = math.sqrt(2.0) * cones.sign * self.w / self.beta
+        self.lam = self.scale(z, 1.0)
+        self.lam_det = s_norm * z_norm
+
+    def scale(self, v, power: float) -> np.ndarray:
+        """W v (power 1) or W^{-1} v (power -1); W^{-1} = beta^{-2} J W J."""
+        cones, heads = self.cones, self.cones.starts
+        w0, v0 = self.w[heads], v[heads]
+        dot = cones.tail_dot(self.w, v)
+        out = v + cones.spread(power * v0 + dot / (1.0 + w0)) * self.w
+        out[heads] = w0 * v0 + power * dot
+        return out * self.beta if power > 0.0 else out / self.beta
+
+    def rank_one(self, v) -> np.ndarray:
+        return self.g * self.cones.spread(np.add.reduceat(self.g * v, self.cones.starts))
+
+    def gram(self, rows: np.ndarray) -> np.ndarray:
+        """G'G, G holding one row g' rows per block: the rank-one part of rows' W^{-2} rows."""
+        G = np.add.reduceat(self.g[:, None] * rows, self.cones.starts)
+        return G.T @ G
+
+    def corrector(self, z, ds, target: float) -> np.ndarray:
+        """W^{-1} (lam \\ (lam o lam + ds~ o dz~ - target e)), o the Jordan
+        product, for the predictor's scaled steps ds~ = W^{-1} ds and
+        dz~ = W dz = -lam - ds~. W^{-1} lam = z, so this is z plus the
+        correction."""
+        cones, heads, lam = self.cones, self.cones.starts, self.lam
+        ds_s = self.scale(ds, -1.0)
+        dz_s = -lam - ds_s
+        r = cones.spread(ds_s[heads]) * dz_s + cones.spread(dz_s[heads]) * ds_s
+        r[heads] = np.add.reduceat(ds_s * dz_s, heads) - target
+        # u = lam \ r solves lam o u = r: u0 = (lam0 r0 - lam1'r1) / det(lam), u1 = (r1 - u0 lam1) / lam0.
+        lam0 = lam[heads]
+        u0 = (lam0 * r[heads] - cones.tail_dot(lam, r)) / self.lam_det
+        u = (r - cones.spread(u0) * lam) / cones.spread(lam0)
+        u[heads] = u0
+        return z + self.scale(u, -1.0)
+
+
+class _Stack:
+    """The stacked rows of ``_canonical`` with slacks s = rhs - rows @ x: m
+    linear rows, then the cone blocks (``_Cones``, None without any)."""
+
+    def __init__(self, rows: np.ndarray, rhs: np.ndarray, m: int, starts: np.ndarray):
         self.rows = rows
         self.rhs = rhs
         self.m = m
-        self.starts = starts
-        self.zeta2 = zeta2
-        self.nu = m + 2 * starts.shape[0]
-        if starts.size:  # only the cone branches read these
-            self.heads = m + starts
-            # On the cone rows D = sign / cval and u = -D s: sign is -2 on heads, 2 on z rows.
-            self.sign = np.full(rows.shape[0] - m, 2.0)
-            self.sign[starts] = -2.0
-            self.sizes = np.diff(np.append(starts, rows.shape[0] - m))
-        self.centered = None  # (x, slacks, value, grad, hess) where the last centering converged
+        self.cones = _Cones(starts, rows.shape[0] - m) if starts.size else None
+        self.degree = m + starts.size  # mu = s'z / degree
 
     def slacks(self, x: np.ndarray) -> np.ndarray:
         return self.rhs - self.rows @ x
 
-    def _cval(self, slacks) -> np.ndarray:
-        """t^2 - |z|^2 - zeta^2 per cone; each segment sums t^2 + |z|^2."""
-        cone = slacks[self.m :]
-        return 2.0 * slacks[self.heads] ** 2 - np.add.reduceat(cone * cone, self.starts) - self.zeta2
+    def interior(self, slacks) -> bool:
+        m = self.m
+        inside = bool(np.minimum.reduce(slacks[:m], initial=math.inf) > 0.0)
+        return inside and (self.cones is None or self.cones.interior(slacks[m:]))
 
-    def feasible(self, slacks) -> bool:
-        return self.value(slacks) != math.inf
-
-    # The line search calls value several times per Newton step, so it uses
-    # the ufunc reductions directly.
-    def value(self, slacks) -> float:
-        """Barrier value, +inf unless the slacks are strictly feasible."""
-        if self.m and np.minimum.reduce(slacks[: self.m]) <= 0.0:
-            return math.inf
-        out = -float(np.add.reduce(np.log(slacks[: self.m])))
-        if self.starts.size:
-            if np.minimum.reduce(slacks[self.heads]) <= 0.0:
-                return math.inf
-            cval = self._cval(slacks)
-            if np.minimum.reduce(cval) <= 0.0:
-                return math.inf
-            out -= float(np.add.reduce(np.log(cval)))
-        return out
-
-    def grad_hess(self, slacks) -> tuple[np.ndarray, np.ndarray]:
-        rows, m = self.rows, self.m
-        inv = 1.0 / slacks[:m]
-        if not self.starts.size:
-            return rows.T @ inv, (rows * (inv * inv)[:, None]).T @ rows
-        # u = (1/s ; 2t/cval ; -2z/cval), D = (1/s^2 ; -2/cval ; 2/cval)
-        w = self.sign / np.repeat(self._cval(slacks), self.sizes)
-        u = np.concatenate([inv, -w * slacks[m:]])
-        D = np.concatenate([inv * inv, w])
-        G = np.add.reduceat(u[m:, None] * rows[m:], self.starts)
-        return rows.T @ u, (rows * D[:, None]).T @ rows + G.T @ G
+    def to_boundary(self, v, dv, det) -> float:
+        """Largest a with v + a dv in the cones, for v inside them with cone
+        determinants ``det`` (None without cones), inf when no row limits it:
+        from one pass over dv / v on the linear rows rather than a masked copy
+        of the decreasing entries, and each cone's ``eig_min``."""
+        m = self.m
+        worst = float(np.minimum.reduce(dv[:m] / v[:m], initial=0.0))
+        if self.cones is not None:
+            worst = min(worst, float(self.cones.eig_min(v[m:], dv[m:], det).min()))
+        return -1.0 / worst if worst < 0.0 else math.inf
 
 
 def _canonical(program: ConicProgram):
-    """The stacked (rows, rhs, m, starts, zeta2) of ``_Barrier``: linear rows
-    first (a degenerate cone, lam = 0 or a zero deviation map, is an affine
-    row with the constant offset lam ||(v ; sqrt(s))||), then each genuine
-    cone's head and -W rows."""
+    """The stacked (rows, rhs, m, starts) of ``_Stack``: linear rows first (a
+    degenerate cone, lam = 0 or a zero deviation map, is an affine row with
+    the constant offset lam ||(v ; sqrt(s))||), then each genuine cone's block
+    of head row a', -lam L' rows and, when s > 0, a zero row with right-hand
+    side lam sqrt(s), so its slacks are (t; z) with t >= ||z||."""
+    d = program.d
     lin_rows = [program.A_u]
     lin_rhs = [program.b_u]
-    cone_rows, cone_rhs, starts, zeta2 = [], [], [], []
+    cone_rows, cone_rhs, starts = [], [], []
     offset = 0
     for row in program.soc:
         has_map = row.L.size > 0 and bool(np.any(row.L))
         if row.lam == 0.0 or not has_map:
             lin_rows.append(row.a.reshape(1, -1))
             lin_rhs.append(np.array([row.h - row.b - row.lam * math.sqrt(float(row.v @ row.v) + row.s)]))
-        else:
-            zeta = row.lam * math.sqrt(row.s)
-            cone_rows += [row.a.reshape(1, -1), -(row.lam * row.L.T)]
-            cone_rhs += [np.array([row.h - row.b]), row.lam * row.v]
-            starts.append(offset)
-            zeta2.append(zeta * zeta)
-            offset += 1 + row.L.shape[1]
+            continue
+        starts.append(offset)
+        cone_rows += [row.a.reshape(1, -1), -(row.lam * row.L.T)]
+        cone_rhs += [np.array([row.h - row.b]), row.lam * row.v]
+        offset += 1 + row.L.shape[1]
+        if row.s > 0.0:
+            cone_rows.append(np.zeros((1, d)))
+            cone_rhs.append(np.array([row.lam * math.sqrt(row.s)]))
+            offset += 1
     m = sum(block.shape[0] for block in lin_rows)
     rows = np.vstack(lin_rows + cone_rows)
     rhs = np.concatenate(lin_rhs + cone_rhs)
-    return rows, rhs, m, np.array(starts, dtype=np.intp), np.array(zeta2)
+    return rows, rhs, m, np.array(starts, dtype=np.intp)
 
 
 def _cholesky(H: np.ndarray) -> np.ndarray | None:
@@ -379,15 +436,6 @@ def _cholesky(H: np.ndarray) -> np.ndarray | None:
             return factor
         ridge = ridge * 100.0 if ridge else 1e-14 * max(1.0, float(np.trace(H)) / max(1, H.shape[0]))
     return None
-
-
-def _solve_step(H: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve H step = rhs for PD H by Cholesky (``_cholesky``)."""
-    factor = _cholesky(H)
-    if factor is None:
-        return None
-    step, info = lapack.dpotrs(factor, rhs, lower=1)
-    return step if info == 0 and np.isfinite(step).all() else None
 
 
 class _Budget:
@@ -413,157 +461,113 @@ def _conditioning_diag(H: np.ndarray) -> str:
     return f"Newton system is ill-conditioned (condition estimate {cond:.3e})"
 
 
-def _center(P, c, barrier: _Barrier, x, t_bar, budget: _Budget, early_exit=None):
-    """Damped Newton minimisation of t*f0 + phi from a strictly feasible x.
-
-    Returns (x, slacks of x, flag) with flag one of "centered", "early",
-    "stalled", "budget", "numfail". The barrier value of an accepted point
-    both confirms it strictly feasible and serves the next step's line search.
-    The next centering starts where this one converged, at a larger t, so the
-    barrier keeps its value and derivatives there.
-    """
-    if barrier.centered is not None and barrier.centered[0] is x:
-        _, slacks, phi, grad, hess = barrier.centered
-    else:
-        slacks = barrier.slacks(x)
-        phi = barrier.value(slacks)
-        grad = None
-    tP = t_bar * P
-    for _ in range(_INNER_CAP):
-        if budget.exhausted:
-            return x, slacks, "budget"
-        if grad is None:
-            grad, hess = barrier.grad_hess(slacks)
-        Px = P @ x
-        Pxc = Px + c
-        g = t_bar * Pxc + grad
-        H = tP + hess
-        neg_g = -g
-        dx = _solve_step(H, neg_g)
-        if dx is None:
-            budget.diagnostic = _conditioning_diag(H)
-            return x, slacks, "numfail"
-        budget.spent += 1
-        dec2 = float(neg_g @ dx)
-        if not math.isfinite(dec2) or dec2 <= 2.0 * _CENTER_TOL:
-            barrier.centered = (x, slacks, phi, grad, hess)
-            return x, slacks, "centered"
-        f0 = float(0.5 * x @ Px + c @ x)
-        slope = float(Pxc @ dx)
-        curv = float(dx @ P @ dx)
-        base = t_bar * f0 + phi
-        images = barrier.rows @ -dx  # slack change per unit step
-        step = 1.0
-        for _ in range(_LS_CAP):
-            # A full step skips the product by 1.0, which is exact.
-            trial = barrier.value(slacks + images if step == 1.0 else slacks + step * images)
-            if t_bar * (f0 + step * slope + 0.5 * step * step * curv) + trial <= base - 0.01 * step * dec2:
-                xn = x + dx if step == 1.0 else x + step * dx
-                direct = barrier.slacks(xn)
-                phi = barrier.value(direct)
-                if phi != math.inf:
-                    break
-            step *= 0.5
-        else:
-            return x, slacks, "stalled"
-        x, slacks, grad = xn, direct, None
-        if early_exit is not None and early_exit(x):
-            return x, slacks, "early"
-    return x, slacks, "centered"
-
-
 # ---------------------------------------------------------------------------
-# Phases
+# The primal-dual method and its phases
 # ---------------------------------------------------------------------------
 
 
-def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
-    """Find a strictly feasible point or evidence that none exists.
+def _primal_dual(program: ConicProgram, stack: _Stack, x, t_bar, budget, tol, early_exit=None):
+    """Mehrotra predictor-corrector from a strictly feasible x.
 
-    Minimizes sigma over (x, sigma) with every margin pushed below sigma: the
-    cap row sigma >= -cap goes after the linear rows, and the sigma column
-    holds -1 on the linear, cap and head rows. With cone rows the barrier
-    solves it (``_barrier_phase1``); with linear rows only it is an LP, with
-    sigma <= sigma0 + 1 + 0.1 scale as its last row, for ``_pd_phase1``.
-    Returns (x, None) on success or (None, (status, diagnostic)) on failure.
+    The slacks s = rhs - rows x start with duals z on the central path at
+    mu = 1 / t: s z = mu on the linear rows, s o z = mu e on each cone block
+    (o the Jordan product, e = (1; 0)). Each iteration scales the cone blocks
+    (``_Scaling``), factors H = P + rows' W^{-2} rows, which is
+    P + rows' diag(D) rows + G'G, once and solves twice: the affine
+    direction, then the direction aimed at sigma mu, sigma = (mu_aff / mu)^3,
+    with the second-order correction, the predictor's ds o dz. Steps go 0.99
+    of the way to the boundary, and are equal in x and z when P != 0, so the
+    dual residual shrinks with the step. A primal iterate is accepted only
+    once one direct product rhs - rows x shows it strictly feasible; until
+    then the primal step is halved. Stops when s'z <= tol max(1, |f(x)|) and
+    ||P x + c + rows'z||_inf <= tol max(1, ||P x + c||_inf).
+
+    Returns (x, flag, gap, dual residual) with flag "optimal", "budget" or
+    "numfail", or "early" (with the previous iterate's gap and residual) as
+    soon as an accepted iterate satisfies ``early_exit``. An affine direction
+    d with P d = 0, -rows d in the cones and c'd < 0 proves the objective
+    unbounded below; it ends as "numfail", with d in the diagnostic.
     """
-    d = program.d
-    g0 = program.margin_values(x_hint)
-    gmax0 = float(g0.max()) if g0.size else -1.0
-    if gmax0 < 0.0:
-        return x_hint.copy(), None
-    scale = max(1.0, abs(gmax0))
-    sigma0 = gmax0 + 1.0 + 0.1 * scale
-    cap = abs(sigma0) + 100.0 * scale
-
-    rows, rhs, m, starts, zeta2 = canon
-    caps = [cap] if starts.size else [cap, sigma0 + 1.0 + 0.1 * scale]
-    m1 = m + len(caps)
-    rows1 = np.zeros((rows.shape[0] + len(caps), d + 1))
-    rows1[:m, :d] = rows[:m]
-    rows1[m1:, :d] = rows[m:]
-    rows1[: m + 1, d] = -1.0
-    rows1[m + 1 : m1, d] = 1.0
-    rows1[m1 + starts, d] = -1.0
-    lifted = (rows1, np.concatenate([rhs[:m], caps, rhs[m:]]), m1, starts, zeta2)
-    search = _barrier_phase1 if starts.size else _pd_phase1
-    return search(program, lifted, np.append(x_hint, sigma0), scale, opts, budget)
-
-
-def _barrier_phase1(program: ConicProgram, lifted, ext, scale, opts, budget):
-    """Phase 1 by the barrier from (x_hint, sigma0) = ``ext``.
-
-    Centres at t, then raises t by _MU, and exits early once sigma is at most
-    -feas_margin. It declares infeasibility when the certified lower bound
-    sigma - nu/t on the margin is positive, and falls back to a stall rule (no
-    margin progress above the tolerance for 50 Newton steps).
-    """
-    d = program.d
-    feas_margin = max(opts.tol, 1e-9) * scale
-    barrier = _Barrier(*lifted)
-    c1 = np.zeros(d + 1)
-    c1[d] = 1.0
-    P1 = np.zeros((d + 1, d + 1))
-
-    best_sigma = ext[d]
-    best_x = ext[:d].copy()
-    stall = 0
-    t_bar = barrier.nu / max(1.0, abs(ext[d]))
-
-    def early(pt):
-        return pt[d] <= -feas_margin
-
+    P, c, A, m, cones = program.P, program.c, stack.rows, stack.m, stack.cones
+    coupled = bool(P.any())
+    s = stack.slacks(x)
+    z = 1.0 / (t_bar * s[:m])
+    if cones is not None:
+        z = np.concatenate([z, cones.inverse(s[m:]) / t_bar])
     while True:
-        ext, _, flag = _center(P1, c1, barrier, ext, t_bar, budget, early_exit=early)
-        sigma = float(ext[d])
-        if sigma < best_sigma - opts.tol * scale:
-            best_sigma = sigma
-            best_x = ext[:d].copy()
-            stall = 0
-        else:
-            stall += 1
-        if flag == "early" or sigma <= -feas_margin:
-            return ext[:d].copy(), None
-        if flag == "numfail":
-            return None, (STATUS_NUMERICAL_FAILURE, f"phase 1: {budget.diagnostic}")
-        # sigma - nu/t lower-bounds the optimal margin only near the central
-        # path, so the infeasibility certificate is gated on centering.
-        if flag == "centered" and sigma - barrier.nu / t_bar > opts.tol * scale:
-            return None, (STATUS_INFEASIBLE, _violation_diag(program, best_x))
-        if flag in ("stalled", "centered") and barrier.nu / t_bar <= opts.tol * scale:
-            # Margin minimised to tolerance short of -feas_margin: a point whose
-            # direct margins are all negative still goes on to phase 2.
-            if program.margin_values(ext[:d]).max() < 0.0:
-                return ext[:d].copy(), None
-            return None, (STATUS_INFEASIBLE, _violation_diag(program, best_x))
-        if stall > _STALL_LIMIT:
-            return None, (STATUS_INFEASIBLE, _violation_diag(program, best_x) + " (phase-1 stall)")
+        Pxc = P @ x + c
+        r_d = Pxc + A.T @ z
+        gap = float(s @ z)
+        dual = float(np.abs(r_d).max())
+        if gap <= tol * max(1.0, abs(program.objective(x))) and dual <= tol * max(1.0, float(np.abs(Pxc).max())):
+            return x, "optimal", gap, dual
         if budget.exhausted:
-            return None, (STATUS_ITERATION_LIMIT, "iteration budget exhausted in phase 1")
-        t_bar *= _MU
+            return x, "budget", gap, dual
+        w = z[:m] / s[:m]
+        s_det = z_det = None
+        if cones is not None:
+            s_det, z_det = cones.det(s[m:]), cones.det(z[m:])
+            if not (s_det.min() > 0.0 and z_det.min() > 0.0):
+                budget.diagnostic = "a cone's slacks or duals reached its boundary in floating point"
+                return x, "numfail", gap, dual
+            nt = _Scaling(cones, s[m:], z[m:], s_det, z_det)
+            w = np.concatenate([w, nt.D])
+        H = P + (A * w[:, None]).T @ A
+        if cones is not None:
+            H += nt.gram(A[m:])
+        factor = _cholesky(H)
+        if factor is None:
+            budget.diagnostic = _conditioning_diag(H)
+            return x, "numfail", gap, dual
+        budget.spent += 1
+        # Predictor: the affine direction, aimed at s z = 0.
+        dx = lapack.dpotrs(factor, -Pxc, lower=1)[0]
+        ds = A @ -dx
+        dz = -z - w * ds
+        if cones is not None:
+            dz[m:] -= nt.rank_one(ds[m:])
+        reach = stack.to_boundary(s, ds, s_det)
+        if reach == math.inf and c @ dx < 0.0 and not (P @ dx).any():
+            d = dx / np.abs(dx).max() + 0.0  # + 0.0 turns -0.0 into 0.0
+            budget.diagnostic = (
+                f"objective unbounded below along d = {json.dumps(d.tolist())}: "
+                f"P d = 0, -rows d in the cone, c'd = {float(c @ d):.6e} < 0"
+            )
+            return x, "numfail", gap, dual
+        a_p, a_d = min(1.0, reach), min(1.0, stack.to_boundary(z, dz, z_det))
+        if coupled:
+            a_p = a_d = min(a_p, a_d)
+        sigma = (float((s + a_p * ds) @ (z + a_d * dz)) / gap) ** 3  # (mu_aff / mu)^3
+        # Corrector: aimed at s z = sigma mu, less the predictor's product ds dz.
+        target = sigma * gap / stack.degree
+        r_c = s[:m] * z[:m] + ds[:m] * dz[:m] - target
+        y = r_c / s[:m]
+        if cones is not None:
+            y = np.concatenate([y, nt.corrector(z[m:], ds[m:], target)])
+        dx = lapack.dpotrs(factor, A.T @ y - r_d, lower=1)[0]
+        ds = A @ -dx
+        dz = (-r_c - z[:m] * ds[:m]) / s[:m]
+        if cones is not None:
+            dz = np.concatenate([dz, -y[m:] - nt.D * ds[m:] - nt.rank_one(ds[m:])])
+        a_p = min(1.0, 0.99 * stack.to_boundary(s, ds, s_det))
+        a_d = min(1.0, 0.99 * stack.to_boundary(z, dz, z_det))
+        if coupled:
+            a_p = a_d = min(a_p, a_d)
+        for _ in range(_LS_CAP):
+            xn = x + a_p * dx
+            direct = stack.slacks(xn)
+            if stack.interior(direct):
+                x, s = xn, direct
+                if early_exit is not None and early_exit(x):
+                    return x, "early", gap, dual
+                break
+            a_p *= 0.5
+        if coupled:
+            a_d = min(a_d, a_p)
+        z = z + a_d * dz
 
 
-class _SigmaLP:
+class _Sigma:
     """Phase 1's objective, the last coordinate sigma, with the P, c and
     ``objective`` that ``_primal_dual`` reads from a program."""
 
@@ -577,133 +581,66 @@ class _SigmaLP:
         return float(ext[-1])
 
 
-def _pd_phase1(program: ConicProgram, lifted, ext, scale, opts, budget):
-    """Phase 1 of a linear-only program: the lifted LP by ``_primal_dual``.
+def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
+    """Find a strictly feasible point or evidence that none exists.
 
-    The LP's last row, sigma <= sigma0 + 1 + 0.1 scale, is strictly slack at
-    the start and inactive near the optimum; it keeps the first, uncentred
+    ``_primal_dual`` minimizes sigma over (x, sigma) with every margin pushed
+    below sigma: the sigma column holds -1 on the linear rows and cone heads,
+    and two rows follow the linear ones, sigma >= -cap and
+    sigma <= sigma0 + 1 + 0.1 scale. The latter is strictly slack at the
+    start and inactive near the optimum; it keeps the first, uncentred
     directions from driving sigma far up. The search returns at the first
-    accepted iterate with sigma <= -feas_margin. At the LP's optimum,
-    sigma - s'z lower-bounds the least worst margin, so a positive bound
-    above the tolerance declares infeasibility; otherwise the point goes on
-    to phase 2 only if its direct margins are all negative.
+    accepted iterate with sigma <= -feas_margin. At the optimum, sigma - s'z
+    lower-bounds the least worst margin, so a positive bound above the
+    tolerance declares infeasibility; otherwise the point goes on to phase 2
+    if its direct margins are all negative, and else the search goes on once
+    at tol / 1000 before it declares infeasibility.
+    Returns (x, None) on success or (None, (status, diagnostic)) on failure.
     """
     d = program.d
+    g0 = program.margin_values(x_hint)
+    gmax0 = float(g0.max()) if g0.size else -1.0
+    if gmax0 < 0.0:
+        return x_hint.copy(), None
+    scale = max(1.0, abs(gmax0))
+    sigma0 = gmax0 + 1.0 + 0.1 * scale
     feas_margin = max(opts.tol, 1e-9) * scale
-    barrier = _Barrier(*lifted)
-    t_bar = barrier.nu / max(1.0, abs(ext[d]))
+
+    rows, rhs, m, starts = canon
+    m1 = m + 2
+    rows1 = np.zeros((rows.shape[0] + 2, d + 1))
+    rows1[:m, :d] = rows[:m]
+    rows1[m1:, :d] = rows[m:]
+    rows1[: m + 1, d] = -1.0
+    rows1[m + 1, d] = 1.0
+    rows1[m1 + starts, d] = -1.0
+    caps = [abs(sigma0) + 100.0 * scale, sigma0 + 1.0 + 0.1 * scale]
+    stack = _Stack(rows1, np.concatenate([rhs[:m], caps, rhs[m:]]), m1, starts)
+    t_bar = stack.degree / max(1.0, abs(sigma0))
 
     def early(pt):
         return pt[d] <= -feas_margin
 
-    ext, flag, gap, _ = _primal_dual(_SigmaLP(d + 1), barrier, ext, t_bar, budget, opts.tol, early_exit=early)
-    x = ext[:d].copy()
-    if flag == "early":
-        return x, None
-    if flag == "budget":
-        return None, (STATUS_ITERATION_LIMIT, "iteration budget exhausted in phase 1")
-    if flag == "numfail":
-        return None, (STATUS_NUMERICAL_FAILURE, f"phase 1: {budget.diagnostic}")
-    bound = float(ext[d]) - gap
-    if bound > opts.tol * scale:
-        return None, (STATUS_INFEASIBLE, f"{_violation_diag(program, x)}; phase-1 bound sigma - s'z = {bound:.6e} > 0")
-    if program.margin_values(x).max() < 0.0:
-        return x, None
-    return None, (STATUS_INFEASIBLE, _violation_diag(program, x))
-
-
-def _barrier_phase2(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, tol):
-    """Follow the central path from a strictly feasible x, raising t by _MU
-    after each centering, until nu / t <= tol max(1, |f(x)|).
-
-    Returns (x, flag, gap, dual residual) with flag "optimal", "budget" or
-    "numfail"; the gap is nu / t and the dual residual ||P x + c + A'z||_inf
-    is taken at the barrier's duals z = 1 / (t s).
-    """
-    while True:
-        x, slacks, flag = _center(program.P, program.c, barrier, x, t_bar, budget)
+    ext = np.append(x_hint, sigma0)
+    for tol in (opts.tol, 1e-3 * opts.tol):
+        ext, flag, gap, _ = _primal_dual(_Sigma(d + 1), stack, ext, t_bar, budget, tol, early_exit=early)
+        x = ext[:d].copy()
+        if flag == "early":
+            return x, None
+        if flag == "budget":
+            return None, (STATUS_ITERATION_LIMIT, "iteration budget exhausted in phase 1")
         if flag == "numfail":
-            return x, flag, math.nan, math.nan
-        gap = barrier.nu / t_bar
-        converged = gap <= tol * max(1.0, abs(program.objective(x)))
-        if converged or budget.exhausted:
-            dual = float(np.abs(program.P @ x + program.c + barrier.grad_hess(slacks)[0] / t_bar).max())
-            return x, "optimal" if converged else "budget", gap, dual
-        t_bar *= _MU
-
-
-def _to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest a with v + a dv >= 0 for v > 0 (inf when dv >= 0), from one
-    pass over dv / v rather than a masked copy of the decreasing entries."""
-    worst = float(np.minimum.reduce(dv / v))
-    return -1.0 / worst if worst < 0.0 else math.inf
-
-
-def _primal_dual(program: ConicProgram, barrier: _Barrier, x, t_bar, budget, tol, early_exit=None):
-    """Mehrotra predictor-corrector for a program whose rows are all linear.
-
-    Starts from a strictly feasible x with slacks s = b - A x and duals
-    z = 1 / (t s), the barrier's own dual estimate at t. Each iteration
-    factors H = P + A' diag(z/s) A once and solves twice: the affine
-    direction, then the direction aimed at sigma mu, sigma = (mu_aff / mu)^3,
-    with the second-order correction. Steps go 0.99 of the way to the
-    boundary, and are equal in x and z when P != 0, so the dual residual
-    shrinks with the step. A primal iterate is accepted only once one direct
-    product b - A x shows it strictly feasible; until then the primal step is
-    halved. Stops when s'z <= tol max(1, |f(x)|) and
-    ||P x + c + A'z||_inf <= tol max(1, ||P x + c||_inf).
-
-    Returns (x, flag, gap, dual residual) like ``_barrier_phase2``, or with
-    flag "early" (and the previous iterate's gap and residual) as soon as an
-    accepted iterate satisfies ``early_exit``.
-    """
-    P, c, A = program.P, program.c, barrier.rows
-    coupled = bool(P.any())
-    s = barrier.slacks(x)
-    z = 1.0 / (t_bar * s)
-    while True:
-        Pxc = P @ x + c
-        r_d = Pxc + A.T @ z
-        gap = float(s @ z)
-        dual = float(np.abs(r_d).max())
-        if gap <= tol * max(1.0, abs(program.objective(x))) and dual <= tol * max(1.0, float(np.abs(Pxc).max())):
-            return x, "optimal", gap, dual
-        if budget.exhausted:
-            return x, "budget", gap, dual
-        w = z / s
-        H = P + (A * w[:, None]).T @ A
-        factor = _cholesky(H)
-        if factor is None:
-            budget.diagnostic = _conditioning_diag(H)
-            return x, "numfail", gap, dual
-        budget.spent += 1
-        # Predictor: the affine direction, aimed at s z = 0.
-        ds = A @ -lapack.dpotrs(factor, -Pxc, lower=1)[0]
-        dz = -z - w * ds
-        a_p, a_d = min(1.0, _to_boundary(s, ds)), min(1.0, _to_boundary(z, dz))
-        if coupled:
-            a_p = a_d = min(a_p, a_d)
-        sigma = (float((s + a_p * ds) @ (z + a_d * dz)) / gap) ** 3  # (mu_aff / mu)^3
-        # Corrector: aimed at s z = sigma mu, less the predictor's product ds dz.
-        r_c = s * z + ds * dz - sigma * gap / s.shape[0]
-        dx = lapack.dpotrs(factor, A.T @ (r_c / s) - r_d, lower=1)[0]
-        ds = A @ -dx
-        dz = (-r_c - z * ds) / s
-        a_p, a_d = min(1.0, 0.99 * _to_boundary(s, ds)), min(1.0, 0.99 * _to_boundary(z, dz))
-        if coupled:
-            a_p = a_d = min(a_p, a_d)
-        for _ in range(_LS_CAP):
-            xn = x + a_p * dx
-            direct = barrier.slacks(xn)
-            if np.minimum.reduce(direct) > 0.0:
-                x, s = xn, direct
-                if early_exit is not None and early_exit(x):
-                    return x, "early", gap, dual
-                break
-            a_p *= 0.5
-        if coupled:
-            a_d = min(a_d, a_p)
-        z = z + a_d * dz
+            return None, (STATUS_NUMERICAL_FAILURE, f"phase 1: {budget.diagnostic}")
+        bound = float(ext[d]) - gap
+        if bound > opts.tol * scale:
+            return None, (STATUS_INFEASIBLE, f"{_violation_diag(program, x)}; phase-1 bound sigma - s'z = {bound:.6e} > 0")
+        if program.margin_values(x).max() < 0.0:
+            return x, None
+        # Neither a positive bound nor a strictly feasible point: the sign of
+        # the least worst margin is open, so go on from here once, at a 1000
+        # times smaller tolerance.
+        t_bar = stack.degree / gap
+    return None, (STATUS_INFEASIBLE, _violation_diag(program, x))
 
 
 def _violation_diag(program: ConicProgram, x: np.ndarray) -> str:
@@ -718,14 +655,13 @@ def _violation_diag(program: ConicProgram, x: np.ndarray) -> str:
 def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.ndarray | None = None) -> SolverOutcome:
     """Solve the program to relative tolerance ``opts.tol``.
 
-    On "optimal" the returned point is strictly feasible and the relative
-    duality gap is at most tol (see the module docstring for the dual
-    residual). "infeasible" carries a diagnostic naming the most violated
-    constraint at the least-infeasible point found. A program with no cone
-    row left after ``_canonical`` runs both phases on the primal-dual path,
-    and its phase-1 "infeasible" diagnostic also states the bound
-    sigma - s'z; a program with cone rows runs both on the barrier. The
-    path follows from the input; no option selects it.
+    On "optimal" the returned point is strictly feasible, the relative
+    duality gap s'z is at most tol and ``dual_residual`` meets the bound in
+    the module docstring. "infeasible" carries a diagnostic naming the most
+    violated constraint at the least-infeasible point found, and the bound
+    sigma - s'z when phase 1 ends at its optimum. A program whose objective
+    is unbounded below ends "numerical_failure" with a recession direction
+    in its diagnostic.
     """
     opts = opts or SolverOptions()
     start = time.perf_counter()
@@ -771,10 +707,9 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
         status, diag = failure
         return done(status, None, diag)
 
-    barrier = _Barrier(*canon)
-    t_bar = min(max(barrier.nu / max(1.0, abs(program.objective(x0))), 1e-8), 1e8)
-    phase2 = _barrier_phase2 if canon[3].size else _primal_dual  # cone rows remain
-    x, flag, gap, dual = phase2(program, barrier, x0, t_bar, budget, opts.tol)
+    stack = _Stack(*canon)
+    t_bar = min(max(stack.degree / max(1.0, abs(program.objective(x0))), 1e-8), 1e8)
+    x, flag, gap, dual = _primal_dual(program, stack, x0, t_bar, budget, opts.tol)
     if flag == "numfail":
         return done(STATUS_NUMERICAL_FAILURE, x, f"phase 2: {budget.diagnostic}")
     if flag == "budget":

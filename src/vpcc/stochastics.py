@@ -165,9 +165,10 @@ class DistributionSpec:
             base = g1 / (g1 + g2)
         elif self.family == "finite":
             values, probs = self.params
+            # Index of the first cumulative edge above u, capped at the last
+            # value: the count of inner edges at or below u.
             edges = np.cumsum(probs)
-            idx = np.searchsorted(edges, draws[0], side="right")
-            idx = np.minimum(idx, len(values) - 1)
+            idx = (draws[0][:, None] >= edges[:-1]).sum(1)
             base = np.asarray(values, dtype=float)[idx]
         else:
             (value,) = self.params

@@ -268,3 +268,20 @@ class TestCriterion9:
             worst = max(worst, rel)
             assert rel <= 1e-4
         report_line(9, f"10 random fixed-multiplier subproblems; worst relative gap {worst:.2e}")
+
+    def test_agreement_with_barrier_oracle(self):
+        """The same check against the log-barrier reference in ``tests/conic_oracle.py``."""
+        from conic_oracle import oracle_solve
+        from test_conic import random_feasible_program
+
+        rng = np.random.default_rng(777)
+        worst = 0.0
+        for _ in range(10):
+            prog = random_feasible_program(rng)
+            mine = conic.solve(prog)
+            ref = oracle_solve(prog)
+            assert mine.status == conic.STATUS_OPTIMAL and ref.status == conic.STATUS_OPTIMAL
+            rel = abs(mine.objective - ref.objective) / max(1.0, abs(ref.objective))
+            worst = max(worst, rel)
+            assert rel <= 1e-4
+        report_line(9, f"10 random fixed-multiplier subproblems against the barrier oracle; worst relative gap {worst:.2e}")

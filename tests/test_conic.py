@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,17 @@ from vpcc.conic import ConicProgram, SocRow, SolverOptions, solve
 from vpcc.errors import DomainError
 from vpcc.scenario import ScenarioConfig, solve_scenario
 
-from conic_oracle import PointBarrier, barrier_phase1, oracle_solve, oracle_solve_step
+from conic_oracle import (
+    Budget,
+    PointBarrier,
+    StackedBarrier,
+    barrier_phase1,
+    canonical,
+    center,
+    cholesky_step,
+    oracle_solve,
+    oracle_solve_step,
+)
 from cvxpy_oracle import solve_reference
 
 
@@ -167,10 +178,11 @@ class TestOptimalContracts:
 
 class TestPhase1NearZeroMargin:
     """Phase 1 ends with its margin within tolerance of zero, short of
-    -feas_margin, at a point whose direct margins are all negative. Both
-    programs are ACS input steps once declared infeasible there."""
+    -feas_margin, at a point whose direct margins are all negative. All
+    three programs are ACS input steps once declared infeasible there; the
+    last one needs phase 1 to go on at tol / 1000 to reach such a point."""
 
-    @pytest.mark.parametrize("name", ["phase1_p18-n4N5", "phase1_p57-n5N6"])
+    @pytest.mark.parametrize("name", ["phase1_p18-n4N5", "phase1_p57-n5N6", "phase1_p40-n6N5"])
     def test_goes_on_to_optimal(self, name):
         data = json.loads((Path(__file__).parent / "fixtures" / f"{name}.json").read_text())
         prog = ConicProgram.from_dict(data["program"])
@@ -267,7 +279,7 @@ LINEAR_ROW_SIZES = [(5, 2, True), (200, 6, True), (2000, 12, True), (2000, 4, Fa
 
 
 class TestAgainstOracle:
-    """Against ``tests/conic_oracle.py``: the point-wise line search with LU steps."""
+    """Against ``tests/conic_oracle.py``: the point-wise barrier with LU steps."""
 
     @staticmethod
     def assert_agree(prog, opts=SolverOptions()):
@@ -296,8 +308,8 @@ class TestAgainstOracle:
         rng = np.random.default_rng(7)
         for prog in [random_feasible_program(rng) for _ in range(8)] + segment_edge_programs(rng):
             x = solve(prog, SolverOptions(tol=0.1)).x  # off the boundary, where slacks are well conditioned
-            canon = conic._canonical(prog)
-            barrier = conic._Barrier(*canon)
+            canon = canonical(prog)
+            barrier = StackedBarrier(*canon)
             slacks = barrier.slacks(x)
             val, grad, hess = PointBarrier(*canon).value_grad_hess(x)
             mine_grad, mine_hess = barrier.grad_hess(slacks)
@@ -320,23 +332,29 @@ class TestAgainstOracle:
         assert self.assert_agree(prog).status == conic.STATUS_OPTIMAL
 
 
-def linear_barrier(cls, A: np.ndarray, b: np.ndarray) -> conic._Barrier:
-    """A ``_Barrier`` (or subclass) over the linear rows A x <= b alone."""
+def linear_barrier(cls, A: np.ndarray, b: np.ndarray) -> StackedBarrier:
+    """A ``StackedBarrier`` (or subclass) over the linear rows A x <= b alone."""
     return cls(A, b, A.shape[0], np.zeros(0, dtype=np.intp), np.zeros(0))
+
+
+def linear_stack(cls, A: np.ndarray, b: np.ndarray) -> conic._Stack:
+    """A ``conic._Stack`` (or subclass) over the linear rows A x <= b alone."""
+    return cls(A, b, A.shape[0], np.zeros(0, dtype=np.intp))
 
 
 class TestPhase1Lift:
     def test_sigma_bounds_every_margin(self, monkeypatch):
-        """The barrier phase 1 builds over (x, sigma) calls a point strictly
-        feasible exactly when sigma is above every margin of x."""
+        """The stack phase 1 builds over (x, sigma) calls a point strictly
+        feasible exactly when sigma is above every margin of x and strictly
+        between its two caps, -cap and sigma0 + 1 + 0.1 scale."""
         built = []
-        inner = conic._Barrier
+        inner = conic._Stack
 
         def capture(*args):
             built.append(inner(*args))
             return built[-1]
 
-        monkeypatch.setattr(conic, "_Barrier", capture)
+        monkeypatch.setattr(conic, "_Stack", capture)
         rng = np.random.default_rng(11)
         for prog in [random_feasible_program(rng) for _ in range(6)] + segment_edge_programs(rng):
             hint = rng.uniform(-20, 20, prog.d)
@@ -346,18 +364,26 @@ class TestPhase1Lift:
             solve(prog, x_hint=hint)
             lifted = built[0]
             assert lifted.rows.shape[1] == prog.d + 1
+            gmax0 = prog.margin_values(hint).max()
+            scale = max(1.0, abs(gmax0))
+            sigma0 = gmax0 + 1.0 + 0.1 * scale
+            low, high = -(abs(sigma0) + 100.0 * scale), sigma0 + 1.0 + 0.1 * scale
             for _ in range(40):
                 x = rng.uniform(-5, 5, prog.d)
                 gmax = prog.margin_values(x).max()
                 sigma = gmax + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1.0) * 10.0 ** rng.integers(0, 3)
-                assert lifted.feasible(lifted.slacks(np.append(x, sigma))) == (sigma > gmax)
+                inside = sigma > gmax and low < sigma < high
+                assert lifted.interior(lifted.slacks(np.append(x, sigma))) == inside
 
 
 class TestNewtonStep:
+    """``conic._cholesky`` through ``conic_oracle.cholesky_step``, and the
+    stacked barrier's centering, ``conic_oracle.center``."""
+
     def test_indefinite_escalates_ridge(self):
         H = np.diag([1.0, -1e-9])
         rhs = np.array([1.0, 2.0])
-        step = conic._solve_step(H, rhs)
+        step = cholesky_step(H, rhs)
         # Ridges 1e-14 ... 1e-10 leave H indefinite; 1e-8 is the first that works.
         assert step is not None
         assert np.allclose((H + 1e-8 * np.eye(2)) @ step, rhs, rtol=1e-12, atol=0.0)
@@ -366,10 +392,10 @@ class TestNewtonStep:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite(self, bad):
         H = np.array([[bad, 0.0], [0.0, 1.0]])
-        assert conic._solve_step(H, np.ones(2)) is None
-        barrier = linear_barrier(conic._Barrier, np.eye(2), np.ones(2))
-        budget = conic._Budget(10)
-        _, _, flag = conic._center(H, np.zeros(2), barrier, np.full(2, 0.5), 1.0, budget)
+        assert cholesky_step(H, np.ones(2)) is None
+        barrier = linear_barrier(StackedBarrier, np.eye(2), np.ones(2))
+        budget = Budget(10)
+        _, _, flag = center(H, np.zeros(2), barrier, np.full(2, 0.5), 1.0, budget)
         assert flag == "numfail" and budget.spent == 0
         assert "non-finite entries" in budget.diagnostic
 
@@ -377,7 +403,7 @@ class TestNewtonStep:
         """A trial the moved slacks call feasible is accepted only if the
         direct product agrees; a cut seen only by the direct product shows it."""
 
-        class HiddenCut(conic._Barrier):
+        class HiddenCut(StackedBarrier):
             def slacks(self, x):
                 out = super().slacks(x)
                 if x[0] > 0.5:
@@ -386,8 +412,8 @@ class TestNewtonStep:
 
         barrier = linear_barrier(HiddenCut, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
         accepted = []
-        budget = conic._Budget(100)
-        x, slacks, _ = conic._center(
+        budget = Budget(100)
+        x, slacks, _ = center(
             np.zeros((1, 1)), -np.ones(1), barrier, np.zeros(1), 10.0, budget, early_exit=accepted.append
         )
         assert accepted and max(pt[0] for pt in accepted) <= 0.5
@@ -407,7 +433,7 @@ class TestPrimalDual:
         """A step the ratio test allows is accepted only if the direct product
         agrees; a cut seen only by the direct product shows it."""
 
-        class HiddenCut(conic._Barrier):
+        class HiddenCut(conic._Stack):
             def slacks(self, x):
                 out = super().slacks(x)
                 self.proposed.append(x[0])
@@ -416,7 +442,7 @@ class TestPrimalDual:
                 return out
 
         prog = ConicProgram(P=np.zeros((1, 1)), c=-np.ones(1), A_u=np.array([[1.0], [-1.0]]), b_u=np.ones(2))
-        barrier = linear_barrier(HiddenCut, prog.A_u, prog.b_u)
+        barrier = linear_stack(HiddenCut, prog.A_u, prog.b_u)
         barrier.proposed = []
         budget = conic._Budget(30)
         x, flag, gap, _ = conic._primal_dual(prog, barrier, np.zeros(1), 1.0, budget, 1e-6)
@@ -440,7 +466,7 @@ class TestPrimalDual:
         prog = origin_feasible_lp(np.random.default_rng(10))
         budget = conic._Budget(500)
         tol = SolverOptions().tol
-        barrier = linear_barrier(conic._Barrier, prog.A_u, prog.b_u)
+        barrier = linear_stack(conic._Stack, prog.A_u, prog.b_u)
         x, flag, gap, dual = conic._primal_dual(prog, barrier, np.zeros(prog.d), 1e12, budget, tol)
         assert flag == "optimal" and budget.spent > 0
         assert dual <= tol * max(1.0, float(np.abs(prog.c).max()))
@@ -469,6 +495,114 @@ class TestPrimalDual:
             assert 0.0 < out.gap <= tol * max(1.0, abs(out.objective))
             assert out.dual_residual <= tol * max(1.0, float(np.abs(prog.P @ out.x + prog.c).max()))
             assert prog.margin_values(out.x).max() < 0.0
+
+
+def inside_cones(rng: np.random.Generator, sizes) -> np.ndarray:
+    """Random points strictly inside second-order cones of the given sizes, end to end."""
+    blocks = []
+    for size in sizes:
+        v = rng.standard_normal(size)
+        v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.01, 2.0)
+        blocks.append(v)
+    return np.concatenate(blocks)
+
+
+def unit_ball_program(d: int = 2) -> ConicProgram:
+    """min -x_0 subject to ||x|| <= 1, one cone row and no linear rows."""
+    row = SocRow(a=np.zeros(d), b=0.0, lam=1.0, L=np.eye(d), v=np.zeros(d), s=0.0, h=1.0)
+    return ConicProgram(P=np.zeros((d, d)), c=-np.eye(d)[0], soc=(row,), **no_lin(d))
+
+
+class TestConeBlocks:
+    """``_primal_dual`` on cone blocks: Nesterov-Todd scaling, direct checks and certificates."""
+
+    def test_scaling_identities(self):
+        rng = np.random.default_rng(13)
+        sizes = (3, 4, 2)
+        cones = conic._Cones(np.cumsum((0,) + sizes[:-1]), sum(sizes))
+        s, z, v = inside_cones(rng, sizes), inside_cones(rng, sizes), rng.standard_normal(sum(sizes))
+        nt = conic._Scaling(cones, s, z, cones.det(s), cones.det(z))
+        assert np.allclose(nt.scale(z, 1.0), nt.scale(s, -1.0), rtol=1e-12, atol=1e-12)  # W z = W^-1 s
+        assert np.allclose(nt.scale(nt.scale(v, -1.0), 1.0), v, rtol=1e-12, atol=1e-12)
+        w_inv2 = nt.scale(nt.scale(v, -1.0), -1.0)
+        assert np.allclose(nt.D * v + nt.rank_one(v), w_inv2, rtol=1e-10, atol=1e-12)  # W^-2 = diag(D) + g g'
+        assert np.allclose(cones.det(nt.lam), nt.lam_det, rtol=1e-10)
+
+    def test_accepted_iterates_are_checked_directly(self):
+        """A step the cone ratio test allows is accepted only if the direct
+        product agrees; a cut seen only by the direct product shows it, and
+        ``early_exit`` ends the search at the first accepted iterate it names."""
+
+        class HiddenCut(conic._Stack):
+            def slacks(self, x):
+                out = super().slacks(x)
+                self.proposed.append(x[0])
+                if x[0] > 0.5:
+                    out[self.m] = -1.0  # the cone's head slack
+                return out
+
+        prog = unit_ball_program()
+        stack = HiddenCut(*conic._canonical(prog))
+        assert stack.cones is not None and stack.m == 0
+        stack.proposed, accepted = [], []
+        budget = conic._Budget(30)
+        x, flag, gap, _ = conic._primal_dual(prog, stack, np.zeros(2), 1.0, budget, 1e-6, early_exit=accepted.append)
+        assert max(stack.proposed) > 0.5  # the cut was reached
+        # Iterates stall at the cut, so the run ends on its budget or once the
+        # duals reach their boundary, never "optimal".
+        assert flag in ("budget", "numfail") and 0 < budget.spent <= 30
+        assert accepted and max(pt[0] for pt in accepted) <= 0.5
+        assert 0.0 < x[0] <= 0.5 and gap > 0.1  # optimal only beyond the cut
+        stack.proposed = []
+        x, flag, _, _ = conic._primal_dual(prog, stack, np.zeros(2), 1.0, conic._Budget(30), 1e-6, early_exit=lambda pt: pt[0] > 0.25)
+        assert flag == "early" and 0.25 < x[0] <= 0.5
+
+    def test_weak_duality_against_oracle(self):
+        """On "optimal", for every feasible x': f(x') >= f(x) - s'z + r_d'(x' - x),
+        so objective - gap sits at or below the oracle's optimum within
+        dual_residual ||x' - x||_1."""
+        rng = np.random.default_rng(17)
+        tol = SolverOptions().tol
+        for _ in range(8):
+            prog = random_feasible_program(rng)
+            out = solve(prog)
+            ref = oracle_solve(prog, SolverOptions(tol=1e-9))
+            assert out.status == conic.STATUS_OPTIMAL and ref.status == conic.STATUS_OPTIMAL
+            assert 0.0 < out.gap <= tol * max(1.0, abs(out.objective))
+            assert out.dual_residual <= tol * max(1.0, float(np.abs(prog.P @ out.x + prog.c).max()))
+            slack = out.dual_residual * float(np.abs(ref.x - out.x).sum()) + 1e-12 * max(1.0, abs(ref.objective))
+            assert out.objective - out.gap <= ref.objective + slack
+
+
+class TestUnbounded:
+    """Objectives unbounded below end "numerical_failure" at a finite x, with a
+    recession direction d in the diagnostic and no RuntimeWarning."""
+
+    @staticmethod
+    def direction(prog) -> np.ndarray:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solve(prog)
+        assert out.status == conic.STATUS_NUMERICAL_FAILURE
+        assert out.x is not None and np.isfinite(out.x).all()
+        assert "objective unbounded below" in out.diagnostic
+        d = np.array(json.loads(re.search(r"d = (\[[^\]]*\])", out.diagnostic).group(1)))
+        assert not (prog.P @ d).any() and prog.c @ d < 0.0
+        return d
+
+    def test_cone_row_bounds_one_coordinate(self):
+        # min -x1 subject to ||(x2; 1)|| <= 5: x1 is free.
+        row = SocRow(a=np.zeros(2), b=0.0, lam=1.0, L=np.array([[0.0], [1.0]]), v=np.zeros(1), s=1.0, h=5.0)
+        prog = ConicProgram(P=np.zeros((2, 2)), c=np.array([-1.0, 0.0]), soc=(row,), **no_lin(2))
+        d = self.direction(prog)
+        # -rows d in the cone: the row's value a'd + lam ||L'd|| does not grow along d.
+        assert row.a @ d + row.lam * np.linalg.norm(row.L.T @ d) <= 0.0
+
+    def test_linear_row_below(self):
+        # min -x subject to x >= -1.
+        prog = ConicProgram(P=np.zeros((1, 1)), c=-np.ones(1), A_u=-np.ones((1, 1)), b_u=np.ones(1))
+        d = self.direction(prog)
+        assert (prog.A_u @ d <= 0.0).all()
 
 
 def phase1_point(monkeypatch, prog, opts=SolverOptions()):
@@ -523,7 +657,7 @@ class TestPrimalDualPhase1:
 
         proposed, accepted = [], []
 
-        class HiddenCut(conic._Barrier):
+        class HiddenCut(conic._Stack):
             def slacks(self, ext):
                 out = super().slacks(ext)
                 proposed.append(ext[0])
@@ -540,7 +674,7 @@ class TestPrimalDualPhase1:
 
             return inner(program, barrier, x, t_bar, budget, tol, early_exit=check)
 
-        monkeypatch.setattr(conic, "_Barrier", HiddenCut)
+        monkeypatch.setattr(conic, "_Stack", HiddenCut)
         monkeypatch.setattr(conic, "_primal_dual", spy)
         prog = ConicProgram(P=np.zeros((1, 1)), c=np.ones(1), A_u=np.array([[1.0], [-1.0]]), b_u=np.ones(2))
         x0, failure = conic._phase1(prog, conic._canonical(prog), SolverOptions(), conic._Budget(100), np.array([3.0]))
@@ -549,12 +683,14 @@ class TestPrimalDualPhase1:
         assert failure is None and 0.5 <= x0[0] < 1.0
 
     def test_fewer_steps_than_the_barrier(self, two_bus_cfg, monkeypatch):
-        """Guard on the captured two-bus scenario program."""
+        """Guard on the captured two-bus scenario program, against the
+        reference barrier's phase 1."""
         cfg = two_bus_cfg.with_alpha(0.01)
         prog = captured_scenario_program(monkeypatch, cfg, cfg.cost(), cfg.scenario_config(seed=3))
         (_, failure, steps), _ = phase1_point(monkeypatch, prog)
-        monkeypatch.setattr(conic, "_pd_phase1", barrier_phase1)
-        (_, failure_barrier, barrier_steps), _ = phase1_point(monkeypatch, prog)
+        budget = Budget(SolverOptions().max_iter)
+        _, failure_barrier = barrier_phase1(prog, SolverOptions(), budget, np.zeros(prog.d))
+        barrier_steps = budget.spent
         assert failure is None and failure_barrier is None
         assert 0 < steps < barrier_steps
 

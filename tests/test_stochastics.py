@@ -115,6 +115,16 @@ class TestSamplers:
         se = math.sqrt(max(m4 - m2 * m2, 0.0) / draws.size)
         assert abs(draws.var() - target) < 4 * se
 
+    def test_finite_support_index_matches_searchsorted(self):
+        """Counting inner edges at or below u picks the value that
+        ``searchsorted`` picks, also for draws placed exactly on the edges."""
+        values, probs = [-1.0, 0.5, 2.0, 7.0], [0.1, 0.2, 0.3, 0.4]
+        dist = finite_support(values, probs)
+        edges = np.cumsum(probs)
+        u = np.concatenate([np.random.default_rng(5).random(2000), edges, np.nextafter(edges, 0.0), [0.0, 1.0]])
+        idx = np.minimum(np.searchsorted(edges, u, side="right"), len(values) - 1)
+        assert np.array_equal(dist.transform(u[None, :]), np.asarray(values)[idx])
+
     def test_constant_sampler(self):
         assert np.all(sample(constant(3.5), 1, 100) == 3.5)
 
