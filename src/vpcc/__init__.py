@@ -54,7 +54,6 @@ from .stochastics import (
     constant,
     finite_support,
     mc_certify,
-    raw_moment,
     sample,
     weibull,
 )

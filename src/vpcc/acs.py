@@ -67,6 +67,7 @@ from .report import (
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     SolveReport,
+    report_status,
 )
 
 _DETERMINISTIC_SLACK = 1e-9
@@ -377,7 +378,7 @@ def _restore_allocation(spec, rows, alpha, config: AcsConfig) -> tuple[RiskAlloc
     heuristic otherwise.
     """
     out = _floor_margin_solve(spec, rows, config.solver)
-    if out.status != conic.STATUS_OPTIMAL or out.x is None:
+    if out.status != STATUS_OPTIMAL or out.x is None:
         raise AllocationInfeasible(
             "floor-multiplier margin solve failed; no admissible allocation exists"
             f" ({out.status}: {out.diagnostic})",
@@ -406,7 +407,7 @@ def _restore_allocation(spec, rows, alpha, config: AcsConfig) -> tuple[RiskAlloc
         if top <= 0.0:
             break
         sub = _risk_descent_program(spec, rows, clipped, [w / top for w in weights], config.solver)
-        if sub.status != conic.STATUS_OPTIMAL or sub.x is None:
+        if sub.status != STATUS_OPTIMAL or sub.x is None:
             break
         U_new = sub.x[:d].copy()
         risk_new, ratios, stds = _tight_risk(rows, U_new, alpha)
@@ -483,7 +484,7 @@ def run(
         # No warm start: the solve must be a pure function of the program so
         # restarting from the reported allocation reproduces the input exactly.
         outcome = u_step(spec, rows, alloc, cost, config.solver)
-        if outcome.status == conic.STATUS_INFEASIBLE and iteration == 1 and config.restoration:
+        if outcome.status == STATUS_INFEASIBLE and iteration == 1 and config.restoration:
             try:
                 alloc, note = _restore_allocation(spec, rows, jcc.alpha, config)
             except AllocationInfeasible as exc:
@@ -494,7 +495,7 @@ def run(
                         "objective": None,
                         "risk_sum": None,
                         "lambdas": None,
-                        "inner_status": conic.STATUS_INFEASIBLE,
+                        "inner_status": STATUS_INFEASIBLE,
                         "inner_iterations": outcome.iterations,
                         "wall_time_ms": (time.perf_counter() - step_start) * 1e3,
                     }
@@ -504,14 +505,14 @@ def run(
             notes.append(note)
             step_start = time.perf_counter()
             outcome = u_step(spec, rows, alloc, cost, config.solver)
-        if outcome.status == conic.STATUS_INFEASIBLE:
-            if best is not None:
-                return finish(STATUS_ERROR, best[1], best[2], extra_note=f"input step failed at iteration {iteration}: {outcome.diagnostic}")
-            return finish(STATUS_INFEASIBLE, extra_note=f"infeasible at iteration {iteration}: {outcome.diagnostic}")
-        if outcome.status != conic.STATUS_OPTIMAL:
-            if best is not None:
-                return finish(STATUS_ITERATION_LIMIT, best[1], best[2], extra_note=f"inner solver returned {outcome.status}")
-            return finish(STATUS_ERROR, extra_note=f"inner solver returned {outcome.status}: {outcome.diagnostic}")
+        if outcome.status != STATUS_OPTIMAL:
+            if outcome.status != STATUS_INFEASIBLE:
+                status, note = report_status(outcome.status), f"inner solver returned {outcome.status}"
+            elif best is not None:
+                status, note = STATUS_ERROR, f"input step failed at iteration {iteration}"
+            else:
+                status, note = STATUS_INFEASIBLE, f"infeasible at iteration {iteration}"
+            return finish(status, *(best[1:] if best else ()), extra_note=f"{note}: {outcome.diagnostic}")
 
         U = outcome.x
         objective = cost.value(U)

@@ -1,7 +1,8 @@
 """Batch front door: solve, sweep, moments, validate.
 
 Exit codes: 0 on a feasible solve, 2 when the requested problem is
-infeasible, 1 on any error (bad config, failed certification, ...).
+infeasible, 1 on any error (bad config, failed certification, ...);
+``verdict`` decides them and the sweep's ``feasible`` cell for a report.
 ``VPCC_SEED`` overrides the config seed. Outputs are a ``report.json`` per
 solve and, for sweeps, a ``sweep.csv`` (UTF-8, LF, fixed header
 ``one_minus_alpha,method,feasible,objective,wall_time_ms,mc_upper_ci``,
@@ -82,6 +83,21 @@ def _write_report(report: SolveReport, out_dir: str, name: str = "report.json") 
     return path
 
 
+def verdict(report: SolveReport) -> tuple[int, str, str | None]:
+    """Exit code, sweep ``feasible`` cell and error text (None unless the
+    code is EXIT_ERROR) of one report.
+
+    An "optimal" proposed report must also pass its own feasibility check.
+    """
+    if report.status == STATUS_INFEASIBLE:
+        return EXIT_INFEASIBLE, "false", None
+    if report.status != STATUS_OPTIMAL:
+        return EXIT_ERROR, "error", f"status {report.status}: {'; '.join(report.notes)}"
+    if report.method == "proposed" and not (report.feasibility or {}).get("feasible"):
+        return EXIT_ERROR, "error", "solution failed its own feasibility check"
+    return EXIT_OK, "true", None
+
+
 def cmd_solve(args) -> int:
     cfg = _load(args.config)
     if args.method == "proposed":
@@ -90,16 +106,10 @@ def cmd_solve(args) -> int:
         report = _solve_scenario(cfg)
     path = _write_report(report, args.out)
     print(f"{report.method}: {report.status}  objective={_fmt(report.objective)}  report={path}")
-    if report.status == STATUS_INFEASIBLE:
-        return EXIT_INFEASIBLE
-    if report.status != STATUS_OPTIMAL:
-        return EXIT_ERROR
-    if report.method == "proposed":
-        feas = report.feasibility or {}
-        if not feas.get("feasible"):
-            print("error: solution failed its own feasibility check", file=sys.stderr)
-            return EXIT_ERROR
-    return EXIT_OK
+    code, _, error = verdict(report)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def parse_grid(text: str) -> list[float]:
@@ -157,15 +167,11 @@ def _sweep_task(payload: dict) -> dict:
             report = _solve_scenario(cfg_point, seed=payload["scenario_seed"])
         row["report"] = report
         row["wall_time_ms"] = report.wall_time_ms
-        if report.status == STATUS_OPTIMAL:
-            row["feasible"] = "true"
+        _, row["feasible"], row["error"] = verdict(report)
+        if row["feasible"] == "true":
             row["objective"] = report.objective
             if report.mc:
                 row["mc_upper_ci"] = report.mc["upper_ci_99"]
-        elif report.status == STATUS_INFEASIBLE:
-            row["feasible"] = "false"
-        else:
-            row["error"] = f"status {report.status}: {'; '.join(report.notes)}"
     except VpccError as exc:
         row["error"] = str(exc)
     return row

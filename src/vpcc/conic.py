@@ -51,9 +51,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError
-from .report import STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, STATUS_OPTIMAL
-
-STATUS_NUMERICAL_FAILURE = "numerical_failure"
+from .report import STATUS_INFEASIBLE, STATUS_ITERATION_LIMIT, STATUS_NUMERICAL_FAILURE, STATUS_OPTIMAL
 
 _LS_CAP = 60  # halvings of a primal step the direct product rejects
 

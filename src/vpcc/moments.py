@@ -98,17 +98,6 @@ class RandomEntry:
         kind = "finite-support" if dist.family == "finite" else "distributional"
         return cls(kind, dist.mean, dist.variance, dist)
 
-    def raw_moment(self, p: int) -> float:
-        if self.kind == "deterministic":
-            return self.mean**p
-        if p == 1:
-            return self.mean
-        if p == 2:
-            return self.variance + self.mean**2
-        if self.dist is None:
-            raise DomainError("entry has no distribution; raw moments above 2 unavailable")
-        return self.dist.raw_moment(p)
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.kind == "deterministic":
             return np.full(count, self.mean)
@@ -169,10 +158,6 @@ class RandomMatrixModel:
     def variance_matrix(self) -> np.ndarray:
         return _readonly([[e.variance for e in row] for row in self.entries])
 
-    @cached_property
-    def is_deterministic(self) -> bool:
-        return not self.variance_matrix.any()
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -225,10 +210,6 @@ class SystemSpec:
     @property
     def input_dim(self) -> int:
         return self.horizon * self.m
-
-    def stacked_input_map(self) -> np.ndarray:
-        """kron(I_N, B): maps stacked inputs to stacked per-step injections."""
-        return np.kron(np.eye(self.horizon), self.B)
 
     def stacked_polytope(self) -> tuple[np.ndarray, np.ndarray]:
         """The per-step polytope repeated over the horizon, in stacked U."""

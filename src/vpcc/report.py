@@ -1,4 +1,9 @@
-"""Solve reports shared by the proposed method and the scenario baseline."""
+"""Solve reports shared by the proposed method and the scenario baseline.
+
+This module owns the status vocabulary: every status name is declared here,
+and ``report_status`` is the one translation from a conic solver's status to
+a report's. ``cli`` turns a report's status into its exit code and sweep cell.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,13 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_ERROR = "error"
+STATUS_NUMERICAL_FAILURE = "numerical_failure"  # conic outcomes only
+
+
+def report_status(solver_status: str) -> str:
+    """The report status for a ``SolverOutcome`` status: a numerical failure
+    is an error, every other status is kept."""
+    return STATUS_ERROR if solver_status == STATUS_NUMERICAL_FAILURE else solver_status
 
 
 def _json_float(value):
@@ -59,10 +71,6 @@ class SolveReport:
     seed: int | None = None
     notes: list = field(default_factory=list)
     inputs: dict | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == STATUS_OPTIMAL
 
     def to_dict(self) -> dict:
         lambdas = None

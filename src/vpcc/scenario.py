@@ -40,7 +40,7 @@ from .acs import Cost
 from .conic import ConicProgram
 from .errors import DomainError, SamplerMissing
 from .moments import SystemSpec
-from .report import STATUS_ERROR, STATUS_OPTIMAL, SolveReport
+from .report import STATUS_OPTIMAL, SolveReport, report_status
 from .stochastics import child_streams
 
 
@@ -199,7 +199,7 @@ def solve_scenario(
 
     report = SolveReport(
         method="scenario",
-        status={conic.STATUS_NUMERICAL_FAILURE: STATUS_ERROR}.get(outcome.status, outcome.status),
+        status=report_status(outcome.status),
         alpha=float(jcc.alpha),
         sample_count=n_s,
         seed=sc.rng_seed,

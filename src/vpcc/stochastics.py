@@ -194,10 +194,6 @@ def constant(value: float) -> DistributionSpec:
     return DistributionSpec("constant", (float(value),))
 
 
-def raw_moment(dist: DistributionSpec, p: int) -> float:
-    return dist.raw_moment(p)
-
-
 def sample(dist: DistributionSpec, seed_stream, count: int) -> np.ndarray:
     """Sample with an int seed, a SeedSequence, or an existing Generator."""
     rng = as_generator(seed_stream)

@@ -137,6 +137,11 @@ def stacked_column_selector(n: int, N: int, k: int, j: int):
     return ("zero", offset)
 
 
+def stacked_input_map(spec: SystemSpec) -> np.ndarray:
+    """kron(I_N, B): maps stacked inputs to stacked per-step injections."""
+    return np.kron(np.eye(spec.horizon), spec.B)
+
+
 def oracle_constraint_moments(spec: SystemSpec, G: np.ndarray, k: int) -> ConstraintMoments:
     """Assemble mean and variance of G x(k) as functions of the stacked input.
 
@@ -155,7 +160,7 @@ def oracle_constraint_moments(spec: SystemSpec, G: np.ndarray, k: int) -> Constr
         raise DomainError(f"G must have length {n}")
     models = list(spec.a_models[:k])
     nN = n * N
-    bmap = spec.stacked_input_map()
+    bmap = stacked_input_map(spec)
 
     # Suffix mean products: sm[t] = E[A(k-1)] ... E[A(t)], sm[k] = I.
     sm = [np.eye(n) for _ in range(k + 1)]

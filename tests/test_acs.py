@@ -246,6 +246,36 @@ class TestRun:
         report = run(cfg.system_spec(), cfg.jcc(), cfg.cost(), config)
         assert report.status == "infeasible"
 
+    def test_inner_numerical_failure_after_best_iterate_is_error(self, two_bus_cfg, monkeypatch):
+        """An input step that fails numerically after a feasible iterate ends
+        "error" with that iterate; no iteration cap was hit."""
+        steps = []
+
+        def failing_second_step(*args, **kwargs):
+            if not steps:
+                steps.append(u_step(*args, **kwargs))
+                return steps[0]
+            return conic.SolverOutcome(
+                status="numerical_failure",
+                x=None,
+                objective=None,
+                primal_residual=math.inf,
+                dual_residual=math.inf,
+                gap=math.inf,
+                iterations=3,
+                wall_time_ms=0.0,
+                diagnostic="phase 2: test diagnostic",
+            )
+
+        monkeypatch.setattr(vpcc.acs, "u_step", failing_second_step)
+        report = run(
+            two_bus_cfg.system_spec(), two_bus_cfg.jcc(), two_bus_cfg.cost(), two_bus_cfg.acs_config()
+        )
+        assert report.status == "error"
+        assert [entry["iteration"] for entry in report.trace] == [1]
+        assert np.asarray(report.U).ravel().tolist() == steps[0].x.tolist()
+        assert any("numerical_failure" in note and "phase 2: test diagnostic" in note for note in report.notes)
+
     def test_mc_certification_of_solution(self, two_bus_cfg):
         spec = two_bus_cfg.system_spec()
         jcc = two_bus_cfg.jcc()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import vpcc
+from vpcc import cli
 from vpcc.cli import main, parse_grid
 from vpcc.config import ProblemConfig, load_config, parse_config, two_bus_config_path
 from vpcc.errors import ConfigError, DomainError
@@ -202,6 +203,29 @@ class TestSweep:
         assert line.split(",")[2] == "error"
         assert "sqrt(5/3)" in (tmp_path / "bad" / "sweep.log").read_text()
 
+    def test_proposed_failing_own_check_is_error_as_in_solve(self, two_bus_path, tmp_path, monkeypatch, capsys):
+        """An "optimal" proposed report that fails its own feasibility check
+        makes ``solve`` exit 1 and is an error cell in the sweep."""
+
+        def unchecked(cfg, mc_seed=None):
+            return vpcc.SolveReport(
+                method="proposed",
+                status="optimal",
+                alpha=cfg.alpha,
+                objective=1.0,
+                U=[[0.0, 0.0]],
+                feasibility={"feasible": False},
+            )
+
+        monkeypatch.setattr(cli, "_solve_proposed", unchecked)
+        assert main(["solve", two_bus_path, "--method", "proposed", "--out", str(tmp_path / "solo")]) == 1
+        assert "feasibility check" in capsys.readouterr().err
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", two_bus_path, "--grid", "0.84", "--methods", "proposed", "--out", out]) == 0
+        cells = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert cells[1:3] == ["proposed", "error"]
+        assert " ERROR " in (tmp_path / "sweep" / "sweep.log").read_text()
+
     def test_worker_pool_matches_serial(self, two_bus_path, tmp_path):
         serial = str(tmp_path / "serial")
         pooled = str(tmp_path / "pooled")
@@ -241,7 +265,7 @@ class TestConfigRoundTrip:
         cfg = parse_config(data)
         spec = cfg.system_spec()
         assert spec.a_models[0].entries[0][0].kind == "finite-support"
-        assert spec.a_models[1].is_deterministic
+        assert not spec.a_models[1].variance_matrix.any()
         assert parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()
 
     def test_schema_version_rejected(self, tmp_path):
