@@ -497,7 +497,7 @@ def _primal_dual(program: ConicProgram, stack: _Stack, x, t_bar, budget, tol, ea
         r_d = Pxc + A.T @ z
         gap = float(s @ z)
         dual = float(np.abs(r_d).max())
-        if gap <= tol * max(1.0, abs(program.objective(x))) and dual <= tol * max(1.0, float(np.abs(Pxc).max())):
+        if dual <= tol * max(1.0, float(np.abs(Pxc).max())) and gap <= tol * max(1.0, abs(program.objective(x))):
             return x, "optimal", gap, dual
         if budget.exhausted:
             return x, "budget", gap, dual

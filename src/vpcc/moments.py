@@ -198,6 +198,7 @@ class SystemSpec:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "A_u", A_u)
         object.__setattr__(self, "b_u", b_u)
+        object.__setattr__(self, "_polytope", (_readonly(np.kron(np.eye(self.horizon), A_u)), _readonly(np.tile(b_u, self.horizon))))
 
     @property
     def n(self) -> int:
@@ -212,10 +213,8 @@ class SystemSpec:
         return self.horizon * self.m
 
     def stacked_polytope(self) -> tuple[np.ndarray, np.ndarray]:
-        """The per-step polytope repeated over the horizon, in stacked U."""
-        A = np.kron(np.eye(self.horizon), self.A_u)
-        b = np.tile(self.b_u, self.horizon)
-        return A, b
+        """The per-step polytope repeated over the horizon, in stacked U: read-only arrays built once per spec."""
+        return self._polytope
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Draw N_S independent realisations of the horizon's state matrices, require
 every constraint row on every sampled trajectory (each such row is affine
 in the stacked input once the matrices are fixed), and solve the single
-resulting convex program. With
+resulting convex program, which keeps the tightest row per coefficient
+vector and so has the feasible set of all sampled rows. With
 
     N_S >= (2 / alpha) (ln(1 / beta) + 2)
 
@@ -150,16 +151,15 @@ def _scenario_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.nda
     return coef, rhs
 
 
-def _distinct_rows(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of [A | b] in lexicographic order, as coefficients
-    and right-hand sides: the rows of ``np.unique(stacked, axis=0)``, from a
-    lexsort of the columns (first column primary) rather than a sort of the
-    rows as one structured dtype."""
-    stacked = stacked[np.lexsort(stacked.T[::-1])]
-    keep = np.ones(stacked.shape[0], dtype=bool)
-    keep[1:] = (stacked[1:] != stacked[:-1]).any(axis=1)
-    stacked = stacked[keep]
-    return stacked[:, :-1], stacked[:, -1]
+def _distinct_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``np.unique(A, axis=0)``, each with its smallest right-hand
+    side in ``b``: for equal a and b1 <= b2, {a'x <= b1} lies inside
+    {a'x <= b2}, so the feasible set is unchanged. One lexsort, b the last key."""
+    order = np.lexsort((b, *A.T[::-1]))
+    A, b = A[order], b[order]
+    keep = np.ones(A.shape[0], dtype=bool)
+    keep[1:] = (A[1:] != A[:-1]).any(axis=1)
+    return A[keep], b[keep]
 
 
 def solve_scenario(
@@ -173,9 +173,9 @@ def solve_scenario(
     """Sample, assemble, solve; the report's wall time covers all three.
 
     ``jcc`` needs ``rows`` and ``alpha``. Identical seeds give bitwise
-    identical constraint matrices and hence identical solutions. Sampled
-    rows are deduplicated only on exact coefficient equality; no
-    tolerance-based pruning, since the guarantee counts samples.
+    identical constraint matrices and hence identical solutions. The program
+    keeps the tightest row per coefficient vector; the feasible set is
+    unchanged; no tolerance-based pruning, since the guarantee counts samples.
     """
     start = time.perf_counter()
     n_s = sc.sample_count if sc.sample_count is not None else required_samples(sc.alpha, sc.beta)
@@ -189,9 +189,7 @@ def solve_scenario(
     matrices = sample_state_matrices(spec, sc.rng_seed, n_s)
     coef, rhs = _scenario_rows(spec, matrices, jcc.rows)
     A_poly, b_poly = spec.stacked_polytope()
-    A_all = np.vstack([coef, A_poly])
-    b_all = np.concatenate([rhs, b_poly])
-    A_all, b_all = _distinct_rows(np.hstack([A_all, b_all[:, None]]))
+    A_all, b_all = _distinct_rows(np.vstack([coef, A_poly]), np.concatenate([rhs, b_poly]))
 
     P, c = cost.stacked()
     program = ConicProgram(P=P, c=c, A_u=A_all, b_u=b_all)

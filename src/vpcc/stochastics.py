@@ -155,11 +155,14 @@ class DistributionSpec:
         return self.transform(raw)
 
     def transform(self, draws: np.ndarray) -> np.ndarray:
-        """Variates from raw draws of shape (len(self.draws), count), one
-        column per variate: inverse CDF or Gamma ratio, then the power."""
+        """Variates from raw draws of shape (len(self.draws), count), one column
+        per variate: inverse CDF or Gamma ratio, then the power, on one fresh array."""
         if self.family == "weibull":
             scale, shape = self.params
-            base = scale * (-np.log1p(-draws[0])) ** (1.0 / shape)
+            base = np.negative(draws[0])
+            np.negative(np.log1p(base, out=base), out=base)
+            base **= 1.0 / shape
+            base *= scale
         elif self.family == "beta":
             g1, g2 = draws
             base = g1 / (g1 + g2)
@@ -173,9 +176,9 @@ class DistributionSpec:
         else:
             (value,) = self.params
             base = np.full(draws.shape[1], value, dtype=float)
-        if self.power == 1:
-            return base
-        return base**self.power
+        if self.power != 1:
+            base **= self.power  # every branch above made base afresh
+        return base
 
 
 def weibull(scale: float, shape: float, power: int = 1) -> DistributionSpec:

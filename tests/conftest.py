@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import vpcc
+from vpcc.conic import ConicProgram
 from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
+from vpcc.scenario import _scenario_rows, required_samples, sample_state_matrices
 from vpcc.stochastics import DistributionSpec, beta_dist, finite_support, weibull
 
 
@@ -75,3 +77,14 @@ def mixed_family_spec() -> SystemSpec:
         A_u=np.vstack([np.eye(2), -np.eye(2)]),
         b_u=np.full(4, 5.0),
     )
+
+
+def unreduced_scenario_program(spec: SystemSpec, rows, cost, sc) -> ConicProgram:
+    """Every row of the sample ``solve_scenario(spec, ..., sc)`` draws, then the
+    stacked input polytope: its program before it keeps the tightest row per
+    coefficient vector."""
+    count = sc.sample_count if sc.sample_count is not None else required_samples(sc.alpha, sc.beta)
+    coef, rhs = _scenario_rows(spec, sample_state_matrices(spec, sc.rng_seed, count), rows)
+    A_poly, b_poly = spec.stacked_polytope()
+    P, c = cost.stacked()
+    return ConicProgram(P=P, c=c, A_u=np.vstack([coef, A_poly]), b_u=np.concatenate([rhs, b_poly]))

@@ -5,7 +5,8 @@ own generator call, scenario by scenario, time-ascending and row-major, the
 way the stream contract in ``vpcc.scenario`` is stated. ``oracle_variate``
 restates each family's sampler for a single variate, so the reference shares
 no sampling code with the library. ``oracle_rows`` propagates one scenario at
-a time with 1-D products.
+a time with 1-D products. ``oracle_tightest_rows`` keeps the smallest
+right-hand side per coefficient vector in a dict.
 """
 
 from __future__ import annotations
@@ -81,3 +82,13 @@ def oracle_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.ndarra
                 coef_rows.append(row.G @ reach)
                 rhs_vals.append(row.h - float(row.G @ phi))
     return np.asarray(coef_rows), np.asarray(rhs_vals)
+
+
+def oracle_tightest_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``np.unique(A, axis=0)``, each with the smallest right-hand
+    side that any copy of it has in ``b``."""
+    tightest: dict[tuple, float] = {}
+    for a, rhs in zip(map(tuple, A), b):
+        tightest[a] = min(rhs, tightest.get(a, np.inf))
+    unique = np.unique(A, axis=0)
+    return unique, np.array([tightest[tuple(a)] for a in unique])

@@ -29,6 +29,7 @@ from conic_oracle import (
     oracle_solve,
     oracle_solve_step,
 )
+from conftest import unreduced_scenario_program
 from cvxpy_oracle import solve_reference
 
 
@@ -327,9 +328,13 @@ class TestAgainstOracle:
 
     def test_two_bus_scenario_program(self, two_bus_cfg, monkeypatch):
         cfg = two_bus_cfg.with_alpha(0.01)
-        prog = captured_scenario_program(monkeypatch, cfg, cfg.cost(), cfg.scenario_config(seed=3))
+        sc = cfg.scenario_config(seed=3)
+        prog = unreduced_scenario_program(cfg.system_spec(), cfg.row_set().rows, cfg.cost(), sc)
         assert prog.A_u.shape[0] > 1000
         assert self.assert_agree(prog).status == conic.STATUS_OPTIMAL
+        captured = captured_scenario_program(monkeypatch, cfg, cfg.cost(), sc)
+        assert captured.A_u.shape[0] < prog.A_u.shape[0]
+        assert self.assert_agree(captured).status == conic.STATUS_OPTIMAL
 
 
 def linear_barrier(cls, A: np.ndarray, b: np.ndarray) -> StackedBarrier:
@@ -717,9 +722,13 @@ class TestAgainstHighs:
 
     def test_scenario_lp(self, two_bus_cfg, monkeypatch):
         linear = Cost((np.zeros((2, 2)),), two_bus_cfg.cost().linear)
-        prog = captured_scenario_program(monkeypatch, two_bus_cfg, linear, ScenarioConfig(alpha=0.01, rng_seed=3))
+        sc = ScenarioConfig(alpha=0.01, rng_seed=3)
+        prog = unreduced_scenario_program(two_bus_cfg.system_spec(), two_bus_cfg.row_set().rows, linear, sc)
         assert not prog.P.any() and prog.A_u.shape[0] > 1000
         self.assert_agree(prog)
+        captured = captured_scenario_program(monkeypatch, two_bus_cfg, linear, sc)
+        assert not captured.P.any() and captured.A_u.shape[0] < prog.A_u.shape[0]
+        self.assert_agree(captured)
 
     def test_infeasible_box(self):
         A = np.array([[1.0], [-1.0]])

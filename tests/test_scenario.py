@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vpcc
+from vpcc import conic
 from vpcc.acs import Cost
 from vpcc.errors import DomainError, SamplerMissing
 from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
@@ -19,8 +20,8 @@ from vpcc.scenario import (
     sample_state_matrices,
     solve_scenario,
 )
-from conftest import deterministic_spec, mixed_family_spec, scalar_iid_spec
-from scenario_oracle import oracle_rows, oracle_state_matrices
+from conftest import deterministic_spec, mixed_family_spec, scalar_iid_spec, unreduced_scenario_program
+from scenario_oracle import oracle_rows, oracle_state_matrices, oracle_tightest_rows
 
 
 def mixed_family_rows() -> list:
@@ -114,12 +115,13 @@ class TestAgainstOracle:
 
 
 class TestDistinctRows:
-    """The lexsort dedup against ``np.unique(..., axis=0)``: same rows, same order."""
+    """The tightest row per coefficient vector against a dict oracle: same rows, same order."""
 
     @staticmethod
-    def assert_matches_unique(stacked):
-        A, b = _distinct_rows(stacked)
-        assert np.array_equal(np.hstack([A, b[:, None]]), np.unique(stacked, axis=0))
+    def assert_matches_oracle(A, b):
+        kept_A, kept_b = _distinct_rows(A, b)
+        want_A, want_b = oracle_tightest_rows(A, b)
+        assert np.array_equal(kept_A, want_A) and np.array_equal(kept_b, want_b)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_rows_with_duplicates(self, seed):
@@ -127,7 +129,15 @@ class TestDistinctRows:
         for rows, width in [(1, 3), (40, 2), (500, 4), (3000, 13)]:
             base = np.round(rng.standard_normal((rows, width)), int(rng.integers(0, 3)))
             stacked = np.vstack([base, base[rng.integers(0, rows, rows // 2 + 1)]])
-            self.assert_matches_unique(stacked[rng.permutation(stacked.shape[0])])
+            stacked = stacked[rng.permutation(stacked.shape[0])]
+            self.assert_matches_oracle(stacked[:, :-1], stacked[:, -1])
+
+    def test_equal_coefficients_keep_smallest_rhs(self):
+        A = np.array([[1.0, -2.0], [0.5, 3.0], [1.0, -2.0], [1.0, -2.0]])
+        b = np.array([3.0, 7.0, -1.5, 0.25])
+        kept_A, kept_b = _distinct_rows(A, b)
+        assert np.array_equal(kept_A, [[0.5, 3.0], [1.0, -2.0]])
+        assert np.array_equal(kept_b, [7.0, -1.5])
 
     @pytest.mark.parametrize("case", ["two_bus", "mixed_family"])
     def test_scenario_rows(self, case, two_bus_cfg):
@@ -137,8 +147,37 @@ class TestDistinctRows:
             spec, rows = mixed_family_spec(), mixed_family_rows()
         coef, rhs = _scenario_rows(spec, sample_state_matrices(spec, 4, 300), rows)
         A_poly, b_poly = spec.stacked_polytope()
-        stacked = np.hstack([np.vstack([coef, A_poly]), np.concatenate([rhs, b_poly])[:, None]])
-        self.assert_matches_unique(np.vstack([stacked, stacked[::3]]))  # with every third row twice
+        A, b = np.vstack([coef, A_poly]), np.concatenate([rhs, b_poly])
+        self.assert_matches_oracle(np.vstack([A, A[::3]]), np.concatenate([b, b[::3]]))  # with every third row twice
+
+
+class TestUnreducedEquivalence:
+    """``solve_scenario`` against ``conic.solve`` on every sampled row and the
+    polytope: the same optimum to the solver's ``tol``, relative, and a ``U``
+    strictly inside every one of those rows."""
+
+    @staticmethod
+    def assert_equivalent(spec, rows, cost, sc):
+        report = solve_scenario(spec, rows, cost, sc)
+        prog = unreduced_scenario_program(spec, rows.rows, cost, sc)
+        full = conic.solve(prog)
+        assert report.status == full.status == "optimal"
+        ref = cost.value(full.x)
+        assert abs(report.objective - ref) <= conic.SolverOptions().tol * max(1.0, abs(ref))
+        assert (prog.A_u @ np.asarray(report.U).ravel() < prog.b_u).all()
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.16])
+    def test_two_bus(self, alpha, two_bus_cfg):
+        cfg = two_bus_cfg.with_alpha(alpha)
+        for seed in range(3):
+            self.assert_equivalent(cfg.system_spec(), cfg.row_set(), cfg.cost(), cfg.scenario_config(seed=seed))
+
+    @pytest.mark.parametrize("linear", [0.0, -10.0])
+    def test_mixed_family(self, linear):
+        rows = RowSet(tuple(mixed_family_rows()), 0.05)
+        cost = Cost.repeated(np.eye(2), np.full(2, linear), 3)
+        for seed in range(3):
+            self.assert_equivalent(mixed_family_spec(), rows, cost, ScenarioConfig(alpha=0.05, rng_seed=seed))
 
 
 class TestSolveScenario:
