@@ -477,6 +477,21 @@ def run(
                 report.feasibility = check_feasibility(rows, U, alloc_used, config.feasibility_tol).to_dict()
         return report
 
+    def record(phase, iteration, outcome, step_start, objective=None, alloc=None):
+        lambdas = None if alloc is None else {k: (v if math.isfinite(v) else "inf") for k, v in alloc.lambdas.items()}
+        trace.append(
+            {
+                "iteration": iteration,
+                "phase": phase,
+                "objective": objective,
+                "risk_sum": None if alloc is None else alloc.risk_sum,
+                "lambdas": lambdas,
+                "inner_status": outcome.status,
+                "inner_iterations": outcome.iterations,
+                "wall_time_ms": (time.perf_counter() - step_start) * 1e3,
+            }
+        )
+
     prev_objective = None
     best: tuple[float, np.ndarray, RiskAllocation] | None = None
     for iteration in range(1, config.max_outer_iters + 1):
@@ -488,18 +503,7 @@ def run(
             try:
                 alloc, note = _restore_allocation(spec, rows, jcc.alpha, config)
             except AllocationInfeasible as exc:
-                trace.append(
-                    {
-                        "iteration": iteration,
-                        "phase": "restoration",
-                        "objective": None,
-                        "risk_sum": None,
-                        "lambdas": None,
-                        "inner_status": STATUS_INFEASIBLE,
-                        "inner_iterations": outcome.iterations,
-                        "wall_time_ms": (time.perf_counter() - step_start) * 1e3,
-                    }
-                )
+                record("restoration", iteration, outcome, step_start)
                 return finish(STATUS_INFEASIBLE, extra_note=f"infeasible: {exc}")
             # Restoration does not consume an outer iteration.
             notes.append(note)
@@ -516,18 +520,7 @@ def run(
 
         U = outcome.x
         objective = cost.value(U)
-        trace.append(
-            {
-                "iteration": iteration,
-                "phase": "acs",
-                "objective": objective,
-                "risk_sum": alloc.risk_sum,
-                "lambdas": {k: (v if math.isfinite(v) else "inf") for k, v in alloc.lambdas.items()},
-                "inner_status": outcome.status,
-                "inner_iterations": outcome.iterations,
-                "wall_time_ms": (time.perf_counter() - step_start) * 1e3,
-            }
-        )
+        record("acs", iteration, outcome, step_start, objective, alloc)
         if best is None or objective <= best[0]:
             best = (objective, U.copy(), alloc)
 

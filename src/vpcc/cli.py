@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import acs, scenario
-from .config import ProblemConfig, load_config, parse_config
+from .config import ProblemConfig, load_config
 from .errors import ConfigError, VpccError
 from .report import STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport
 from .stochastics import mc_certify
@@ -145,7 +145,7 @@ def parse_grid(text: str) -> list[float]:
 
 def _sweep_task(payload: dict) -> dict:
     """One (grid point, method) cell; runs in a worker process."""
-    cfg = parse_config(payload["config"])
+    cfg = payload["config"]
     point = payload["point"]
     method = payload["method"]
     alpha = round(1.0 - point, 12)
@@ -186,7 +186,7 @@ def cmd_sweep(args) -> int:
         for method in methods:
             tasks.append(
                 {
-                    "config": cfg.to_dict(),
+                    "config": cfg,
                     "point": point,
                     "method": method,
                     "scenario_seed": _derived_seed(cfg.seed, idx),

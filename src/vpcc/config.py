@@ -14,10 +14,24 @@ Schema 1 layout (matrices are row-major nested lists):
       "methods": {"acs": {...}, "scenario": {...}, "mc": {...}}
     }
 
+Each method block is optional and holds:
+  "acs":      the fields of ``acs.AcsConfig`` (policies as strings,
+              "user_lambdas" an object of numbers, "max_outer_iters" and
+              "restoration_rounds" positive integers, "restoration" a
+              boolean, tolerances numbers), with "solver" an object of
+              ``conic.SolverOptions`` fields ("tol" a number, "max_iter"
+              a positive integer);
+  "scenario": "beta", a number in (0, 1), and "sample_count", null (the
+              sample bound decides) or a positive integer;
+  "mc":       "samples", a positive integer (default 100000).
+A JSON boolean is not accepted where an integer or a single number is
+asked for, here or anywhere else in the file.
+
 A grid cell is either a number (deterministic entry) or a distribution
 object such as {"family": "weibull", "scale": 5, "shape": 30, "power": 3},
 {"family": "beta", "a": 50, "b": 50}, {"family": "finite", "values": [...],
-"probs": [...]} or {"family": "constant", "value": 2}.
+"probs": [...]} or {"family": "constant", "value": 2};
+``stochastics.FAMILIES`` names each family's parameters.
 
 Both attestation flags must read "attested" before any solve is allowed;
 they declare the modelling assumptions (entry independence, marginal
@@ -27,7 +41,7 @@ unimodality of every constraint row) that cannot be machine-checked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -38,7 +52,7 @@ from .errors import ConfigError, DomainError
 from .moments import RandomMatrixModel, SystemSpec
 from .reformulate import ALPHA_MAX, ConstraintRow, JointChanceConstraint, RowSet
 from .scenario import ScenarioConfig
-from .stochastics import DistributionSpec
+from .stochastics import FAMILIES, DistributionSpec
 
 SCHEMA_VERSION = 1
 
@@ -47,7 +61,7 @@ def _need(mapping, key, path, kind=None):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"{path}.{key}" if path else key, f"expected {names}, got {type(value).__name__}")
     return value
@@ -79,27 +93,32 @@ def _vector(value, path, length=None):
     return arr
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parameter(value, path):
+    if isinstance(value, list):
+        return tuple(_vector(value, path))
+    if _is_number(value):
+        return float(value)
+    raise ConfigError(path, f"expected a number or a list of numbers, got {type(value).__name__}")
+
+
 def parse_entry(cell, path) -> DistributionSpec | float:
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+    if _is_number(cell):
         return float(cell)
     if not isinstance(cell, dict):
         raise ConfigError(path, "matrix entries are numbers or distribution objects")
     family = _need(cell, "family", path, str)
-    power = cell.get("power", 1)
+    if family not in FAMILIES:
+        raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    params = tuple(_parameter(_need(cell, name, path), f"{path}.{name}") for name in FAMILIES[family])
+    _counts(cell, path, "power")
     try:
-        if family == "weibull":
-            return DistributionSpec("weibull", (float(_need(cell, "scale", path)), float(_need(cell, "shape", path))), power)
-        if family == "beta":
-            return DistributionSpec("beta", (float(_need(cell, "a", path)), float(_need(cell, "b", path))), power)
-        if family == "finite":
-            values = tuple(_vector(_need(cell, "values", path), f"{path}.values"))
-            probs = tuple(_vector(_need(cell, "probs", path), f"{path}.probs"))
-            return DistributionSpec("finite", (values, probs), power)
-        if family == "constant":
-            return DistributionSpec("constant", (float(_need(cell, "value", path)),), power)
+        return DistributionSpec(family, params, cell.get("power", 1))
     except DomainError as exc:
         raise ConfigError(path, str(exc)) from None
-    raise ConfigError(f"{path}.family", f"unknown family {family!r}")
 
 
 def _entry_to_json(entry) -> object:
@@ -107,14 +126,8 @@ def _entry_to_json(entry) -> object:
         return entry
     spec: DistributionSpec = entry
     out: dict = {"family": spec.family}
-    if spec.family == "weibull":
-        out["scale"], out["shape"] = spec.params
-    elif spec.family == "beta":
-        out["a"], out["b"] = spec.params
-    elif spec.family == "finite":
-        out["values"], out["probs"] = list(spec.params[0]), list(spec.params[1])
-    else:
-        out["value"] = spec.params[0]
+    for name, value in zip(FAMILIES[spec.family], spec.params):
+        out[name] = list(value) if isinstance(value, tuple) else value
     if spec.power != 1:
         out["power"] = spec.power
     return out
@@ -139,6 +152,12 @@ class ProblemConfig:
     acs_options: dict
     scenario_options: dict
     mc_options: dict
+
+    def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError("seed", f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (0.0 < self.alpha < 1.0):
+            raise ConfigError("constraints.alpha", f"alpha must lie in (0, 1), got {self.alpha}")
 
     # -- builders ---------------------------------------------------------
 
@@ -189,7 +208,7 @@ class ProblemConfig:
 
     @property
     def mc_samples(self) -> int:
-        return int(self.mc_options.get("samples", 100000))
+        return self.mc_options.get("samples", 100000)
 
     def attested(self) -> bool:
         return (
@@ -205,14 +224,10 @@ class ProblemConfig:
             )
 
     def with_alpha(self, alpha: float) -> "ProblemConfig":
-        data = self.to_dict()
-        data["constraints"]["alpha"] = float(alpha)
-        return parse_config(data)
+        return replace(self, alpha=float(alpha))
 
     def with_seed(self, seed: int) -> "ProblemConfig":
-        data = self.to_dict()
-        data["seed"] = int(seed)
-        return parse_config(data)
+        return replace(self, seed=seed)
 
     # -- serialisation ----------------------------------------------------
 
@@ -264,9 +279,6 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     schema = _need(data, "schema", "", int)
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema}; this build reads {SCHEMA_VERSION}")
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed", f"seed must be a non-negative integer, got {seed!r}")
 
     system = _need(data, "system", "", dict)
     n = _need(system, "n", "system", int)
@@ -291,8 +303,6 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
 
     constraints = _need(data, "constraints", "", dict)
     alpha = float(_need(constraints, "alpha", "constraints", (int, float)))
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError("constraints.alpha", f"alpha must lie in (0, 1), got {alpha}")
     raw_rows = _need(constraints, "rows", "constraints", list)
     if not raw_rows:
         raise ConfigError("constraints.rows", "need at least one row")
@@ -303,7 +313,7 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
         h = float(_need(row, "h", path, (int, float)))
         k = row.get("k", "all")
         if k != "all":
-            if not isinstance(k, int) or not (1 <= k <= horizon):
+            if isinstance(k, bool) or not isinstance(k, int) or not (1 <= k <= horizon):
                 raise ConfigError(f"{path}.k", f'k must be "all" or an integer in [1, {horizon}]')
         rid = str(row.get("id", f"row{i}"))
         row_specs.append((rid, G, h, k))
@@ -334,12 +344,19 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     methods = data.get("methods", {})
     if not isinstance(methods, dict):
         raise ConfigError("methods", "expected an object")
-    acs_options = dict(methods.get("acs", {}))
-    scenario_options = dict(methods.get("scenario", {}))
-    mc_options = dict(methods.get("mc", {}))
+    acs_options, scenario_options, mc_options = (_options(methods, key) for key in ("acs", "scenario", "mc"))
+    _counts(acs_options, "methods.acs", "max_outer_iters", "restoration_rounds")
+    user_lambdas = acs_options.get("user_lambdas") or {}
+    if not isinstance(user_lambdas, dict) or not all(_is_number(v) for v in user_lambdas.values()):
+        raise ConfigError("methods.acs.user_lambdas", "expected an object mapping row ids to numbers")
+    if isinstance(acs_options.get("solver"), dict):
+        _counts(acs_options["solver"], "methods.acs.solver", "max_iter")
+    if scenario_options.get("sample_count") is not None:
+        _counts(scenario_options, "methods.scenario", "sample_count")
+    _counts(mc_options, "methods.mc", "samples")
 
     cfg = ProblemConfig(
-        seed=seed,
+        seed=data.get("seed", 0),
         n=n,
         m=m,
         horizon=horizon,
@@ -364,6 +381,21 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     except (DomainError, TypeError) as exc:
         raise ConfigError("methods", f"invalid method options: {exc}") from None
     return cfg
+
+
+def _options(methods, key):
+    options = methods.get(key, {})
+    if not isinstance(options, dict):
+        raise ConfigError(f"methods.{key}", f"expected an object, got {type(options).__name__}")
+    return dict(options)
+
+
+def _counts(options, path, *keys):
+    """Each of ``keys`` that ``options`` holds must be a positive integer."""
+    for key in keys:
+        value = options.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{path}.{key}", f"expected a positive integer, got {value!r}")
 
 
 def _parse_grid(grid, path, n):

@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import lapack
@@ -179,55 +179,38 @@ class ConicProgram:
     # -- serialisation ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "P": self.P.tolist(),
-            "c": self.c.tolist(),
-            "constant": self.constant,
-            "A_u": self.A_u.tolist(),
-            "b_u": self.b_u.tolist(),
-            "soc": [
-                {
-                    "a": row.a.tolist(),
-                    "b": row.b,
-                    "lambda": row.lam,
-                    "L": row.L.tolist(),
-                    "v": row.v.tolist(),
-                    "s": row.s,
-                    "h": row.h,
-                }
-                for row in self.soc
-            ],
-        }
+        return {**_json_fields(self), "soc": [_json_fields(row) for row in self.soc]}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConicProgram":
-        soc = tuple(
-            SocRow(
-                a=row["a"],
-                b=row["b"],
-                lam=row["lambda"],
-                L=row["L"],
-                v=row["v"],
-                s=row["s"],
-                h=row["h"],
-            )
-            for row in data.get("soc", [])
-        )
-        return cls(
-            P=data["P"],
-            c=data["c"],
-            A_u=data["A_u"],
-            b_u=data["b_u"],
-            soc=soc,
-            constant=data.get("constant", 0.0),
-        )
+        soc = tuple(SocRow(**_field_args(SocRow, row)) for row in data.get("soc", ()))
+        return cls(**{**_field_args(cls, data), "soc": soc})
 
     @classmethod
     def from_json(cls, text: str) -> "ConicProgram":
         return cls.from_dict(json.loads(text))
+
+
+# JSON keys that differ from the field names of ``ConicProgram`` and ``SocRow``.
+_JSON_KEYS = {"lam": "lambda"}
+
+
+def _json_fields(record) -> dict:
+    """A program's or cone row's fields under their JSON keys, arrays as lists."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        out[_JSON_KEYS.get(f.name, f.name)] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
+def _field_args(cls, data: dict) -> dict:
+    """Constructor arguments of ``cls`` from the JSON keys present in ``data``."""
+    keys = ((f.name, _JSON_KEYS.get(f.name, f.name)) for f in fields(cls))
+    return {name: data[key] for name, key in keys if key in data}
 
 
 @dataclass(frozen=True)

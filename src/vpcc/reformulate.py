@@ -19,7 +19,7 @@ products of random matrices is hard and a silent guess would be unsound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -219,17 +219,7 @@ class FeasibilityReport:
         return self.lambdas_ok and self.slacks_ok and self.risk_ok
 
     def to_dict(self) -> dict:
-        return {
-            "slacks": dict(self.slacks),
-            "min_slack": self.min_slack,
-            "risk_sum": self.risk_sum,
-            "alpha": self.alpha,
-            "lambdas_ok": self.lambdas_ok,
-            "slacks_ok": self.slacks_ok,
-            "risk_ok": self.risk_ok,
-            "tol": self.tol,
-            "feasible": self.feasible,
-        }
+        return {**asdict(self), "feasible": self.feasible}
 
 
 def check_feasibility(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 STATUS_OPTIMAL = "optimal"
@@ -52,6 +52,10 @@ class SolveReport:
     reproduces the same input. ``trace`` entries are dicts with keys
     iteration, phase, objective, risk_sum, lambdas, inner_status,
     inner_iterations, wall_time_ms.
+
+    The JSON keys are the field names in declaration order; only the
+    floats that may be infinite (``objective``, ``lambdas``) are mapped to
+    and from strings.
     """
 
     method: str
@@ -73,56 +77,23 @@ class SolveReport:
     inputs: dict | None = None
 
     def to_dict(self) -> dict:
-        lambdas = None
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["objective"] = _json_float(self.objective)
         if self.lambdas is not None:
-            lambdas = {key: _json_float(val) for key, val in self.lambdas.items()}
-        return {
-            "method": self.method,
-            "status": self.status,
-            "alpha": self.alpha,
-            "objective": _json_float(self.objective),
-            "objective_per_step": self.objective_per_step,
-            "U": self.U,
-            "lambdas": lambdas,
-            "risks": self.risks,
-            "risk_sum": self.risk_sum,
-            "feasibility": self.feasibility,
-            "mc": self.mc,
-            "trace": self.trace,
-            "sample_count": self.sample_count,
-            "wall_time_ms": self.wall_time_ms,
-            "seed": self.seed,
-            "notes": list(self.notes),
-            "inputs": self.inputs,
-        }
+            data["lambdas"] = {key: _json_float(val) for key, val in self.lambdas.items()}
+        data["notes"] = list(self.notes)
+        return data
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveReport":
-        lambdas = data.get("lambdas")
-        if lambdas is not None:
-            lambdas = {key: _parse_float(val) for key, val in lambdas.items()}
-        return cls(
-            method=data["method"],
-            status=data["status"],
-            alpha=data["alpha"],
-            objective=_parse_float(data.get("objective")),
-            objective_per_step=data.get("objective_per_step"),
-            U=data.get("U"),
-            lambdas=lambdas,
-            risks=data.get("risks"),
-            risk_sum=data.get("risk_sum"),
-            feasibility=data.get("feasibility"),
-            mc=data.get("mc"),
-            trace=data.get("trace", []),
-            sample_count=data.get("sample_count"),
-            wall_time_ms=data.get("wall_time_ms", 0.0),
-            seed=data.get("seed"),
-            notes=data.get("notes", []),
-            inputs=data.get("inputs"),
-        )
+        report = cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        report.objective = _parse_float(report.objective)
+        if report.lambdas is not None:
+            report.lambdas = {key: _parse_float(val) for key, val in report.lambdas.items()}
+        return report
 
     @classmethod
     def from_json(cls, text: str) -> "SolveReport":

@@ -41,7 +41,10 @@ from .errors import DomainError, MomentUndefined
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .moments import SystemSpec
 
-FAMILIES = ("weibull", "beta", "finite", "constant")
+# The one place that names each family's parameters, in ``params`` order;
+# config files spell a distribution as {"family": name, <parameter>: value}.
+# Finite-support parameters are sequences, every other parameter a number.
+FAMILIES = {"weibull": ("scale", "shape"), "beta": ("a", "b"), "finite": ("values", "probs"), "constant": ("value",)}
 _MC_BATCH = 1 << 15
 
 # SeedSequence (numpy.random.bit_generator) and PCG64 seeding constants.
@@ -77,6 +80,11 @@ class DistributionSpec:
             raise DomainError(f"unknown distribution family {self.family!r}")
         if self.power not in (1, 2, 3):
             raise DomainError(f"power transform must be 1, 2 or 3, got {self.power}")
+        names = FAMILIES[self.family]
+        ndim = 1 if self.family == "finite" else 0
+        if len(self.params) != len(names) or any(np.ndim(p) != ndim for p in self.params):
+            kind = "sequences" if ndim else "numbers"
+            raise DomainError(f"{self.family} takes {len(names)} {kind}: {', '.join(names)}")
         if self.family == "weibull":
             scale, shape = self.params
             if scale <= 0 or shape <= 0:

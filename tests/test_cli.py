@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 import vpcc
 from vpcc import cli
 from vpcc.cli import main, parse_grid
-from vpcc.config import ProblemConfig, load_config, parse_config, two_bus_config_path
+from vpcc.config import ProblemConfig, _entry_to_json, load_config, parse_config, parse_entry, two_bus_config_path
 from vpcc.errors import ConfigError, DomainError
 
 
@@ -287,6 +288,99 @@ class TestConfigRoundTrip:
         assert cfg.row_set().alpha == 0.2
         with pytest.raises(ConfigError, match="1/6"):
             cfg.jcc()
+
+    @pytest.mark.parametrize("alpha", [0.16, 0.01, 0.5])
+    def test_varied_config_matches_reparse(self, two_bus_path, alpha):
+        cfg = load_config(two_bus_path)
+        data = cfg.to_dict()
+        data["constraints"]["alpha"] = alpha
+        assert cfg.with_alpha(alpha).to_dict() == parse_config(data).to_dict()
+        assert cfg.with_seed(5).to_dict() == parse_config({**cfg.to_dict(), "seed": 5}).to_dict()
+
+    def test_varied_config_rejects_bad_values(self, two_bus_path):
+        cfg = load_config(two_bus_path)
+        with pytest.raises(ConfigError) as info:
+            cfg.with_alpha(0.0)
+        assert info.value.field == "constraints.alpha"
+        with pytest.raises(ConfigError) as info:
+            cfg.with_seed(-1)
+        assert info.value.field == "seed"
+
+    def test_pickle_round_trip(self, two_bus_path):
+        cfg = load_config(two_bus_path).with_alpha(0.05)
+        clone = pickle.loads(pickle.dumps(cfg))
+        assert clone.to_dict() == cfg.to_dict()
+        assert clone.a_grids == cfg.a_grids
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"family": "weibull", "scale": 5.0, "shape": 30.0},
+            {"family": "beta", "a": 50.0, "b": 2.5},
+            {"family": "finite", "values": [0.0, 2.0, 3.5], "probs": [0.25, 0.5, 0.25]},
+            {"family": "constant", "value": 0.7},
+        ],
+    )
+    def test_entry_round_trip(self, cell, power):
+        entry = parse_entry({**cell, "power": power}, "cell")
+        assert entry.power == power
+        data = _entry_to_json(entry)
+        assert data == ({**cell, "power": power} if power != 1 else cell)
+        assert parse_entry(data, "cell") == entry
+
+
+CELL = "system.A.all[0][0]"
+# name: (where the value goes, the value, field named by the error, method);
+# "system" and "row" values update the system block and the first row.
+MALFORMED = {
+    "weibull-scale-string": ("cell", {"family": "weibull", "scale": "abc", "shape": 30.0}, CELL + ".scale", "proposed"),
+    "weibull-scale-list": ("cell", {"family": "weibull", "scale": [1], "shape": 30.0}, CELL, "proposed"),
+    "beta-a-bool": ("cell", {"family": "beta", "a": True, "b": 2.0}, CELL + ".a", "proposed"),
+    "finite-values-number": ("cell", {"family": "finite", "values": 1.0, "probs": [1.0]}, CELL, "proposed"),
+    "power-bool": ("cell", {"family": "constant", "value": 0.5, "power": True}, CELL + ".power", "proposed"),
+    "power-fraction": ("cell", {"family": "constant", "value": 0.5, "power": 2.0}, CELL + ".power", "proposed"),
+    "system-m-bool": ("system", {"m": True}, "system.m", "proposed"),
+    "row-k-bool": ("row", {"k": True}, "constraints.rows[0].k", "proposed"),
+    "acs-not-object": ("acs", 5, "methods.acs", "proposed"),
+    "user-lambda-string": ("acs", {"lambda_init_policy": "user-supplied", "user_lambdas": {"end@k2": "x"}}, "methods.acs.user_lambdas", "proposed"),
+    "acs-iters-fraction": ("acs", {"max_outer_iters": 2.5}, "methods.acs.max_outer_iters", "proposed"),
+    "solver-iters-fraction": ("acs", {"solver": {"max_iter": 2.5}}, "methods.acs.solver.max_iter", "proposed"),
+    "mc-samples-string": ("mc", {"samples": "many"}, "methods.mc.samples", "proposed"),
+    "mc-samples-zero": ("mc", {"samples": 0}, "methods.mc.samples", "proposed"),
+    "mc-samples-fraction": ("mc", {"samples": 2.5}, "methods.mc.samples", "proposed"),
+    "mc-samples-bool": ("mc", {"samples": True}, "methods.mc.samples", "proposed"),
+    "sample-count-fraction": ("scenario", {"sample_count": 2.5}, "methods.scenario.sample_count", "scenario"),
+    "sample-count-bool": ("scenario", {"sample_count": True}, "methods.scenario.sample_count", "scenario"),
+}
+
+
+class TestMalformedOptions:
+    """Values from a config file that crashed or were silently coerced are
+    config errors at their field path, for ``validate`` and ``solve`` alike."""
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_config_error_at_field(self, case, tmp_path, capsys):
+        where, value, field, method = MALFORMED[case]
+        data = scalar_toy_config()
+        if where == "cell":
+            data["system"]["A"]["all"][0][0] = value
+        elif where == "system":
+            data["system"].update(value)
+        elif where == "row":
+            data["constraints"]["rows"][0].update(value)
+        else:
+            data["methods"][where] = value
+        path = write_config(tmp_path, data)
+        assert main(["validate", path]) == 1
+        assert f"config error at {field}:" in capsys.readouterr().err
+        assert main(["solve", path, "--method", method, "--out", str(tmp_path)]) == 1
+        assert f"config error at {field}:" in capsys.readouterr().err
+
+    def test_null_sample_count_accepted(self, tmp_path):
+        data = scalar_toy_config()
+        data["methods"]["scenario"] = {"sample_count": None}
+        assert main(["validate", write_config(tmp_path, data)]) == 0
 
 
 class TestImportFootprint:
