@@ -24,8 +24,9 @@ Each method block is optional and holds:
   "scenario": "beta", a number in (0, 1), and "sample_count", null (the
               sample bound decides) or a positive integer;
   "mc":       "samples", a positive integer (default 100000).
-A JSON boolean is not accepted where an integer or a single number is
-asked for, here or anywhere else in the file.
+A JSON boolean is not accepted where an integer or a number is asked for,
+here or anywhere else in the file, nor is a string or null inside a vector
+or matrix.
 
 A grid cell is either a number (deterministic entry) or a distribution
 object such as {"family": "weibull", "scale": 5, "shape": 30, "power": 3},
@@ -67,30 +68,17 @@ def _need(mapping, key, path, kind=None):
     return value
 
 
-def _matrix(value, path, rows=None, cols=None):
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"not a numeric matrix: {exc}") from None
-    if arr.ndim != 2:
-        raise ConfigError(path, f"expected a 2-d matrix, got shape {arr.shape}")
-    if rows is not None and arr.shape[0] != rows:
-        raise ConfigError(path, f"expected {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise ConfigError(path, f"expected {cols} columns, got {arr.shape[1]}")
-    return arr
-
-
-def _vector(value, path, length=None):
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"not a numeric vector: {exc}") from None
-    if arr.ndim != 1:
-        raise ConfigError(path, f"expected a 1-d vector, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
-        raise ConfigError(path, f"expected length {length}, got {arr.shape[0]}")
-    return arr
+def _array(value, path, *shape):
+    """Nested lists of numbers as a float array with one axis per entry of
+    ``shape``, where an entry that is not None is that axis's length. A
+    boolean, string or null is not a number here."""
+    cells = np.array(value, dtype=object)
+    if cells.ndim != len(shape) or not all(map(_is_number, cells.flat)):
+        raise ConfigError(path, f"expected a {len(shape)}-d array of numbers, as nested lists of equal length")
+    if any(want not in (None, got) for got, want in zip(cells.shape, shape)):
+        want = ", ".join("*" if size is None else str(size) for size in shape)
+        raise ConfigError(path, f"expected shape ({want}), got {cells.shape}")
+    return cells.astype(float)
 
 
 def _is_number(value) -> bool:
@@ -98,11 +86,11 @@ def _is_number(value) -> bool:
 
 
 def _parameter(value, path):
-    if isinstance(value, list):
-        return tuple(_vector(value, path))
+    if isinstance(value, list) and all(map(_is_number, value)):
+        return tuple(value)
     if _is_number(value):
         return float(value)
-    raise ConfigError(path, f"expected a number or a list of numbers, got {type(value).__name__}")
+    raise ConfigError(path, f"expected a number or a list of numbers, got {value!r}")
 
 
 def parse_entry(cell, path) -> DistributionSpec | float:
@@ -286,8 +274,8 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     horizon = _need(system, "horizon", "system", int)
     if n < 1 or m < 1 or horizon < 1:
         raise ConfigError("system", "n, m and horizon must be positive")
-    x0 = _vector(_need(system, "x0", "system"), "system.x0", n)
-    B = _matrix(_need(system, "B", "system"), "system.B", n, m)
+    x0 = _array(_need(system, "x0", "system"), "system.x0", n)
+    B = _array(_need(system, "B", "system"), "system.B", n, m)
 
     a_spec = _need(system, "A", "system", dict)
     if "all" in a_spec:
@@ -309,7 +297,7 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     row_specs = []
     for i, row in enumerate(raw_rows):
         path = f"constraints.rows[{i}]"
-        G = _vector(_need(row, "G", path), f"{path}.G", n)
+        G = _array(_need(row, "G", path), f"{path}.G", n)
         h = float(_need(row, "h", path, (int, float)))
         k = row.get("k", "all")
         if k != "all":
@@ -325,17 +313,17 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
         steps = cost["per_step"]
         if not isinstance(steps, list) or len(steps) != horizon:
             raise ConfigError("cost.per_step", f"expected {horizon} entries")
-        quads = tuple(_matrix(_need(s, "quadratic", f"cost.per_step[{t}]"), f"cost.per_step[{t}].quadratic", m, m) for t, s in enumerate(steps))
-        lins = tuple(_vector(_need(s, "linear", f"cost.per_step[{t}]"), f"cost.per_step[{t}].linear", m) for t, s in enumerate(steps))
+        quads = tuple(_array(_need(s, "quadratic", f"cost.per_step[{t}]"), f"cost.per_step[{t}].quadratic", m, m) for t, s in enumerate(steps))
+        lins = tuple(_array(_need(s, "linear", f"cost.per_step[{t}]"), f"cost.per_step[{t}].linear", m) for t, s in enumerate(steps))
     else:
-        Rk = _matrix(_need(cost, "quadratic", "cost"), "cost.quadratic", m, m)
-        rk = _vector(_need(cost, "linear", "cost"), "cost.linear", m)
+        Rk = _array(_need(cost, "quadratic", "cost"), "cost.quadratic", m, m)
+        rk = _array(_need(cost, "linear", "cost"), "cost.linear", m)
         quads = tuple(Rk for _ in range(horizon))
         lins = tuple(rk for _ in range(horizon))
 
     polytope = _need(data, "input_polytope", "", dict)
-    A_u = _matrix(_need(polytope, "A_u", "input_polytope"), "input_polytope.A_u", None, m)
-    b_u = _vector(_need(polytope, "b_u", "input_polytope"), "input_polytope.b_u", A_u.shape[0])
+    A_u = _array(_need(polytope, "A_u", "input_polytope"), "input_polytope.A_u", None, m)
+    b_u = _array(_need(polytope, "b_u", "input_polytope"), "input_polytope.b_u", A_u.shape[0])
 
     assumptions = data.get("assumptions", {})
     if not isinstance(assumptions, dict):

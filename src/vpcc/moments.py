@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .errors import DomainError, NotPSD, SamplerMissing
+from .errors import DomainError, NotPSD
 from .stochastics import DistributionSpec
 
 PSD_TOL = 1e-9
@@ -97,13 +97,6 @@ class RandomEntry:
             return cls.deterministic(dist.mean)
         kind = "finite-support" if dist.family == "finite" else "distributional"
         return cls(kind, dist.mean, dist.variance, dist)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.kind == "deterministic":
-            return np.full(count, self.mean)
-        if self.dist is None:
-            raise SamplerMissing("random entry carries moments only; attach a DistributionSpec to sample")
-        return self.dist.sample(rng, count)
 
 
 @dataclass(frozen=True)

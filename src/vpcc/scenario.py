@@ -16,16 +16,9 @@ decision dimension d = N * m (IEEE TAC 2006) at its two-bus value N = 1,
 m = 2; any larger d needs more samples than this bound gives, and the report
 then notes d and the count that ``(2/alpha)(ln(1/beta) + d)`` requires.
 
-Stream contract: scenario s draws from child stream s of the seed, the
-stream of ``default_rng(SeedSequence(seed, spawn_key=(s,)))``, so a shorter
-draw is a prefix of a longer one, and takes its random entries
-time-ascending, row-major within each A(t). ``child_streams`` seeds all of
-them in one pass and gives the same bits as building each generator. A
-weibull or finite entry consumes one uniform double, a beta entry two
-unit-scale Gamma draws (shape a, then b), a constant or deterministic entry
-nothing. The transforms from draws to entries are elementwise, so drawing
-each run of uniforms in one call and transforming each entry across all
-scenarios at once gives the bits of drawing entry by entry.
+Scenario s draws its matrices from child stream s of the seed, by the
+stream contract stated in ``vpcc.stochastics``: one draw plan covers the
+whole horizon, and each entry is transformed across all scenarios at once.
 """
 
 from __future__ import annotations
@@ -39,10 +32,10 @@ import numpy as np
 from . import conic
 from .acs import Cost
 from .conic import ConicProgram
-from .errors import DomainError, SamplerMissing
+from .errors import DomainError
 from .moments import SystemSpec
 from .report import STATUS_OPTIMAL, SolveReport, report_status
-from .stochastics import child_streams
+from .stochastics import DrawPlan, child_streams
 
 
 @dataclass(frozen=True)
@@ -86,34 +79,16 @@ def sample_count_note(alpha: float, beta: float) -> str:
 
 
 def sample_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray:
-    """(count, N, n, n) realisations, one child stream per scenario; one
-    generator call per run of uniforms, one transform per entry."""
+    """(count, N, n, n) realisations, one child stream per scenario and one
+    transform per random entry."""
     out = np.empty((count, spec.horizon, spec.n, spec.n))
     out[:] = [model.mean_matrix for model in spec.a_models]
-    entries, calls = [], []  # calls: [first draw, draws, Gamma shape or None]
-    width = 0
-    for t, model in enumerate(spec.a_models):
-        for i, row in enumerate(model.entries):
-            for j, entry in enumerate(row):
-                if entry.kind == "deterministic":
-                    continue
-                if entry.dist is None:
-                    raise SamplerMissing("random entry carries moments only; attach a DistributionSpec to sample")
-                entries.append((t, i, j, entry.dist, width))
-                for shape in entry.dist.draws:
-                    if shape is None and calls and calls[-1][2] is None:
-                        calls[-1][1] += 1
-                    else:
-                        calls.append([width, 1, shape])
-                    width += 1
-    draws = np.empty((width, count))
+    plan = DrawPlan.of(spec.a_models)
+    draws = np.empty((count, plan.width, 1))  # scenario s fills draws[s]
     for s, rng in enumerate(child_streams(seed, count)):
-        for first, length, shape in calls:
-            if shape is None:
-                draws[first : first + length, s] = rng.random(length)
-            else:
-                draws[first, s] = rng.standard_gamma(shape)
-    for t, i, j, dist, first in entries:
+        plan.fill(rng, draws[s])
+    draws = draws[:, :, 0].T
+    for t, i, j, dist, first in plan.entries:
         out[:, t, i, j] = dist.transform(draws[first : first + len(dist.draws)])
     return out
 

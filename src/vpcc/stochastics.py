@@ -18,14 +18,20 @@ state constraints under a fixed input sequence and reports an exact one-sided
 from ``scipy.special.betaincinv`` (Wald intervals are invalid when the
 violation count is near zero, which is the regime certification targets).
 
-MC stream contract: batch b of ``_MC_BATCH`` trajectories draws from child
-stream b of the seed, which ``child_streams`` seeds in one pass with the bits
-of ``default_rng(SeedSequence(seed, spawn_key=(b,)))``; per time step only
-entries whose kind is not "deterministic" draw, row-major within A(t), each
-in one ``sample`` call for the whole batch (all first draws, then all second
-draws for beta). The draws are thus fixed by (seed, samples) and the
-system, so the result does not depend on how the states are advanced between
-draws.
+Stream contract, shared by scenario sampling and MC certification: scenario
+s, or MC batch s of ``_MC_BATCH`` trajectories, draws from child stream s of
+the seed, the stream of ``default_rng(SeedSequence(seed, spawn_key=(s,)))``,
+all of them seeded in one pass by ``child_streams``. A ``DrawPlan`` draws the
+entries whose kind is not "deterministic", time-ascending and row-major
+within each A(t): one uniform double for a weibull or finite entry, two
+unit-scale Gamma draws (shape a, then b) for a beta entry, none for a
+constant one, each draw made for the whole count at once (1 per scenario,
+the batch size in MC). Scenario sampling fills one plan of the whole
+horizon, MC one plan per entry of each A(t) in turn, which draws the same
+stream. One call per run of adjacent uniforms gives the bits of one call per
+draw, and the transforms from draws to entries are elementwise, so the draws
+are fixed by (seed, count) and the system, however states are advanced
+between them.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, MomentUndefined
+from .errors import DomainError, MomentUndefined, SamplerMissing
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .moments import SystemSpec
@@ -152,16 +158,6 @@ class DistributionSpec:
             return ()
         return (None,)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` transformed variates from ``rng``: every first
-        draw of the batch, then every second one."""
-        if count < 1:
-            raise DomainError("sample count must be >= 1")
-        raw = np.empty((len(self.draws), count))
-        for d, shape in enumerate(self.draws):
-            raw[d] = rng.random(count) if shape is None else rng.standard_gamma(shape, count)
-        return self.transform(raw)
-
     def transform(self, draws: np.ndarray) -> np.ndarray:
         """Variates from raw draws of shape (len(self.draws), count), one column
         per variate: inverse CDF or Gamma ratio, then the power, on one fresh array."""
@@ -207,16 +203,54 @@ def constant(value: float) -> DistributionSpec:
 
 def sample(dist: DistributionSpec, seed_stream, count: int) -> np.ndarray:
     """Sample with an int seed, a SeedSequence, or an existing Generator."""
-    rng = as_generator(seed_stream)
-    return dist.sample(rng, count)
+    if count < 1:
+        raise DomainError("sample count must be >= 1")
+    plan = DrawPlan([(0, 0, 0, dist)])
+    return dist.transform(plan.fill(np.random.default_rng(seed_stream), np.empty((plan.width, count))))
 
 
-def as_generator(seed_stream) -> np.random.Generator:
-    if isinstance(seed_stream, np.random.Generator):
-        return seed_stream
-    if isinstance(seed_stream, np.random.SeedSequence):
-        return np.random.default_rng(seed_stream)
-    return np.random.default_rng(np.random.SeedSequence(seed_stream))
+class DrawPlan:
+    """The draws of (t, i, j, dist) sites on one stream, in the given order.
+
+    ``entries`` are (t, i, j, dist, first row): a fill holds the site's raw
+    draws in rows first, ..., first + len(dist.draws) - 1 of ``width`` rows.
+    ``calls`` are [first row, rows, Gamma shape or None], one per generator
+    call, each run of adjacent uniform rows merged into one call.
+    """
+
+    def __init__(self, sites):
+        self.entries, self.calls, self.width = [], [], 0
+        for t, i, j, dist in sites:
+            if dist is None:
+                raise SamplerMissing("random entry carries moments only; attach a DistributionSpec to sample")
+            self.entries.append((t, i, j, dist, self.width))
+            for shape in dist.draws:
+                if shape is None and self.calls and self.calls[-1][2] is None:
+                    self.calls[-1][1] += 1
+                else:
+                    self.calls.append([self.width, 1, shape])
+                self.width += 1
+
+    @classmethod
+    def of(cls, models) -> "DrawPlan":
+        """The plan of the random entries of time-ascending ``models``."""
+        return cls(
+            (t, i, j, entry.dist)
+            for t, model in enumerate(models)
+            for i, row in enumerate(model.entries)
+            for j, entry in enumerate(row)
+            if entry.kind != "deterministic"
+        )
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Run the calls on ``rng`` into ``out``, a C-contiguous (width, count)
+        array, and return it."""
+        for first, rows, shape in self.calls:
+            if shape is None:
+                rng.random(out=out[first : first + rows])
+            else:
+                rng.standard_gamma(shape, out=out[first])
+        return out
 
 
 def child_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
@@ -327,7 +361,7 @@ def mc_certify(
     Sampling is batched with counter-based child streams so the result is a
     pure function of (seed, samples). A batch is an (n, count) state array;
     a step is one product with the deterministic part of A(t), plus A_ij(t)
-    x_j(t) added to state row i for each random entry.
+    x_j(t) added to state row i for each entry of A(t)'s draw plan.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -340,24 +374,32 @@ def mc_certify(
         k: (np.array([row.G for row in rows], dtype=float), np.array([[row.h] for row in rows]))
         for k, rows in rows_by_k.items()
     }
-    steps = []  # (deterministic part of A(t), B u(t) as a column, random entries row-major)
+    steps = []  # (deterministic part of A(t), B u(t) as a column, (i, j, dist, one-entry plan) row-major)
     for t, model in enumerate(spec.a_models[:max_k]):
-        drawn = np.array([[entry.kind != "deterministic" for entry in row] for row in model.entries])
-        random_entries = [(i, j, model.entries[i][j]) for i, j in zip(*np.nonzero(drawn))]
-        steps.append((np.where(drawn, 0.0, model.mean_matrix), (spec.B @ U[t])[:, None], random_entries))
+        a_det = np.array(model.mean_matrix)
+        entries = []
+        for _, i, j, dist, _ in DrawPlan.of([model]).entries:
+            a_det[i, j] = 0.0
+            entries.append((i, j, dist, DrawPlan([(t, i, j, dist)])))
+        steps.append((a_det, (spec.B @ U[t])[:, None], entries))
 
+    # One entry's draws at a time, at most two rows, in the head of one buffer:
+    # they stay in cache until transformed, where a whole step's draws outgrow
+    # it at large n.
+    buffer = np.empty(2 * min(samples, _MC_BATCH))
     violations = 0
     done = 0
     for rng in child_streams(seed, -(-samples // _MC_BATCH)):
         count = min(_MC_BATCH, samples - done)
         violated = np.zeros(count, dtype=bool)
         x = spec.x0[:, None]  # one column until the first step spreads it over the batch
-        for t, (a_det, drive, random_entries) in enumerate(steps):
+        for t, (a_det, drive, entries) in enumerate(steps):
             x_next = a_det @ x + drive
             if t == 0:
                 x_next = np.repeat(x_next, count, axis=1)
-            for i, j, entry in random_entries:
-                x_next[i] += entry.sample(rng, count) * x[j]
+            for i, j, dist, plan in entries:
+                draws = plan.fill(rng, buffer[: plan.width * count].reshape(plan.width, count))
+                x_next[i] += dist.transform(draws) * x[j]
             x = x_next
             if t + 1 in checks:
                 G, h = checks[t + 1]

@@ -79,6 +79,31 @@ def mixed_family_spec() -> SystemSpec:
     )
 
 
+def two_point_spec() -> SystemSpec:
+    """n = 4 over 3 steps whose random entries are all two-point, a (1 -+ spread)
+    with equal probability, as in the synthetic benchmark systems: five per
+    step, so each step's draws are one run of five uniforms."""
+    rng = np.random.default_rng(21)
+    models = []
+    for _ in range(3):
+        mean = rng.uniform(0.0, 0.5, (4, 4))
+        spread = rng.uniform(0.1, 0.3)
+        drawn = set(rng.permutation(16)[:5].tolist())
+        grid = [
+            [finite_support([a * (1 - spread), a * (1 + spread)], [0.5, 0.5]) if 4 * i + j in drawn else a for j, a in enumerate(row)]
+            for i, row in enumerate(mean)
+        ]
+        models.append(RandomMatrixModel.from_grid(grid))
+    return SystemSpec(
+        horizon=3,
+        a_models=tuple(models),
+        B=np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 2.0], [1.0, 1.0]]),
+        x0=np.array([1.0, 2.0, -1.0, 0.5]),
+        A_u=np.vstack([np.eye(2), -np.eye(2)]),
+        b_u=np.full(4, 5.0),
+    )
+
+
 def unreduced_scenario_program(spec: SystemSpec, rows, cost, sc) -> ConicProgram:
     """Every row of the sample ``solve_scenario(spec, ..., sc)`` draws, then the
     stacked input polytope: its program before it keeps the tightest row per

@@ -1,15 +1,16 @@
 """Matrix-batch reference for Monte-Carlo certification.
 
 ``sample_batch`` draws ``count`` realisations of one random state matrix as a
-``(count, n, n)`` array, every random entry's whole batch in one call,
-row-major. ``oracle_mc_certify`` advances each batch of trajectories by
-multiplying every trajectory's state with its own full sampled matrix, with
-no split of A(t) into a deterministic part and random entries. It follows the
-stream contract stated in ``vpcc.stochastics``, so it must count the same
-violations as ``vpcc.stochastics.mc_certify``. Its upper bound comes from
-``oracle_clopper_pearson_upper``, the Beta quantile by ``scipy.stats.beta.ppf``,
-which the program no longer imports, so it checks ``clopper_pearson_upper``
-(``scipy.special.betaincinv``) independently.
+``(count, n, n)`` array, every random entry's whole batch at once, row-major,
+with ``scenario_oracle.oracle_variate``, so the reference shares no sampling
+code with the library. ``oracle_mc_certify`` advances each batch of
+trajectories by multiplying every trajectory's state with its own full
+sampled matrix, with no split of A(t) into a deterministic part and random
+entries. It follows the stream contract stated in ``vpcc.stochastics``, so
+it must count the same violations as ``vpcc.stochastics.mc_certify``. Its
+upper bound comes from ``oracle_clopper_pearson_upper``, the Beta quantile by
+``scipy.stats.beta.ppf``, which the program no longer imports, so it checks
+``clopper_pearson_upper`` (``scipy.special.betaincinv``) independently.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-from vpcc.errors import DomainError
+from vpcc.errors import DomainError, SamplerMissing
 from vpcc.moments import RandomMatrixModel, SystemSpec
 from vpcc.stochastics import _MC_BATCH, McCertificate
+
+from scenario_oracle import oracle_variate
 
 
 def oracle_clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.99) -> float:
@@ -41,8 +44,10 @@ def sample_batch(model: RandomMatrixModel, rng: np.random.Generator, count: int)
             entry = model.entries[i][j]
             if entry.kind == "deterministic":
                 out[:, i, j] = entry.mean
+            elif entry.dist is None:
+                raise SamplerMissing("random entry carries moments only")
             else:
-                out[:, i, j] = entry.sample(rng, count)
+                out[:, i, j] = oracle_variate(entry.dist, rng, count)
     return out
 
 

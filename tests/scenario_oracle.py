@@ -2,10 +2,10 @@
 
 ``oracle_state_matrices`` draws every random entry of every scenario with its
 own generator call, scenario by scenario, time-ascending and row-major, the
-way the stream contract in ``vpcc.scenario`` is stated. ``oracle_variate``
-restates each family's sampler for a single variate, so the reference shares
-no sampling code with the library. ``oracle_rows`` propagates one scenario at
-a time with 1-D products. ``oracle_tightest_rows`` keeps the smallest
+way the stream contract in ``vpcc.stochastics`` is stated. ``oracle_variate``
+restates each family's sampler, so the reference shares no sampling code
+with the library; ``tests/mc_oracle.py`` draws its batches with it too.
+``oracle_rows`` propagates one scenario at a time with 1-D products. ``oracle_tightest_rows`` keeps the smallest
 right-hand side per coefficient vector in a dict.
 """
 
@@ -18,29 +18,29 @@ from vpcc.moments import SystemSpec
 from vpcc.stochastics import DistributionSpec
 
 
-def oracle_variate(dist: DistributionSpec, rng: np.random.Generator) -> float:
-    """One transformed variate, drawn with ``count = 1`` calls."""
+def oracle_variate(dist: DistributionSpec, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+    """``count`` transformed variates: every first draw, then every second."""
     if dist.family == "weibull":
         scale, shape = dist.params
-        u = rng.random(1)
+        u = rng.random(count)
         base = scale * (-np.log1p(-u)) ** (1.0 / shape)
     elif dist.family == "beta":
         a, b = dist.params
-        g1 = rng.gamma(a, 1.0, 1)
-        g2 = rng.gamma(b, 1.0, 1)
+        g1 = rng.gamma(a, 1.0, count)
+        g2 = rng.gamma(b, 1.0, count)
         base = g1 / (g1 + g2)
     elif dist.family == "finite":
         values, probs = dist.params
         edges = np.cumsum(probs)
-        idx = np.searchsorted(edges, rng.random(1), side="right")
+        idx = np.searchsorted(edges, rng.random(count), side="right")
         idx = np.minimum(idx, len(values) - 1)
         base = np.asarray(values, dtype=float)[idx]
     else:
         (value,) = dist.params
-        base = np.full(1, value, dtype=float)
+        base = np.full(count, value, dtype=float)
     if dist.power != 1:
         base = base**dist.power
-    return base[0]
+    return base
 
 
 def oracle_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def oracle_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray
                     elif entry.dist is None:
                         raise SamplerMissing("random entry carries moments only")
                     else:
-                        out[s, t, i, j] = oracle_variate(entry.dist, rng)
+                        out[s, t, i, j] = oracle_variate(entry.dist, rng)[0]
     return out
 
 

@@ -332,7 +332,8 @@ class TestConfigRoundTrip:
 
 CELL = "system.A.all[0][0]"
 # name: (where the value goes, the value, field named by the error, method);
-# "system" and "row" values update the system block and the first row.
+# "system", "cost" and "input_polytope" values update that block, "row"
+# values the first row.
 MALFORMED = {
     "weibull-scale-string": ("cell", {"family": "weibull", "scale": "abc", "shape": 30.0}, CELL + ".scale", "proposed"),
     "weibull-scale-list": ("cell", {"family": "weibull", "scale": [1], "shape": 30.0}, CELL, "proposed"),
@@ -352,6 +353,17 @@ MALFORMED = {
     "mc-samples-bool": ("mc", {"samples": True}, "methods.mc.samples", "proposed"),
     "sample-count-fraction": ("scenario", {"sample_count": 2.5}, "methods.scenario.sample_count", "scenario"),
     "sample-count-bool": ("scenario", {"sample_count": True}, "methods.scenario.sample_count", "scenario"),
+    "x0-bool": ("system", {"x0": [True]}, "system.x0", "proposed"),
+    "x0-null": ("system", {"x0": [None]}, "system.x0", "proposed"),
+    "B-bool": ("system", {"B": [[False]]}, "system.B", "proposed"),
+    "A_u-bool": ("input_polytope", {"A_u": [[True], [-1.0]]}, "input_polytope.A_u", "proposed"),
+    "b_u-bool": ("input_polytope", {"b_u": [True, 10.0]}, "input_polytope.b_u", "proposed"),
+    "b_u-string": ("input_polytope", {"b_u": ["10", 10.0]}, "input_polytope.b_u", "scenario"),
+    "G-bool": ("row", {"G": [True]}, "constraints.rows[0].G", "proposed"),
+    "cost-quadratic-bool": ("cost", {"quadratic": [[True]]}, "cost.quadratic", "proposed"),
+    "cost-linear-bool": ("cost", {"linear": [False]}, "cost.linear", "scenario"),
+    "finite-values-bool": ("cell", {"family": "finite", "values": [False, 2.0], "probs": [0.5, 0.5]}, CELL + ".values", "proposed"),
+    "finite-probs-bool": ("cell", {"family": "finite", "values": [0.0, 2.0], "probs": [True, False]}, CELL + ".probs", "scenario"),
 }
 
 
@@ -365,8 +377,8 @@ class TestMalformedOptions:
         data = scalar_toy_config()
         if where == "cell":
             data["system"]["A"]["all"][0][0] = value
-        elif where == "system":
-            data["system"].update(value)
+        elif where in ("system", "cost", "input_polytope"):
+            data[where].update(value)
         elif where == "row":
             data["constraints"]["rows"][0].update(value)
         else:

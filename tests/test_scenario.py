@@ -20,7 +20,7 @@ from vpcc.scenario import (
     sample_state_matrices,
     solve_scenario,
 )
-from conftest import deterministic_spec, mixed_family_spec, scalar_iid_spec, unreduced_scenario_program
+from conftest import deterministic_spec, mixed_family_spec, scalar_iid_spec, two_point_spec, unreduced_scenario_program
 from scenario_oracle import oracle_rows, oracle_state_matrices, oracle_tightest_rows
 
 
@@ -88,8 +88,10 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("count", [0, 1, 2, 57])
     def test_mixed_families_bit_identical(self, count):
-        spec = mixed_family_spec()
-        assert np.array_equal(sample_state_matrices(spec, 3, count), oracle_state_matrices(spec, 3, count))
+        """Every family and power, then two-point entries only, whose draws
+        are one run of fifteen uniforms over the horizon."""
+        for spec in (mixed_family_spec(), two_point_spec()):
+            assert np.array_equal(sample_state_matrices(spec, 3, count), oracle_state_matrices(spec, 3, count))
 
     def test_two_bus_bit_identical(self, two_bus_spec):
         assert np.array_equal(sample_state_matrices(two_bus_spec, 11, 112), oracle_state_matrices(two_bus_spec, 11, 112))

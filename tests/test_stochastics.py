@@ -22,7 +22,7 @@ from vpcc.stochastics import (
     weibull,
 )
 
-from conftest import deterministic_spec, mixed_family_spec
+from conftest import deterministic_spec, mixed_family_spec, two_point_spec
 from mc_oracle import oracle_clopper_pearson_upper, oracle_mc_certify
 
 
@@ -272,6 +272,17 @@ def _mixed_rowset() -> vpcc.RowSet:
     return vpcc.RowSet(rows, 0.25)
 
 
+def _two_point_rowset() -> vpcc.RowSet:
+    """One row per step, each violated in 5-15% of trajectories of
+    ``two_point_spec`` under ``_MIXED_U``."""
+    rows = (
+        vpcc.ConstraintRow(G=np.array([1.0, 0.0, 0.0, 1.0]), h=1.75, k=1, id="k1"),
+        vpcc.ConstraintRow(G=np.array([0.0, 1.0, -1.0, 0.0]), h=0.45, k=2, id="k2"),
+        vpcc.ConstraintRow(G=np.array([0.5, 0.5, 0.5, 0.5]), h=2.9, k=3, id="k3"),
+    )
+    return vpcc.RowSet(rows, 0.25)
+
+
 class TestAgainstOracle:
     """``mc_certify`` must count exactly the violations of the full-matrix
     reference in ``tests/mc_oracle.py``, which draws the same stream."""
@@ -286,12 +297,14 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("samples", [1, _MC_BATCH, _MC_BATCH + 1, 2 * _MC_BATCH + 7])
     def test_mixed_families_across_batch_edges(self, samples):
-        spec, jcc = mixed_family_spec(), _mixed_rowset()
-        for seed in (3, 4):
-            fast = mc_certify(spec, jcc, _MIXED_U, samples=samples, seed=seed)
-            assert fast == oracle_mc_certify(spec, jcc, _MIXED_U, samples=samples, seed=seed)
-        if samples > 1:
-            assert 0 < fast.violations < samples
+        """Every family and power, then two-point entries only, whose steps
+        each draw one merged run of five uniforms."""
+        for spec, jcc in ((mixed_family_spec(), _mixed_rowset()), (two_point_spec(), _two_point_rowset())):
+            for seed in (3, 4):
+                fast = mc_certify(spec, jcc, _MIXED_U, samples=samples, seed=seed)
+                assert fast == oracle_mc_certify(spec, jcc, _MIXED_U, samples=samples, seed=seed)
+            if samples > 1:
+                assert 0 < fast.violations < samples
 
     def test_each_time_step_is_checked(self):
         spec = mixed_family_spec()
