@@ -227,7 +227,11 @@ def cmd_sweep(args) -> int:
                 failures += 1
                 log_file.write(f"{stamp} ERROR {row['error']}\n")
             else:
-                log_file.write(f"{stamp} objective={_fmt(row['objective'])}\n")
+                line = f"{stamp} objective={_fmt(row['objective'])}"
+                if row["method"] == "proposed":
+                    mc = row["report"].mc or {}
+                    line += f" mc_upper_ci={_fmt(row['mc_upper_ci'])} mc_samples_used={mc.get('samples_used', '')}"
+                log_file.write(line + "\n")
             if row["report"] is not None:
                 _write_report(row["report"], args.out, f"report_{row['one_minus_alpha']:g}_{row['method']}.json")
     print(f"sweep: {len(rows)} rows -> {csv_path} ({failures} recorded failure(s))")

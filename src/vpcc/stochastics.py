@@ -18,6 +18,20 @@ state constraints under a fixed input sequence and reports an exact one-sided
 from ``scipy.special.betaincinv`` (Wald intervals are invalid when the
 violation count is near zero, which is the regime certification targets).
 
+The verdict is sequential: a run of ``samples`` trajectories is
+K = ceil(samples / _MC_BATCH) batches, and the certificate looks at the
+running count after each batch. A single look spends all of
+``1 - confidence``, which is the fixed-sample test. With K > 1 the K - 1
+early looks share ``_MC_EARLY_SHARE`` (one tenth) of ``1 - confidence``
+equally and the last look spends the rest: at 1e5 samples and confidence
+0.99, three looks at 99.967% and one at 99.1%. A run stops at the first
+look whose bound is at most alpha (pass), or once the bound at the last
+look's level over the whole budget, with no further violation, exceeds
+alpha (curtailment: no later look can pass). The levels sum to
+``1 - confidence``, so by Bonferroni the bound at whichever look stops the
+run is still a one-sided ``confidence`` upper bound. Batch b is child
+stream b, so the batches run are a prefix of the full run.
+
 Stream contract, shared by scenario sampling and MC certification: scenario
 s, or MC batch s of ``_MC_BATCH`` trajectories, draws from child stream s of
 the seed, the stream of ``default_rng(SeedSequence(seed, spawn_key=(s,)))``,
@@ -37,7 +51,7 @@ between them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import special
@@ -52,6 +66,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # Finite-support parameters are sequences, every other parameter a number.
 FAMILIES = {"weibull": ("scale", "shape"), "beta": ("a", "b"), "finite": ("values", "probs"), "constant": ("value",)}
 _MC_BATCH = 1 << 15
+# Share of 1 - confidence that the early looks of a multi-batch MC run
+# spend, split equally among them; the last look spends the rest.
+_MC_EARLY_SHARE = 0.1
 
 # SeedSequence (numpy.random.bit_generator) and PCG64 seeding constants.
 _MASK32 = 0xFFFFFFFF
@@ -321,26 +338,80 @@ def _pcg64_streams(init_hi, init_lo, seq_hi, seq_lo) -> Iterator[np.random.Gener
 
 @dataclass(frozen=True)
 class McCertificate:
-    """Joint-violation estimate with an exact upper confidence bound."""
+    """Joint-violation estimate with an exact upper confidence bound.
+
+    ``samples`` is the requested budget and ``samples_used`` the trajectories
+    drawn before the verdict was decided: the first batches of the run, whose
+    ``violations`` give ``empirical_violation``. ``levels`` is the error
+    level spent at each look taken; ``upper_ci_99`` is the bound at the look
+    that decided, still a one-sided ``confidence`` upper bound since the
+    levels of all possible looks sum to ``1 - confidence``.
+    """
 
     samples: int
+    samples_used: int
     violations: int
     empirical_violation: float
     upper_ci_99: float
     alpha: float
     passed: bool
+    levels: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "levels": list(self.levels)}
+
+
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:
+        raise DomainError(f"confidence must lie in (0, 1), got {confidence!r}")
 
 
 def clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.99) -> float:
     """Exact one-sided upper confidence bound on a binomial proportion."""
     if samples < 1 or violations < 0 or violations > samples:
         raise DomainError("need 0 <= violations <= samples, samples >= 1")
+    _check_confidence(confidence)
     if violations == samples:
         return 1.0
     return float(special.betaincinv(violations + 1, samples - violations, confidence))
+
+
+def look_levels(looks: int, confidence: float) -> tuple[float, ...]:
+    """The error level each of ``looks`` looks spends from ``1 - confidence``:
+    all of it at a single look, else ``_MC_EARLY_SHARE`` of it split equally
+    over the early looks and the rest at the last one."""
+    _check_confidence(confidence)
+    budget = 1.0 - confidence
+    if looks == 1:
+        return (budget,)
+    return (budget * _MC_EARLY_SHARE / (looks - 1),) * (looks - 1) + (budget * (1.0 - _MC_EARLY_SHARE),)
+
+
+def sequential_verdict(
+    counts: Iterable[int], sizes: Sequence[int], alpha: float, confidence: float = 0.99
+) -> tuple[int, int, tuple[float, ...], float]:
+    """(violations, samples used, levels spent, upper bound) of a run that
+    looks after each batch: ``counts`` are the batches' violation counts,
+    pulled one per look and none after the deciding one, ``sizes`` their
+    trajectory counts. The run passes when the returned bound is at most
+    ``alpha``.
+
+    Look b tests at confidence ``1 - level`` (exactly ``confidence`` at a
+    single look, for confidence >= 1/2) and the run stops there once the
+    bound is at most alpha, or once even no further violation could bring
+    the bound at the last look over all of ``sizes`` down to alpha.
+    """
+    levels = look_levels(len(sizes), confidence)
+    samples = sum(sizes)
+    last = 1.0 - levels[-1]
+    violations = used = 0
+    for look, (size, count) in enumerate(zip(sizes, counts), 1):
+        violations += count
+        used += size
+        upper = clopper_pearson_upper(violations, used, 1.0 - levels[look - 1])
+        if upper <= alpha or clopper_pearson_upper(violations, samples, last) > alpha:
+            break
+    return violations, used, levels[:look], upper
 
 
 def mc_certify(
@@ -356,7 +427,9 @@ def mc_certify(
     ``jcc`` needs ``rows`` (objects with G, h, k) and ``alpha``. A trajectory
     counts as violating when any row fails strictly at its time step; the
     certificate passes when the one-sided Clopper-Pearson upper bound on the
-    joint violation probability is at most alpha.
+    joint violation probability is at most alpha, with the sequential
+    verdict stated in the module docstring: the run stops at the first batch
+    that decides it.
 
     Sampling is batched with counter-based child streams so the result is a
     pure function of (seed, samples). A batch is an (n, count) state array;
@@ -387,33 +460,34 @@ def mc_certify(
     # they stay in cache until transformed, where a whole step's draws outgrow
     # it at large n.
     buffer = np.empty(2 * min(samples, _MC_BATCH))
-    violations = 0
-    done = 0
-    for rng in child_streams(seed, -(-samples // _MC_BATCH)):
-        count = min(_MC_BATCH, samples - done)
-        violated = np.zeros(count, dtype=bool)
-        x = spec.x0[:, None]  # one column until the first step spreads it over the batch
-        for t, (a_det, drive, entries) in enumerate(steps):
-            x_next = a_det @ x + drive
-            if t == 0:
-                x_next = np.repeat(x_next, count, axis=1)
-            for i, j, dist, plan in entries:
-                draws = plan.fill(rng, buffer[: plan.width * count].reshape(plan.width, count))
-                x_next[i] += dist.transform(draws) * x[j]
-            x = x_next
-            if t + 1 in checks:
-                G, h = checks[t + 1]
-                violated |= (G @ x > h).any(axis=0)
-        violations += int(violated.sum())
-        done += count
+    sizes = [min(_MC_BATCH, samples - done) for done in range(0, samples, _MC_BATCH)]
 
-    empirical = violations / samples
-    upper = clopper_pearson_upper(violations, samples, confidence)
+    def batch_violations() -> Iterator[int]:
+        for rng, count in zip(child_streams(seed, len(sizes)), sizes):
+            violated = np.zeros(count, dtype=bool)
+            x = spec.x0[:, None]  # one column until the first step spreads it over the batch
+            for t, (a_det, drive, entries) in enumerate(steps):
+                x_next = a_det @ x + drive
+                if t == 0:
+                    x_next = np.repeat(x_next, count, axis=1)
+                for i, j, dist, plan in entries:
+                    draws = plan.fill(rng, buffer[: plan.width * count].reshape(plan.width, count))
+                    x_next[i] += dist.transform(draws) * x[j]
+                x = x_next
+                if t + 1 in checks:
+                    G, h = checks[t + 1]
+                    violated |= (G @ x > h).any(axis=0)
+            yield int(violated.sum())
+
+    alpha = float(jcc.alpha)
+    violations, used, levels, upper = sequential_verdict(batch_violations(), sizes, alpha, confidence)
     return McCertificate(
         samples=samples,
+        samples_used=used,
         violations=violations,
-        empirical_violation=empirical,
+        empirical_violation=violations / used,
         upper_ci_99=upper,
-        alpha=float(jcc.alpha),
-        passed=bool(upper <= jcc.alpha),
+        alpha=alpha,
+        passed=bool(upper <= alpha),
+        levels=levels,
     )

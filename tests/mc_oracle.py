@@ -7,8 +7,10 @@ code with the library. ``oracle_mc_certify`` advances each batch of
 trajectories by multiplying every trajectory's state with its own full
 sampled matrix, with no split of A(t) into a deterministic part and random
 entries. It follows the stream contract stated in ``vpcc.stochastics``, so
-it must count the same violations as ``vpcc.stochastics.mc_certify``. Its
-upper bound comes from ``oracle_clopper_pearson_upper``, the Beta quantile by
+it must count the same violations as ``vpcc.stochastics.mc_certify``. It
+counts every batch of the full run, then applies the look schedule stated in
+the ``vpcc.stochastics`` docstring to those counts. Its bounds come from
+``oracle_clopper_pearson_upper``, the Beta quantile by
 ``scipy.stats.beta.ppf``, which the program no longer imports, so it checks
 ``clopper_pearson_upper`` (``scipy.special.betaincinv``) independently.
 """
@@ -20,7 +22,7 @@ from scipy import stats
 
 from vpcc.errors import DomainError, SamplerMissing
 from vpcc.moments import RandomMatrixModel, SystemSpec
-from vpcc.stochastics import _MC_BATCH, McCertificate
+from vpcc.stochastics import _MC_BATCH, _MC_EARLY_SHARE, McCertificate
 
 from scenario_oracle import oracle_variate
 
@@ -51,10 +53,9 @@ def sample_batch(model: RandomMatrixModel, rng: np.random.Generator, count: int)
     return out
 
 
-def oracle_mc_certify(
-    spec: SystemSpec, jcc, U, samples: int, seed: int, confidence: float = 0.99
-) -> McCertificate:
-    """``mc_certify`` with one full sampled matrix per trajectory and step."""
+def oracle_batch_violations(spec: SystemSpec, jcc, U, samples: int, seed: int) -> list[int]:
+    """The violation count of every batch of a ``samples``-trajectory run,
+    one full sampled matrix per trajectory and step."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
     U = np.asarray(U, dtype=float).reshape(spec.horizon, spec.m)
@@ -63,12 +64,11 @@ def oracle_mc_certify(
         rows_by_k.setdefault(int(row.k), []).append(row)
     max_k = max(rows_by_k) if rows_by_k else 0
 
-    violations = 0
+    counts = []
     done = 0
-    batch_index = 0
     while done < samples:
         count = min(_MC_BATCH, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch_index,)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(counts),)))
         violated = np.zeros(count, dtype=bool)
         x = np.broadcast_to(spec.x0, (count, spec.n)).copy()
         for t in range(max_k):
@@ -76,16 +76,38 @@ def oracle_mc_certify(
             x = np.einsum("sij,sj->si", a_batch, x) + spec.B @ U[t]
             for row in rows_by_k.get(t + 1, ()):
                 violated |= x @ row.G > row.h
-        violations += int(violated.sum())
+        counts.append(int(violated.sum()))
         done += count
-        batch_index += 1
+    return counts
 
-    upper = oracle_clopper_pearson_upper(violations, samples, confidence)
+
+def oracle_mc_certify(
+    spec: SystemSpec, jcc, U, samples: int, seed: int, confidence: float = 0.99
+) -> McCertificate:
+    """``mc_certify`` from ``oracle_batch_violations``: look after each batch
+    at confidence 1 - level, where one look spends 1 - confidence and more
+    looks spend ``_MC_EARLY_SHARE`` of it equally before the last; stop at a
+    pass, or once the last look could not pass with no further violation."""
+    counts = oracle_batch_violations(spec, jcc, U, samples, seed)
+    budget, looks = 1.0 - confidence, len(counts)
+    levels = [budget]
+    if looks > 1:
+        levels = [budget * _MC_EARLY_SHARE / (looks - 1)] * (looks - 1) + [budget * (1.0 - _MC_EARLY_SHARE)]
+    alpha = float(jcc.alpha)
+    for look in range(1, looks + 1):
+        violations = sum(counts[:look])
+        used = min(look * _MC_BATCH, samples)
+        upper = oracle_clopper_pearson_upper(violations, used, 1.0 - levels[look - 1])
+        hopeless = oracle_clopper_pearson_upper(violations, samples, 1.0 - levels[-1]) > alpha
+        if upper <= alpha or hopeless:
+            break
     return McCertificate(
         samples=samples,
+        samples_used=used,
         violations=violations,
-        empirical_violation=violations / samples,
+        empirical_violation=violations / used,
         upper_ci_99=upper,
-        alpha=float(jcc.alpha),
-        passed=bool(upper <= jcc.alpha),
+        alpha=alpha,
+        passed=bool(upper <= alpha),
+        levels=tuple(levels[:look]),
     )

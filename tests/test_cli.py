@@ -197,6 +197,19 @@ class TestSweep:
         report = vpcc.SolveReport.from_json((tmp_path / "solo" / "report.json").read_text())
         assert float(cells[3]) == pytest.approx(report.objective, rel=1e-12)
 
+    def test_log_gives_the_mc_verdict_of_proposed_rows(self, two_bus_path, tmp_path):
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", two_bus_path, "--grid", "0.84,0.99", "--methods", "both", "--out", out]) == 0
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        lines = (tmp_path / "sweep" / "sweep.log").read_text().splitlines()
+        report = json.loads((tmp_path / "sweep" / "report_0.84_proposed.json").read_text())
+        assert lines[0].endswith(
+            f" mc_upper_ci={rows[0].split(',')[5]} mc_samples_used={report['mc']['samples_used']}"
+        )
+        assert lines[1].startswith("1-alpha=0.84 method=scenario") and "mc_" not in lines[1]
+        assert lines[2].startswith("1-alpha=0.99 method=proposed feasible=false")
+        assert lines[2].endswith(" mc_upper_ci= mc_samples_used=")
+
     def test_grid_point_below_validity_recorded_as_error(self, two_bus_path, tmp_path):
         out = str(tmp_path / "bad")
         assert main(["sweep", two_bus_path, "--grid", "0.5", "--methods", "proposed", "--out", out]) == 0

@@ -17,13 +17,15 @@ from vpcc.stochastics import (
     clopper_pearson_upper,
     constant,
     finite_support,
+    look_levels,
     mc_certify,
     sample,
+    sequential_verdict,
     weibull,
 )
 
 from conftest import deterministic_spec, mixed_family_spec, two_point_spec
-from mc_oracle import oracle_clopper_pearson_upper, oracle_mc_certify
+from mc_oracle import oracle_batch_violations, oracle_clopper_pearson_upper, oracle_mc_certify
 
 
 class TestRawMoments:
@@ -200,6 +202,102 @@ class TestClopperPearson:
             assert upper == pytest.approx(oracle_clopper_pearson_upper(v, samples, confidence), rel=1e-10)
             assert special.betainc(v + 1, samples - v, upper) == pytest.approx(confidence, rel=0, abs=1e-10)
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_confidence_outside_unit_interval_raises(self, confidence):
+        with pytest.raises(DomainError, match="confidence"):
+            clopper_pearson_upper(2, 10, confidence)
+
+
+class _NeedMore(Exception):
+    """Raised by ``_then_stop`` when a verdict asks for a count past its path."""
+
+
+def _then_stop(path):
+    yield from path
+    raise _NeedMore
+
+
+def _pass_probability(sizes, p: float, alpha: float, confidence: float) -> float:
+    """P(``sequential_verdict`` passes) when each trial violates independently
+    with probability p: binomial pmf summed over every count path that passes.
+    A look's verdict depends on the running count only, so the paths that
+    reach a look undecided with equal running counts share their future, and
+    each look keeps one representative path per running count."""
+    passed = 0.0
+    undecided = {0: (1.0, [])}  # running count -> (probability, a path to it)
+    for size in sizes:
+        pmf = [math.comb(size, c) * p**c * (1.0 - p) ** (size - c) for c in range(size + 1)]
+        grown: dict[int, tuple[float, list]] = {}
+        for total, (prob, path) in undecided.items():
+            for c in range(size + 1):
+                mass = grown.get(total + c, (0.0, None))[0]
+                grown[total + c] = (mass + prob * pmf[c], path + [c])
+        undecided = {}
+        for total, (prob, path) in grown.items():
+            try:
+                upper = sequential_verdict(_then_stop(path), sizes, alpha, confidence)[3]
+            except _NeedMore:
+                undecided[total] = (prob, path)
+                continue
+            if upper <= alpha:
+                passed += prob
+    assert not undecided  # the last look decides every path
+    return passed
+
+
+class TestSequentialVerdict:
+    @pytest.mark.parametrize("confidence", [0.9, 0.99])
+    @pytest.mark.parametrize("samples", [1, 40, 500])
+    def test_single_look_is_the_fixed_sample_test(self, samples, confidence):
+        for alpha in (0.05, 0.3):
+            for v in range(samples + 1):
+                upper = clopper_pearson_upper(v, samples, confidence)
+                assert sequential_verdict(iter([v]), [samples], alpha, confidence) == (
+                    v,
+                    samples,
+                    (1.0 - confidence,),
+                    upper,
+                )
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.99])
+    def test_levels_spend_the_budget(self, confidence):
+        assert look_levels(1, confidence) == (1.0 - confidence,)
+        for looks in range(2, 7):
+            levels = look_levels(looks, confidence)
+            assert len(levels) == looks and len(set(levels[:-1])) == 1
+            assert sum(levels[:-1]) == pytest.approx(0.1 * (1.0 - confidence), rel=1e-12)
+            assert sum(levels) == pytest.approx(1.0 - confidence, rel=1e-12)
+        early, last = look_levels(4, 0.99)[-2:]
+        assert 1.0 - early == pytest.approx(0.99967, abs=1e-5) and 1.0 - last == pytest.approx(0.991)
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.99])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.3])
+    def test_error_at_most_one_minus_confidence(self, alpha, confidence):
+        """Three looks of 40 trials at a true violation rate equal to alpha:
+        the exact probability of passing is at most 1 - confidence."""
+        sizes = [40, 40, 40]
+        error = _pass_probability(sizes, alpha, alpha, confidence)
+        assert 0.0 < error <= 1.0 - confidence
+        assert _pass_probability(sizes, alpha / 4, alpha, confidence) > error  # not vacuous
+
+    def test_pulls_no_count_after_the_deciding_look(self):
+        # 0 of 40 gives a bound 0.173 at 99.95%: a pass at the first look.
+        violations, used, levels, upper = sequential_verdict(_then_stop([0]), [40, 40, 40], 0.2)
+        assert (violations, used, levels) == (0, 40, look_levels(3, 0.99)[:1])
+        assert upper == pytest.approx(0.173, abs=1e-3)
+        # 30 of 40 already exceeds 0.2 over all 120 trials at 99.1%: curtailed.
+        violations, used, levels, upper = sequential_verdict(_then_stop([30]), [40, 40, 40], 0.2)
+        assert (violations, used, len(levels)) == (30, 40, 1) and upper > 0.2
+        with pytest.raises(_NeedMore):
+            sequential_verdict(_then_stop([8]), [40, 40, 40], 0.2)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
+    def test_confidence_outside_unit_interval_raises(self, confidence, two_bus_spec, two_bus_cfg):
+        with pytest.raises(DomainError, match="confidence"):
+            sequential_verdict(_then_stop([]), [40, 40], 0.2, confidence)
+        with pytest.raises(DomainError, match="confidence"):
+            mc_certify(two_bus_spec, two_bus_cfg.jcc(), np.array([600.0, 300.0]), 10**5, 0, confidence)
+
 
 def _toy_rowset(h1: float, h2: float, alpha: float = 0.1):
     rows = (
@@ -328,3 +426,40 @@ class TestAgainstOracle:
         fast = mc_certify(spec, jcc, U, samples=1000, seed=2)
         assert fast == oracle_mc_certify(spec, jcc, U, samples=1000, seed=2)
         assert fast.violations == expected
+
+    def test_multi_batch_run_reaches_its_last_look(self):
+        """alpha is the bound of the full run at the last look's level, so no
+        early look can curtail and the last look passes exactly at alpha."""
+        spec, samples = mixed_family_spec(), 2 * _MC_BATCH + 7
+        for seed in (3, 4):
+            counts = oracle_batch_violations(spec, _mixed_rowset(), _MIXED_U, samples, seed)
+            alpha = oracle_clopper_pearson_upper(sum(counts), samples, 1.0 - look_levels(3, 0.99)[-1])
+            jcc = vpcc.RowSet(_mixed_rowset().rows, alpha)
+            fast = mc_certify(spec, jcc, _MIXED_U, samples=samples, seed=seed)
+            assert fast == oracle_mc_certify(spec, jcc, _MIXED_U, samples=samples, seed=seed)
+            assert (fast.samples_used, len(fast.levels), fast.violations) == (samples, 3, sum(counts))
+            assert counts[-1] > 0 and fast.passed
+
+    def test_curtailed_run(self):
+        """Joint violations near 18% against alpha 0.05: after two of four
+        batches, even a clean second half could not pass at the last look."""
+        spec, jcc = mixed_family_spec(), vpcc.RowSet(_mixed_rowset().rows, 0.05)
+        for seed in (3, 4):
+            fast = mc_certify(spec, jcc, _MIXED_U, samples=4 * _MC_BATCH, seed=seed)
+            assert fast == oracle_mc_certify(spec, jcc, _MIXED_U, samples=4 * _MC_BATCH, seed=seed)
+            assert (fast.samples_used, len(fast.levels), fast.passed) == (2 * _MC_BATCH, 2, False)
+            assert clopper_pearson_upper(fast.violations, fast.samples, 1.0 - look_levels(4, 0.99)[-1]) > 0.05
+
+    def test_violations_count_the_first_samples_used(self, two_bus_spec, two_bus_cfg):
+        cases = [
+            (two_bus_spec, two_bus_cfg.jcc(), np.array(U), 10**5, seed)
+            for U in ((600.0, 300.0), (400.0, 300.0))
+            for seed in range(3)
+        ]
+        cases.append((mixed_family_spec(), vpcc.RowSet(_mixed_rowset().rows, 0.05), _MIXED_U, 4 * _MC_BATCH, 3))
+        for spec, jcc, inputs, samples, seed in cases:
+            cert = mc_certify(spec, jcc, inputs, samples=samples, seed=seed)
+            assert cert.samples_used < samples
+            prefix = oracle_batch_violations(spec, jcc, inputs, cert.samples_used, seed)
+            assert cert.violations == sum(prefix)
+            assert cert.empirical_violation == cert.violations / cert.samples_used
