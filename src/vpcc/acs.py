@@ -2,12 +2,13 @@
 
 The reformulated system couples the stacked input U to the multipliers
 lam through E_i(U) + lam_i * Std_i(U) <= h_i together with the budget
-sum 4 / (9 (lam_i^2 + 1)) <= alpha. Each slice is convex: for fixed
-multipliers the input step is a quadratic-objective SOCP, and for a fixed
-input the multipliers can be retightened row by row in closed form. The
-search alternates the two until the objective settles; any iterate is a
-certified conservative solution, so a budget-limited run can still return
-its best feasible iterate.
+sum VP.risk(lam_i) <= alpha; ``reformulate.VP``, the tail-bound record,
+gives each row's risk, its inverse and slope, and the multiplier floor.
+Each slice is convex: for fixed multipliers the input step is a
+quadratic-objective SOCP, and for a fixed input the multipliers can be
+retightened row by row in closed form. The search alternates the two until
+the objective settles; any iterate is a certified conservative solution, so
+a budget-limited run can still return its best feasible iterate.
 
 Multiplier step policies:
 
@@ -18,9 +19,9 @@ Multiplier step policies:
 
 ``uniform-relax`` (default)
     after tightening, surplus budget alpha - sum(risk) is redistributed by
-    scaling every row risk proportionally (capped so multipliers stay above
-    the sqrt(5/3) floor). Lower multipliers loosen the next input step while
-    the budget stays exactly met.
+    scaling every row risk proportionally (capped at VP.risk_cap so
+    multipliers stay at or above VP.floor). Lower multipliers loosen the
+    next input step while the budget stays exactly met.
 
 Both policies start from one tightening pass (``tighten``), which also
 feeds the restoration below: it gives every row's tight multiplier, ratio
@@ -31,9 +32,9 @@ is not (tight budgets want very uneven allocations). When the first input
 step fails, a restoration phase runs: first a floor-multiplier margin solve,
 which yields a sound infeasibility verdict whenever it fails since no
 admissible multiplier is smaller; then a few rounds of convex risk descent
-(gradient-weighted margin minimisation) until the tightened allocation fits
-the budget. If the minimal found risk still exceeds alpha the run reports
-infeasibility.
+(margin minimisation, each row weighted by VP.slope / Std) until the
+tightened allocation fits the budget. If the minimal found risk still
+exceeds alpha the run reports infeasibility.
 """
 
 from __future__ import annotations
@@ -49,17 +50,14 @@ from .conic import ConicProgram, SocRow, SolverOptions, SolverOutcome
 from .errors import AllocationInfeasible, DomainError
 from .moments import SystemSpec
 from .reformulate import (
-    LAMBDA_FLOOR,
-    LAMBDA_MARGIN,
     LAMBDA_MAX,
     STD_ZERO,
+    VP,
     JointChanceConstraint,
     ReformulatedConstraint,
     RiskAllocation,
     build_reformulation,
     check_feasibility,
-    risk_to_lambda,
-    vp_bound,
 )
 from .report import (
     STATUS_ERROR,
@@ -159,7 +157,7 @@ def init_lambdas(jcc: JointChanceConstraint, policy: str = "uniform-risk", user:
             raise DomainError("user-supplied policy needs explicit multipliers")
         return RiskAllocation(jcc.alpha, dict(user))
     omega = jcc.alpha / len(jcc.rows)
-    lam = risk_to_lambda(omega)
+    lam = VP.lam(omega)
     return RiskAllocation(jcc.alpha, {row.id: lam for row in jcc.rows})
 
 
@@ -173,7 +171,7 @@ def tighten(rows: list[ReformulatedConstraint], U: np.ndarray) -> tuple[dict, li
     next input step sound. ``ratios`` and ``stds`` give every row's
     (h - E) / Std (math.inf where Std vanishes) and Std in row order.
     ``violated`` lists the rows U cannot certify: a margin that fails
-    outright or a ratio below the sqrt(5/3) floor.
+    outright or a ratio that VP does not admit.
     """
     tight: dict[str, float] = {}
     ratios, stds, violated = [], [], []
@@ -191,7 +189,7 @@ def tighten(rows: list[ReformulatedConstraint], U: np.ndarray) -> tuple[dict, li
             continue
         ratio = (rc.h - mean) / std
         ratios.append(ratio)
-        if ratio < LAMBDA_FLOOR + LAMBDA_MARGIN:
+        if not VP.admits(ratio):
             violated.append(rc.id)
         else:
             tight[rc.id] = min(ratio, LAMBDA_MAX)
@@ -207,8 +205,8 @@ def lambda_step(
     """Retighten multipliers for a fixed input, then optionally relax.
 
     Raises AllocationInfeasible when the input cannot be certified: a row
-    margin fails outright, a tight multiplier falls below the sqrt(5/3)
-    floor, or the tightened risks already exceed the budget.
+    margin fails outright, a tight multiplier falls below VP.floor, or the
+    tightened risks already exceed the budget.
     """
     tight, _, _, violated = tighten(rows, U)
     alloc = RiskAllocation(alpha, tight)
@@ -229,14 +227,9 @@ def lambda_step(
     scale = alpha / risk_sum
     if scale <= 1.0:
         return alloc
-    omega_cap = vp_bound(LAMBDA_FLOOR + LAMBDA_MARGIN)
-    relaxed = {}
-    for rid, lam in tight.items():
-        if math.isinf(lam):
-            relaxed[rid] = lam
-            continue
-        omega = min(vp_bound(lam) * scale, omega_cap)
-        relaxed[rid] = risk_to_lambda(omega)
+    relaxed = {
+        rid: lam if math.isinf(lam) else VP.lam(min(VP.risk(lam) * scale, VP.risk_cap)) for rid, lam in tight.items()
+    }
     return RiskAllocation(alpha, relaxed)
 
 
@@ -322,7 +315,7 @@ def _floor_margin_solve(spec: SystemSpec, rows, opts: SolverOptions):
     A_ext = np.vstack([A_ext, guard])
     b_ext = np.concatenate([b_u, [cap]])
 
-    soc = tuple(_cone_row(rc, LAMBDA_FLOOR + LAMBDA_MARGIN, extra=[-1.0]) for rc in rows)
+    soc = tuple(_cone_row(rc, VP.floor, extra=[-1.0]) for rc in rows)
     c = np.zeros(d + 1)
     c[d] = 1.0
     program = ConicProgram(P=np.zeros((d + 1, d + 1)), c=c, A_u=A_ext, b_u=b_ext, soc=soc)
@@ -351,7 +344,7 @@ def _risk_descent_program(spec, rows, ratios, weights, opts):
     A_ext = np.hstack([A_u, np.zeros((A_u.shape[0], len(epis)))])
     soc = []
     for i, rc in enumerate(rows):
-        soc.append(_cone_row(rc, LAMBDA_FLOOR + LAMBDA_MARGIN, extra=np.zeros(len(epis))))
+        soc.append(_cone_row(rc, VP.floor, extra=np.zeros(len(epis))))
         if i in pos:
             # ||(L' U + v ; sqrt(s))|| <= tau_i
             tau = np.zeros(len(epis))
@@ -395,12 +388,11 @@ def _restore_allocation(spec, rows, alpha, config: AcsConfig) -> tuple[RiskAlloc
 
     # Descend the tightened total risk to (a local) minimum before handing
     # over, so the relaxed allocation starts with maximal surplus budget.
-    floor = LAMBDA_FLOOR + LAMBDA_MARGIN
     risk, ratios, stds = _tight_risk(rows, U, alpha)
     for rounds in range(1, config.restoration_rounds + 1):
-        clipped = [0.0 if math.isinf(t) else max(t, floor) for t in ratios]
+        clipped = [0.0 if math.isinf(t) else max(t, VP.floor) for t in ratios]
         weights = [
-            0.0 if math.isinf(ratio) else 8.0 * t / (9.0 * (t * t + 1.0) ** 2) / std
+            0.0 if math.isinf(ratio) else VP.slope(t) / std
             for ratio, t, std in zip(ratios, clipped, stds)
         ]
         top = max(weights, default=0.0)

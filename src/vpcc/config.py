@@ -16,7 +16,8 @@ Schema 1 layout (matrices are row-major nested lists):
 
 Each method block is optional and holds:
   "acs":      the fields of ``acs.AcsConfig`` (policies as strings,
-              "user_lambdas" an object of numbers, "max_outer_iters" and
+              "user_lambdas" an object mapping each expanded row id
+              "<id>@k<k>" to an admissible multiplier, "max_outer_iters" and
               "restoration_rounds" positive integers, "restoration" a
               boolean, tolerances numbers), with "solver" an object of
               ``conic.SolverOptions`` fields ("tol" a number, "max_iter"
@@ -51,7 +52,7 @@ from .acs import AcsConfig, Cost
 from .conic import SolverOptions
 from .errors import ConfigError, DomainError
 from .moments import RandomMatrixModel, SystemSpec
-from .reformulate import ALPHA_MAX, ConstraintRow, JointChanceConstraint, RowSet
+from .reformulate import VP, ConstraintRow, JointChanceConstraint, RowSet
 from .scenario import ScenarioConfig
 from .stochastics import FAMILIES, DistributionSpec
 
@@ -169,13 +170,11 @@ class ProblemConfig:
         return RowSet(tuple(self.constraint_rows()), self.alpha)
 
     def jcc(self) -> JointChanceConstraint:
-        if self.alpha >= ALPHA_MAX:
-            raise ConfigError(
-                "constraints.alpha",
-                f"alpha = {self.alpha!r} requires multipliers below the sqrt(5/3) floor; "
-                "the reformulation needs alpha < 1/6",
-            )
-        return JointChanceConstraint(tuple(self.constraint_rows()), self.alpha)
+        rows = tuple(self.constraint_rows())
+        try:
+            return JointChanceConstraint(rows, self.alpha)
+        except DomainError as exc:
+            raise ConfigError("constraints.alpha", str(exc)) from None
 
     def cost(self) -> Cost:
         return Cost(self.cost_quadratic, self.cost_linear)
@@ -362,6 +361,8 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
         scenario_options=scenario_options,
         mc_options=mc_options,
     )
+    if user_lambdas:
+        _user_lambdas(user_lambdas, [row.id for row in cfg.constraint_rows()])
     try:
         cfg.acs_config()
         cfg.scenario_config()
@@ -384,6 +385,18 @@ def _counts(options, path, *keys):
         value = options.get(key, 1)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{path}.{key}", f"expected a positive integer, got {value!r}")
+
+
+def _user_lambdas(lambdas, row_ids):
+    """Initial multipliers name exactly the expanded rows, each admissible."""
+    path = "methods.acs.user_lambdas"
+    missing = [r for r in row_ids if r not in lambdas]
+    unknown = [r for r in lambdas if r not in row_ids]
+    if missing or unknown:
+        raise ConfigError(path, f"keys must be the expanded row ids; missing {missing}, unknown {unknown}")
+    for rid, lam in lambdas.items():
+        if not VP.admits(lam):
+            raise ConfigError(path, f"{rid} = {lam!r} is not an admissible multiplier (Infinity or >= {VP.floor!r})")
 
 
 def _parse_grid(grid, path, n):

@@ -7,9 +7,11 @@ Vysochanskij-Petunin inequality: for a unimodal variate and lam > sqrt(5/3),
     P(x - E[x] >= lam * Std[x]) <= 4 / (9 (lam^2 + 1)).
 
 Enforcing E + lam * Std <= h per row and sum of the per-row bounds <= alpha
-therefore certifies the joint constraint. The bound's domain forces
-alpha < 1/6, and the mapping between a row-risk budget omega and its
-multiplier is the closed form lam = sqrt(4 / (9 omega) - 1).
+therefore certifies the joint constraint. The record ``VP`` (a ``TailBound``)
+is the one statement of this bound that the other modules read: the risk of
+a multiplier, its inverse lam = sqrt(4 / (9 omega) - 1), the risk's slope,
+the admissible floor, and the budget cap alpha < 1/6 the bound's domain
+forces.
 
 Marginal unimodality of every row is an assumption the caller attests to;
 it is deliberately never inferred here, since verifying unimodality through
@@ -19,7 +21,7 @@ products of random matrices is hard and a silent guess would be unsound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,38 +29,67 @@ from .errors import DomainError
 from .moments import ConstraintMoments, SystemSpec, constraint_moments
 
 LAMBDA_FLOOR = math.sqrt(5.0 / 3.0)
-LAMBDA_MARGIN = 1e-9  # the floor is an exclusive bound; stay this far above it
-LAMBDA_MAX = 1e6  # cap for tight multipliers; vp_bound(1e6) ~ 4.4e-13
+LAMBDA_MAX = 1e6  # cap for tight multipliers; VP.risk(1e6) ~ 4.4e-13
 STD_ZERO = 1e-12  # a row deviation at or below this counts as vanished
-ALPHA_MAX = 1.0 / 6.0
 
 
-def vp_bound(lam: float) -> float:
-    """One-sided Vysochanskij-Petunin tail bound 4 / (9 (lam^2 + 1)).
+@dataclass(frozen=True)
+class TailBound:
+    """One-sided tail bound P(x - E[x] >= lam * Std[x]) <= num / (den (lam^2 + 1)).
 
-    Valid only strictly above sqrt(5/3); at the boundary the bound equals
-    1/6, which is why risk budgets must satisfy alpha < 1/6.
+    The bound holds strictly above the multiplier ``edge`` (``edge_text`` in
+    messages), so finite multipliers start a margin above it at ``floor``,
+    where the row risk reaches ``risk_cap``; math.inf carries zero risk.
+    Joint budgets must stay below ``alpha_max`` (``alpha_text``).
     """
-    if not lam >= LAMBDA_FLOOR + LAMBDA_MARGIN:
-        raise DomainError(
-            f"multiplier must exceed sqrt(5/3) = {LAMBDA_FLOOR:.12f} (margin {LAMBDA_MARGIN:g}); got {lam!r}"
-        )
-    if math.isinf(lam):
-        return 0.0
-    return 4.0 / (9.0 * (lam * lam + 1.0))
+
+    num: float
+    den: float
+    edge: float
+    edge_text: str
+    floor: float
+    alpha_max: float
+    alpha_text: str
+    risk_cap: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "risk_cap", self.risk(self.floor))
+
+    def admits(self, lam: float) -> bool:
+        """math.inf or at least the floor; NaN is not admitted."""
+        return lam >= self.floor
+
+    def risk(self, lam: float) -> float:
+        """The row risk of an admitted multiplier; math.inf gives exactly 0.0."""
+        if not self.admits(lam):
+            raise DomainError(
+                f"multiplier must exceed {self.edge_text} = {self.edge:.12f} (margin {self.floor - self.edge:g}); got {lam!r}"
+            )
+        return self.num / (self.den * (lam * lam + 1.0))
+
+    def lam(self, risk: float) -> float:
+        """Inverse of ``risk``: lam = sqrt(num / (den risk) - 1)."""
+        if not (0.0 < risk < self.alpha_max):
+            raise DomainError(f"row risk must lie in (0, {self.alpha_text}), got {risk!r}")
+        lam = math.sqrt(self.num / (self.den * risk) - 1.0)
+        if lam < self.floor:
+            raise DomainError(
+                f"row risk {risk!r} is too close to {self.alpha_text}; the implied multiplier {lam!r} "
+                f"falls below the exclusive floor {self.edge_text}"
+            )
+        return lam
+
+    def slope(self, lam: float) -> float:
+        """-d risk / d lam at a finite multiplier."""
+        return 2.0 * self.num * lam / (self.den * (lam * lam + 1.0) ** 2)
 
 
-def risk_to_lambda(omega: float) -> float:
-    """Inverse of ``vp_bound``: lam = sqrt(4 / (9 omega) - 1)."""
-    if not (0.0 < omega < ALPHA_MAX):
-        raise DomainError(f"row risk must lie in (0, 1/6), got {omega!r}")
-    lam = math.sqrt(4.0 / (9.0 * omega) - 1.0)
-    if lam < LAMBDA_FLOOR + LAMBDA_MARGIN:
-        raise DomainError(
-            f"row risk {omega!r} is too close to 1/6; the implied multiplier {lam!r} "
-            f"falls below the exclusive floor sqrt(5/3)"
-        )
-    return lam
+# One-sided Vysochanskij-Petunin: at the edge the bound equals 1/6, which is
+# why joint budgets must satisfy alpha < 1/6. The floor stays 1e-9 above the
+# exclusive edge.
+VP = TailBound(4.0, 9.0, LAMBDA_FLOOR, "sqrt(5/3)", LAMBDA_FLOOR + 1e-9, 1.0 / 6.0, "1/6")
+vp_bound = VP.risk
+risk_to_lambda = VP.lam
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +136,14 @@ class RowSet:
 
 @dataclass(frozen=True)
 class JointChanceConstraint(RowSet):
-    """RowSet with alpha restricted to the tail bound's domain (0, 1/6)."""
+    """RowSet with alpha restricted to the tail bound's domain (0, VP.alpha_max)."""
 
     def __post_init__(self):
         super().__post_init__()
-        if self.alpha >= ALPHA_MAX:
+        if self.alpha >= VP.alpha_max:
             raise DomainError(
                 f"alpha = {self.alpha!r} is not allowed: the one-sided tail bound requires "
-                f"multipliers above sqrt(5/3), i.e. alpha < 1/6"
+                f"multipliers above {VP.edge_text}, i.e. alpha < {VP.alpha_text}"
             )
 
 
@@ -135,8 +166,7 @@ class RiskAllocation:
         return self.lambdas[row_id]
 
     def risk(self, row_id: str) -> float:
-        lam = self.lambdas[row_id]
-        return 0.0 if math.isinf(lam) else vp_bound(lam)
+        return VP.risk(self.lambdas[row_id])
 
     @property
     def risks(self) -> dict:
@@ -147,10 +177,7 @@ class RiskAllocation:
         return sum(self.risks.values())
 
     def valid(self, tol: float = 0.0) -> bool:
-        floors = all(
-            math.isinf(lam) or lam >= LAMBDA_FLOOR + LAMBDA_MARGIN for lam in self.lambdas.values()
-        )
-        return floors and self.risk_sum <= self.alpha + tol
+        return all(map(VP.admits, self.lambdas.values())) and self.risk_sum <= self.alpha + tol
 
 
 @dataclass(frozen=True)
@@ -186,7 +213,7 @@ def build_reformulation(spec: SystemSpec, jcc: RowSet) -> list[ReformulatedConst
     """Attach exact moments to every row of the joint constraint.
 
     The resulting system { E_i + lam_i * Std_i <= h_i for all rows,
-    sum of vp_bound(lam_i) <= alpha } conservatively enforces the joint
+    sum of VP.risk(lam_i) <= alpha } conservatively enforces the joint
     chance constraint for any multipliers above the floor, provided the
     caller attests marginal unimodality of every row.
     """
@@ -230,8 +257,8 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Verify E + lam * Std <= h per row and the risk-budget sum, within tol.
 
-    The verdict is also invalid when any finite multiplier sits below the
-    exclusive floor sqrt(5/3), since the tail bound says nothing there.
+    The verdict is also invalid when any multiplier is one ``VP`` does not
+    admit, since the tail bound says nothing there.
     """
     if tol < 0:
         raise DomainError("tolerance must be nonnegative")
@@ -241,13 +268,10 @@ def check_feasibility(
     for rc in rows:
         lam = lambdas.lam(rc.id)
         std = rc.std(U)
-        if math.isinf(lam):
-            if std > STD_ZERO:
-                lambdas_ok = False
-        elif not lam >= LAMBDA_FLOOR + LAMBDA_MARGIN:
+        if not VP.admits(lam) or (math.isinf(lam) and std > STD_ZERO):
             lambdas_ok = False
         else:
-            risk_sum += vp_bound(lam)
+            risk_sum += VP.risk(lam)
         slacks[rc.id] = rc.slack(U, lam)
     min_slack = min(slacks.values())
     scale = max(1.0, max(abs(rc.h) for rc in rows))

@@ -358,6 +358,9 @@ MALFORMED = {
     "row-k-bool": ("row", {"k": True}, "constraints.rows[0].k", "proposed"),
     "acs-not-object": ("acs", 5, "methods.acs", "proposed"),
     "user-lambda-string": ("acs", {"lambda_init_policy": "user-supplied", "user_lambdas": {"end@k2": "x"}}, "methods.acs.user_lambdas", "proposed"),
+    "user-lambda-missing-row": ("lambdas", {"end@k2": 3.0}, "methods.acs.user_lambdas", "proposed"),
+    "user-lambda-unknown-row": ("lambdas", {"end@k1": 3.0, "end@k2": 3.0, "nope": 5.0}, "methods.acs.user_lambdas", "proposed"),
+    "user-lambda-below-floor": ("lambdas", {"end@k1": 3.0, "end@k2": 1.0}, "methods.acs.user_lambdas", "proposed"),
     "acs-iters-fraction": ("acs", {"max_outer_iters": 2.5}, "methods.acs.max_outer_iters", "proposed"),
     "solver-iters-fraction": ("acs", {"solver": {"max_iter": 2.5}}, "methods.acs.solver.max_iter", "proposed"),
     "mc-samples-string": ("mc", {"samples": "many"}, "methods.mc.samples", "proposed"),
@@ -394,6 +397,10 @@ class TestMalformedOptions:
             data[where].update(value)
         elif where == "row":
             data["constraints"]["rows"][0].update(value)
+        elif where == "lambdas":
+            # The row expands to end@k1 and end@k2.
+            data["constraints"]["rows"][0]["k"] = "all"
+            data["methods"]["acs"] = {"lambda_init_policy": "user-supplied", "user_lambdas": value}
         else:
             data["methods"][where] = value
         path = write_config(tmp_path, data)
@@ -401,6 +408,12 @@ class TestMalformedOptions:
         assert f"config error at {field}:" in capsys.readouterr().err
         assert main(["solve", path, "--method", method, "--out", str(tmp_path)]) == 1
         assert f"config error at {field}:" in capsys.readouterr().err
+
+    def test_user_lambdas_over_expanded_rows_accepted(self, tmp_path):
+        data = scalar_toy_config()
+        data["constraints"]["rows"][0]["k"] = "all"
+        data["methods"]["acs"] = {"lambda_init_policy": "user-supplied", "user_lambdas": {"end@k1": 3.0, "end@k2": 2}}
+        assert main(["validate", write_config(tmp_path, data)]) == 0
 
     def test_null_sample_count_accepted(self, tmp_path):
         data = scalar_toy_config()

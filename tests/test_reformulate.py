@@ -11,6 +11,7 @@ import vpcc
 from vpcc.errors import DomainError
 from vpcc.reformulate import (
     LAMBDA_FLOOR,
+    VP,
     JointChanceConstraint,
     RiskAllocation,
     RowSet,
@@ -78,6 +79,34 @@ class TestRiskToLambda:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_from_risk(self, omega):
         assert vp_bound(risk_to_lambda(omega)) == pytest.approx(omega, rel=1e-12)
+
+
+class TestTailBound:
+    GRID = np.geomspace(VP.floor, 1e3, 400)
+
+    def test_slope_is_the_hand_derived_weight(self):
+        for t in self.GRID.tolist():
+            assert VP.slope(t) == 8.0 * t / (9.0 * (t * t + 1.0) ** 2)
+
+    def test_slope_matches_central_difference(self):
+        for lam in self.GRID[1:]:
+            h = 1e-5 * lam
+            diff = (VP.risk(lam - h) - VP.risk(lam + h)) / (2.0 * h)
+            assert VP.slope(lam) == pytest.approx(diff, rel=1e-7)
+
+    def test_floor_and_cap_are_inverse(self):
+        assert VP.floor == LAMBDA_FLOOR + 1e-9
+        assert VP.risk_cap == VP.risk(VP.floor)
+        assert VP.lam(VP.risk_cap) == VP.floor
+
+    def test_infinite_multiplier_carries_no_risk(self):
+        assert VP.risk(math.inf) == 0.0
+        assert VP.admits(math.inf)
+
+    def test_admits(self):
+        assert VP.admits(VP.floor)
+        for lam in (LAMBDA_FLOOR, math.nan, -math.inf, 1.0):
+            assert not VP.admits(lam)
 
 
 class TestContainers:
