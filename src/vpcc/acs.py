@@ -277,7 +277,7 @@ def build_input_program(
     for rc in rows:
         lam = lambdas.lam(rc.id)
         if math.isinf(lam) and not rc.moments.structurally_deterministic:
-            raise DomainError(f"row {rc.id}: infinite multiplier on a row with input-dependent deviation")
+            raise DomainError(f"row {rc.id}: infinite multiplier on a random row")
         soc.append(_cone_row(rc, lam))
     return ConicProgram(P=P, c=c, A_u=A_u, b_u=b_u, soc=tuple(soc))
 

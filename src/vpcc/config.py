@@ -17,7 +17,8 @@ Schema 1 layout (matrices are row-major nested lists):
 Each method block is optional and holds:
   "acs":      the fields of ``acs.AcsConfig`` (policies as strings,
               "user_lambdas" an object mapping each expanded row id
-              "<id>@k<k>" to an admissible multiplier, "max_outer_iters" and
+              "<id>@k<k>" to an admissible multiplier, Infinity only for a
+              structurally deterministic row, "max_outer_iters" and
               "restoration_rounds" positive integers, "restoration" a
               boolean, tolerances numbers), with "solver" an object of
               ``conic.SolverOptions`` fields ("tol" a number, "max_iter"
@@ -43,6 +44,7 @@ unimodality of every constraint row) that cannot be machine-checked.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -51,7 +53,7 @@ import numpy as np
 from .acs import AcsConfig, Cost
 from .conic import SolverOptions
 from .errors import ConfigError, DomainError
-from .moments import RandomMatrixModel, SystemSpec
+from .moments import RandomMatrixModel, SystemSpec, constraint_moments
 from .reformulate import VP, ConstraintRow, JointChanceConstraint, RowSet
 from .scenario import ScenarioConfig
 from .stochastics import FAMILIES, DistributionSpec
@@ -362,7 +364,7 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
         mc_options=mc_options,
     )
     if user_lambdas:
-        _user_lambdas(user_lambdas, [row.id for row in cfg.constraint_rows()])
+        _user_lambdas(user_lambdas, cfg)
     try:
         cfg.acs_config()
         cfg.scenario_config()
@@ -387,9 +389,14 @@ def _counts(options, path, *keys):
             raise ConfigError(f"{path}.{key}", f"expected a positive integer, got {value!r}")
 
 
-def _user_lambdas(lambdas, row_ids):
-    """Initial multipliers name exactly the expanded rows, each admissible."""
+def _user_lambdas(lambdas, cfg):
+    """Initial multipliers name exactly the expanded rows, each admissible;
+    Infinity only on a structurally deterministic row, since a random row's
+    deviation is never identically zero and an infinite multiplier on it can
+    never hold."""
     path = "methods.acs.user_lambdas"
+    rows = cfg.constraint_rows()
+    row_ids = [row.id for row in rows]
     missing = [r for r in row_ids if r not in lambdas]
     unknown = [r for r in lambdas if r not in row_ids]
     if missing or unknown:
@@ -397,6 +404,10 @@ def _user_lambdas(lambdas, row_ids):
     for rid, lam in lambdas.items():
         if not VP.admits(lam):
             raise ConfigError(path, f"{rid} = {lam!r} is not an admissible multiplier (Infinity or >= {VP.floor!r})")
+    spec = cfg.system_spec()
+    for row in rows:
+        if math.isinf(lambdas[row.id]) and not constraint_moments(spec, row.G, row.k).structurally_deterministic:
+            raise ConfigError(path, f"{row.id} = inf on a random row: its deviation is not identically zero")
 
 
 def _parse_grid(grid, path, n):

@@ -9,7 +9,9 @@ sampled matrix, with no split of A(t) into a deterministic part and random
 entries. It follows the stream contract stated in ``vpcc.stochastics``, so
 it must count the same violations as ``vpcc.stochastics.mc_certify``. It
 counts every batch of the full run, then applies the look schedule stated in
-the ``vpcc.stochastics`` docstring to those counts. Its bounds come from
+the ``vpcc.stochastics`` docstring to those counts. The batch sizes and the
+early looks' share are restated here, not imported, so a change to either in
+the library shows as a mismatch. Its bounds come from
 ``oracle_clopper_pearson_upper``, the Beta quantile by
 ``scipy.stats.beta.ppf``, which the program no longer imports, so it checks
 ``clopper_pearson_upper`` (``scipy.special.betaincinv``) independently.
@@ -22,9 +24,13 @@ from scipy import stats
 
 from vpcc.errors import DomainError, SamplerMissing
 from vpcc.moments import RandomMatrixModel, SystemSpec
-from vpcc.stochastics import _MC_BATCH, _MC_EARLY_SHARE, McCertificate
+from vpcc.stochastics import McCertificate
 
 from scenario_oracle import oracle_variate
+
+# Batch b holds min(4096 * 2**b, 32768, samples left) trajectories; the early
+# looks of a multi-batch run share one tenth of 1 - confidence.
+FIRST_BATCH, MAX_BATCH, EARLY_SHARE = 4096, 32768, 0.1
 
 
 def oracle_clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.99) -> float:
@@ -67,7 +73,7 @@ def oracle_batch_violations(spec: SystemSpec, jcc, U, samples: int, seed: int) -
     counts = []
     done = 0
     while done < samples:
-        count = min(_MC_BATCH, samples - done)
+        count = min(FIRST_BATCH * 2 ** len(counts), MAX_BATCH, samples - done)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(counts),)))
         violated = np.zeros(count, dtype=bool)
         x = np.broadcast_to(spec.x0, (count, spec.n)).copy()
@@ -86,17 +92,17 @@ def oracle_mc_certify(
 ) -> McCertificate:
     """``mc_certify`` from ``oracle_batch_violations``: look after each batch
     at confidence 1 - level, where one look spends 1 - confidence and more
-    looks spend ``_MC_EARLY_SHARE`` of it equally before the last; stop at a
+    looks spend ``EARLY_SHARE`` of it equally before the last; stop at a
     pass, or once the last look could not pass with no further violation."""
     counts = oracle_batch_violations(spec, jcc, U, samples, seed)
     budget, looks = 1.0 - confidence, len(counts)
     levels = [budget]
     if looks > 1:
-        levels = [budget * _MC_EARLY_SHARE / (looks - 1)] * (looks - 1) + [budget * (1.0 - _MC_EARLY_SHARE)]
+        levels = [budget * EARLY_SHARE / (looks - 1)] * (looks - 1) + [budget * (1.0 - EARLY_SHARE)]
     alpha = float(jcc.alpha)
     for look in range(1, looks + 1):
         violations = sum(counts[:look])
-        used = min(look * _MC_BATCH, samples)
+        used = min(sum(min(FIRST_BATCH * 2**b, MAX_BATCH) for b in range(look)), samples)
         upper = oracle_clopper_pearson_upper(violations, used, 1.0 - levels[look - 1])
         hopeless = oracle_clopper_pearson_upper(violations, samples, 1.0 - levels[-1]) > alpha
         if upper <= alpha or hopeless:

@@ -1,6 +1,7 @@
 """Command-line front door: exit codes, artifacts, config round trips."""
 
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -361,6 +362,7 @@ MALFORMED = {
     "user-lambda-missing-row": ("lambdas", {"end@k2": 3.0}, "methods.acs.user_lambdas", "proposed"),
     "user-lambda-unknown-row": ("lambdas", {"end@k1": 3.0, "end@k2": 3.0, "nope": 5.0}, "methods.acs.user_lambdas", "proposed"),
     "user-lambda-below-floor": ("lambdas", {"end@k1": 3.0, "end@k2": 1.0}, "methods.acs.user_lambdas", "proposed"),
+    "user-lambda-infinite-random": ("lambdas", {"end@k1": math.inf, "end@k2": 3.0}, "methods.acs.user_lambdas", "proposed"),
     "acs-iters-fraction": ("acs", {"max_outer_iters": 2.5}, "methods.acs.max_outer_iters", "proposed"),
     "solver-iters-fraction": ("acs", {"solver": {"max_iter": 2.5}}, "methods.acs.solver.max_iter", "proposed"),
     "mc-samples-string": ("mc", {"samples": "many"}, "methods.mc.samples", "proposed"),
@@ -414,6 +416,24 @@ class TestMalformedOptions:
         data["constraints"]["rows"][0]["k"] = "all"
         data["methods"]["acs"] = {"lambda_init_policy": "user-supplied", "user_lambdas": {"end@k1": 3.0, "end@k2": 2}}
         assert main(["validate", write_config(tmp_path, data)]) == 0
+
+    def test_infinite_multiplier_only_on_a_deterministic_row(self, tmp_path, capsys):
+        """A(0) is fixed and A(1) random, so end@k1 is deterministic and end@k2 random."""
+        data = scalar_toy_config()
+        data["system"]["A"] = {"per_step": [[[0.5]], data["system"]["A"]["all"]]}
+        data["constraints"]["rows"][0]["k"] = "all"
+        data["methods"]["acs"] = {"lambda_init_policy": "user-supplied", "user_lambdas": {"end@k1": math.inf, "end@k2": 3.0}}
+        path = write_config(tmp_path, data)
+        assert main(["validate", path]) == 0
+        assert main(["solve", path, "--method", "proposed", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["inputs"]["methods"]["acs"]["user_lambdas"] == {"end@k1": "inf", "end@k2": 3.0}
+        data["methods"]["acs"]["user_lambdas"] = {"end@k1": 3.0, "end@k2": math.inf}
+        path = write_config(tmp_path, data, "random.json")
+        capsys.readouterr()
+        for argv in (["validate", path], ["solve", path, "--method", "proposed", "--out", str(tmp_path)]):
+            assert main(argv) == 1
+            assert "config error at methods.acs.user_lambdas: end@k2 = inf on a random row" in capsys.readouterr().err
 
     def test_null_sample_count_accepted(self, tmp_path):
         data = scalar_toy_config()

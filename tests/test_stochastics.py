@@ -11,7 +11,9 @@ from vpcc.errors import DomainError, MomentUndefined, SamplerMissing
 from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
 from vpcc.stochastics import (
     _MC_BATCH,
+    _MC_FIRST_BATCH,
     DistributionSpec,
+    _batch_sizes,
     beta_dist,
     child_streams,
     clopper_pearson_upper,
@@ -269,16 +271,19 @@ class TestSequentialVerdict:
             assert sum(levels) == pytest.approx(1.0 - confidence, rel=1e-12)
         early, last = look_levels(4, 0.99)[-2:]
         assert 1.0 - early == pytest.approx(0.99967, abs=1e-5) and 1.0 - last == pytest.approx(0.991)
+        early, last = look_levels(6, 0.99)[-2:]  # a 1e5-sample run
+        assert 1.0 - early == pytest.approx(0.9998, abs=1e-12) and 1.0 - last == pytest.approx(0.991)
 
     @pytest.mark.parametrize("confidence", [0.9, 0.99])
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.3])
     def test_error_at_most_one_minus_confidence(self, alpha, confidence):
-        """Three looks of 40 trials at a true violation rate equal to alpha:
-        the exact probability of passing is at most 1 - confidence."""
-        sizes = [40, 40, 40]
-        error = _pass_probability(sizes, alpha, alpha, confidence)
-        assert 0.0 < error <= 1.0 - confidence
-        assert _pass_probability(sizes, alpha / 4, alpha, confidence) > error  # not vacuous
+        """Three looks of 40 trials, looks after doubling batches, and the six
+        looks of a 1e5 run scaled down by 128, at a true violation rate equal
+        to alpha: the exact probability of passing is at most 1 - confidence."""
+        for sizes in ([40, 40, 40], [40, 80, 160], [32, 64, 128, 256, 256, 45]):
+            error = _pass_probability(sizes, alpha, alpha, confidence)
+            assert 0.0 < error <= 1.0 - confidence, sizes
+            assert _pass_probability(sizes, alpha / 4, alpha, confidence) > error, sizes  # not vacuous
 
     def test_pulls_no_count_after_the_deciding_look(self):
         # 0 of 40 gives a bound 0.173 at 99.95%: a pass at the first look.
@@ -340,6 +345,13 @@ class TestMcCertify:
             results.append(cert.empirical_violation)
         assert results[0] >= results[1] >= results[2]
 
+    def test_batch_schedule(self):
+        """Batches double from 4096 trajectories up to 32768; the last holds
+        what is left."""
+        assert _batch_sizes(1) == [1] and _batch_sizes(4096) == [4096]
+        assert _batch_sizes(20000) == [4096, 8192, 7712]
+        assert _batch_sizes(10**5) == [4096, 8192, 16384, 32768, 32768, 5792]
+
     def test_sampler_missing(self):
         entry = RandomEntry("distributional", 1.0, 1.0, dist=None)
         spec = SystemSpec(
@@ -393,10 +405,15 @@ class TestAgainstOracle:
             slow = oracle_mc_certify(two_bus_spec, jcc, np.array(U), samples=10**5, seed=seed)
             assert fast == slow
 
-    @pytest.mark.parametrize("samples", [1, _MC_BATCH, _MC_BATCH + 1, 2 * _MC_BATCH + 7])
+    @pytest.mark.parametrize(
+        "samples",
+        [1, _MC_FIRST_BATCH, _MC_FIRST_BATCH + 1, 3 * _MC_FIRST_BATCH + 7, _MC_BATCH, _MC_BATCH + 1, 2 * _MC_BATCH + 7],
+    )
     def test_mixed_families_across_batch_edges(self, samples):
         """Every family and power, then two-point entries only, whose steps
-        each draw one merged run of five uniforms."""
+        each draw one merged run of five uniforms: the first batch, one
+        trajectory past it and 7 into the third batch, then runs ending
+        inside the fourth and the fifth batch."""
         for spec, jcc in ((mixed_family_spec(), _mixed_rowset()), (two_point_spec(), _two_point_rowset())):
             for seed in (3, 4):
                 fast = mc_certify(spec, jcc, _MIXED_U, samples=samples, seed=seed)
@@ -430,7 +447,7 @@ class TestAgainstOracle:
     def test_multi_batch_run_reaches_its_last_look(self):
         """alpha is the bound of the full run at the last look's level, so no
         early look can curtail and the last look passes exactly at alpha."""
-        spec, samples = mixed_family_spec(), 2 * _MC_BATCH + 7
+        spec, samples = mixed_family_spec(), 3 * _MC_FIRST_BATCH + 7
         for seed in (3, 4):
             counts = oracle_batch_violations(spec, _mixed_rowset(), _MIXED_U, samples, seed)
             alpha = oracle_clopper_pearson_upper(sum(counts), samples, 1.0 - look_levels(3, 0.99)[-1])
@@ -441,14 +458,15 @@ class TestAgainstOracle:
             assert counts[-1] > 0 and fast.passed
 
     def test_curtailed_run(self):
-        """Joint violations near 18% against alpha 0.05: after two of four
-        batches, even a clean second half could not pass at the last look."""
+        """Joint violations near 18% against alpha 0.05: after four of seven
+        batches (61440 of 131072 trajectories), even a clean rest could not
+        pass at the last look."""
         spec, jcc = mixed_family_spec(), vpcc.RowSet(_mixed_rowset().rows, 0.05)
         for seed in (3, 4):
             fast = mc_certify(spec, jcc, _MIXED_U, samples=4 * _MC_BATCH, seed=seed)
             assert fast == oracle_mc_certify(spec, jcc, _MIXED_U, samples=4 * _MC_BATCH, seed=seed)
-            assert (fast.samples_used, len(fast.levels), fast.passed) == (2 * _MC_BATCH, 2, False)
-            assert clopper_pearson_upper(fast.violations, fast.samples, 1.0 - look_levels(4, 0.99)[-1]) > 0.05
+            assert (fast.samples_used, len(fast.levels), fast.passed) == (15 * _MC_FIRST_BATCH, 4, False)
+            assert clopper_pearson_upper(fast.violations, fast.samples, 1.0 - look_levels(7, 0.99)[-1]) > 0.05
 
     def test_violations_count_the_first_samples_used(self, two_bus_spec, two_bus_cfg):
         cases = [
