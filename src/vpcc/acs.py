@@ -141,8 +141,8 @@ class AcsConfig:
             raise DomainError("user-supplied init policy requires user_lambdas")
         if self.max_outer_iters < 1 or self.restoration_rounds < 1:
             raise DomainError("iteration limits must be >= 1")
-        if self.convergence_rel_tol <= 0 or self.feasibility_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not (0 < self.convergence_rel_tol < math.inf and 0 < self.feasibility_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +212,9 @@ def lambda_step(
     alloc = RiskAllocation(alpha, tight)
     risk_sum = alloc.risk_sum
     if violated:
-        raise AllocationInfeasible(
-            f"rows cannot be certified at this input: {', '.join(violated)}",
-            detail={"violated": violated, "risk_sum": risk_sum},
-        )
+        raise AllocationInfeasible(f"rows cannot be certified at this input: {', '.join(violated)}")
     if risk_sum > alpha * (1.0 + 1e-12):
-        raise AllocationInfeasible(
-            f"tightened risk sum {risk_sum:.6g} exceeds budget {alpha:.6g}",
-            detail={"risk_sum": risk_sum},
-        )
+        raise AllocationInfeasible(f"tightened risk sum {risk_sum:.6g} exceeds budget {alpha:.6g}")
     if policy == "tight" or risk_sum == 0.0:
         return alloc
 
@@ -374,15 +368,11 @@ def _restore_allocation(spec, rows, alpha, config: AcsConfig) -> tuple[RiskAlloc
     if out.status != STATUS_OPTIMAL or out.x is None:
         raise AllocationInfeasible(
             "floor-multiplier margin solve failed; no admissible allocation exists"
-            f" ({out.status}: {out.diagnostic})",
-            detail={"phase": "floor-margin", "status": out.status},
+            f" ({out.status}: {out.diagnostic})"
         )
     sigma = float(out.x[-1])
     if sigma > 0.0:
-        raise AllocationInfeasible(
-            f"even floor multipliers violate the constraints by {sigma:.6g}; problem is infeasible",
-            detail={"phase": "floor-margin", "sigma": sigma},
-        )
+        raise AllocationInfeasible(f"even floor multipliers violate the constraints by {sigma:.6g}; problem is infeasible")
     d = spec.input_dim
     U = out.x[:d].copy()
 
@@ -408,10 +398,7 @@ def _restore_allocation(spec, rows, alpha, config: AcsConfig) -> tuple[RiskAlloc
         risk, U = risk_new, U_new
 
     if risk > alpha:
-        raise AllocationInfeasible(
-            f"minimal certifiable risk found is {risk:.6g} > budget {alpha:.6g}",
-            detail={"phase": "risk-descent", "best_risk": risk, "rounds": rounds},
-        )
+        raise AllocationInfeasible(f"minimal certifiable risk found is {risk:.6g} > budget {alpha:.6g}")
     allocation = lambda_step(rows, U, alpha, policy=config.lambda_step_policy)
     note = f"restoration: uniform-risk start infeasible; recovered allocation in {rounds} descent round(s)"
     return allocation, note

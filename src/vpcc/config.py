@@ -28,7 +28,9 @@ Each method block is optional and holds:
   "mc":       "samples", a positive integer (default 100000).
 A JSON boolean is not accepted where an integer or a number is asked for,
 here or anywhere else in the file, nor is a string or null inside a vector
-or matrix.
+or matrix. Every number must be finite, NaN and Infinity being refused at
+their field path, except a multiplier in "user_lambdas", whose own check
+decides it.
 
 A grid cell is either a number (deterministic entry) or a distribution
 object such as {"family": "weibull", "scale": 5, "shape": 30, "power": 3},
@@ -68,6 +70,8 @@ def _need(mapping, key, path, kind=None):
     if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"{path}.{key}" if path else key, f"expected {names}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}" if path else key, f"expected a finite number, got {value!r}")
     return value
 
 
@@ -77,7 +81,7 @@ def _array(value, path, *shape):
     boolean, string or null is not a number here."""
     cells = np.array(value, dtype=object)
     if cells.ndim != len(shape) or not all(map(_is_number, cells.flat)):
-        raise ConfigError(path, f"expected a {len(shape)}-d array of numbers, as nested lists of equal length")
+        raise ConfigError(path, f"expected a {len(shape)}-d array of finite numbers, as nested lists of equal length")
     if any(want not in (None, got) for got, want in zip(cells.shape, shape)):
         want = ", ".join("*" if size is None else str(size) for size in shape)
         raise ConfigError(path, f"expected shape ({want}), got {cells.shape}")
@@ -85,7 +89,7 @@ def _array(value, path, *shape):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _parameter(value, path):
@@ -93,14 +97,14 @@ def _parameter(value, path):
         return tuple(value)
     if _is_number(value):
         return float(value)
-    raise ConfigError(path, f"expected a number or a list of numbers, got {value!r}")
+    raise ConfigError(path, f"expected a finite number or a list of them, got {value!r}")
 
 
 def parse_entry(cell, path) -> DistributionSpec | float:
     if _is_number(cell):
         return float(cell)
     if not isinstance(cell, dict):
-        raise ConfigError(path, "matrix entries are numbers or distribution objects")
+        raise ConfigError(path, "matrix entries are finite numbers or distribution objects")
     family = _need(cell, "family", path, str)
     if family not in FAMILIES:
         raise ConfigError(f"{path}.family", f"unknown family {family!r}")
@@ -189,7 +193,6 @@ class ProblemConfig:
     def scenario_config(self, seed: int | None = None) -> ScenarioConfig:
         opts = dict(self.scenario_options)
         return ScenarioConfig(
-            alpha=self.alpha,
             beta=opts.get("beta", 0.001),
             sample_count=opts.get("sample_count"),
             rng_seed=self.seed if seed is None else seed,
@@ -336,10 +339,13 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     acs_options, scenario_options, mc_options = (_options(methods, key) for key in ("acs", "scenario", "mc"))
     _counts(acs_options, "methods.acs", "max_outer_iters", "restoration_rounds")
     user_lambdas = acs_options.get("user_lambdas") or {}
-    if not isinstance(user_lambdas, dict) or not all(_is_number(v) for v in user_lambdas.values()):
+    if not isinstance(user_lambdas, dict) or not all(_is_number(v) or v in (math.inf, -math.inf) for v in user_lambdas.values()):
         raise ConfigError("methods.acs.user_lambdas", "expected an object mapping row ids to numbers")
     if isinstance(acs_options.get("solver"), dict):
         _counts(acs_options["solver"], "methods.acs.solver", "max_iter")
+        _numbers(acs_options["solver"], "methods.acs.solver", "tol")
+    _numbers(acs_options, "methods.acs", "convergence_rel_tol", "feasibility_tol")
+    _numbers(scenario_options, "methods.scenario", "beta")
     if scenario_options.get("sample_count") is not None:
         _counts(scenario_options, "methods.scenario", "sample_count")
     _counts(mc_options, "methods.mc", "samples")
@@ -387,6 +393,13 @@ def _counts(options, path, *keys):
         value = options.get(key, 1)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{path}.{key}", f"expected a positive integer, got {value!r}")
+
+
+def _numbers(options, path, *keys):
+    """Each of ``keys`` that ``options`` holds must be a finite number."""
+    for key in keys:
+        if key in options:
+            _need(options, key, path, (int, float))
 
 
 def _user_lambdas(lambdas, cfg):

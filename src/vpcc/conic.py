@@ -219,8 +219,8 @@ class SolverOptions:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise DomainError("solver options need tol > 0 and max_iter >= 1")
+        if not 0 < self.tol < math.inf or self.max_iter < 1:
+            raise DomainError("solver options need a finite tol > 0 and max_iter >= 1")
 
 
 @dataclass

@@ -28,10 +28,6 @@ class SamplerMissing(VpccError):
 class AllocationInfeasible(VpccError):
     """The current input cannot be certified within the risk budget."""
 
-    def __init__(self, message: str, detail: dict | None = None):
-        super().__init__(message)
-        self.detail = detail or {}
-
 
 class ConfigError(VpccError):
     """A problem configuration failed validation.

@@ -209,6 +209,19 @@ class SystemSpec:
         """The per-step polytope repeated over the horizon, in stacked U: read-only arrays built once per spec."""
         return self._polytope
 
+    def rows_by_step(self, rows) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """``(k, G, h)`` per step that has rows (objects with G, h, k, id), in
+        ascending k: each step's G vectors stacked and its h values, in the
+        rows' given order. A row outside steps 1..horizon is refused."""
+        outside = [row.id for row in rows if not 1 <= row.k <= self.horizon]
+        if outside:
+            raise DomainError(f"constraint rows outside time steps 1..{self.horizon}: {', '.join(outside)}")
+        steps = sorted({row.k for row in rows})
+        return [
+            (k, np.array([row.G for row in rows if row.k == k], dtype=float), np.array([row.h for row in rows if row.k == k]))
+            for k in steps
+        ]
+
 
 @dataclass(frozen=True)
 class ConstraintMoments:

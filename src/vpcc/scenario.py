@@ -40,14 +40,13 @@ from .stochastics import DrawPlan, child_streams
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    alpha: float
+    """Sampling options; the violation level comes from the row set solved."""
+
     beta: float = 0.001
     sample_count: int | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not (0.0 < self.beta < 1.0):
             raise DomainError(f"beta must lie in (0, 1), got {self.beta!r}")
         if self.sample_count is not None and self.sample_count < 1:
@@ -58,8 +57,8 @@ def required_samples(alpha: float, beta: float, d: int = 2) -> int:
     """Smallest integer satisfying N_S >= (2/alpha)(ln(1/beta) + d), for
     decision dimension d (2 in the two-bus case).
 
-    alpha = 1 is admitted for the bare formula even though ScenarioConfig
-    keeps its violation level strictly inside (0, 1).
+    alpha = 1 is admitted for the bare formula even though a RowSet keeps
+    its violation level strictly inside (0, 1).
     """
     if not (0.0 < alpha <= 1.0) or not (0.0 < beta < 1.0):
         raise DomainError("need 0 < alpha <= 1 and 0 < beta < 1")
@@ -100,29 +99,27 @@ def _scenario_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.nda
     Phi_k = A(k-1) Phi_{k-1} and R_k = A(k-1) R_{k-1} + (injection of B into
     the u(k-1) block), so each constraint row pulls one row out of R_k. All
     scenarios advance together as stacked matrix products, whose per-scenario
-    BLAS calls are the ones a single scenario would make.
+    BLAS calls are the ones a single scenario would make. A row outside
+    steps 1..N is refused.
     """
     n, m, N = spec.n, spec.m, spec.horizon
-    rows_by_k: dict[int, list] = {}
-    for row in rows:
-        rows_by_k.setdefault(int(row.k), []).append(row)
-    max_k = max(rows_by_k)
-
     count = matrices.shape[0]
     phi = np.tile(spec.x0[:, None], (count, 1, 1))
     reach = np.zeros((count, n, N * m))
     coef_blocks = []
     rhs_blocks = []
-    for t in range(max_k):
-        a_t = matrices[:, t]
-        phi = a_t @ phi
-        reach = a_t @ reach
-        reach[:, :, t * m : (t + 1) * m] += spec.B
-        for row in rows_by_k.get(t + 1, ()):
-            coef_blocks.append(row.G @ reach)
-            rhs_blocks.append(row.h - (row.G @ phi)[:, 0])
-    coef = np.stack(coef_blocks, axis=1).reshape(-1, N * m)
-    rhs = np.stack(rhs_blocks, axis=1).reshape(-1)
+    t = 0
+    for k, G, h in spec.rows_by_step(rows):
+        for t in range(t, k):
+            a_t = matrices[:, t]
+            phi = a_t @ phi
+            reach = a_t @ reach
+            reach[:, :, t * m : (t + 1) * m] += spec.B
+        t = k
+        coef_blocks.append(G @ reach)
+        rhs_blocks.append(h - (G @ phi)[:, :, 0])
+    coef = np.concatenate(coef_blocks, axis=1).reshape(-1, N * m)
+    rhs = np.concatenate(rhs_blocks, axis=1).reshape(-1)
     return coef, rhs
 
 
@@ -147,18 +144,21 @@ def solve_scenario(
 ) -> SolveReport:
     """Sample, assemble, solve; the report's wall time covers all three.
 
-    ``jcc`` needs ``rows`` and ``alpha``. Identical seeds give bitwise
-    identical constraint matrices and hence identical solutions. The program
-    keeps the tightest row per coefficient vector; the feasible set is
-    unchanged; no tolerance-based pruning, since the guarantee counts samples.
+    ``jcc`` needs ``rows`` and ``alpha``; a row outside steps 1..N is
+    refused, and its alpha alone sets the sample count and the reported
+    level. Identical seeds give bitwise identical constraint matrices and
+    hence identical solutions. The program keeps the tightest row per
+    coefficient vector; the feasible set is unchanged; no tolerance-based
+    pruning, since the guarantee counts samples.
     """
     start = time.perf_counter()
-    n_s = sc.sample_count if sc.sample_count is not None else required_samples(sc.alpha, sc.beta)
-    notes = [sample_count_note(sc.alpha, sc.beta)] if sc.sample_count is None else []
+    alpha = float(jcc.alpha)
+    n_s = sc.sample_count if sc.sample_count is not None else required_samples(alpha, sc.beta)
+    notes = [sample_count_note(alpha, sc.beta)] if sc.sample_count is None else []
     if spec.input_dim > 2:
         notes.append(
             f"decision dimension d = N*m = {spec.input_dim}: (2/alpha)(ln(1/beta)+d) requires "
-            f"{required_samples(sc.alpha, sc.beta, spec.input_dim)} samples; {n_s} were drawn"
+            f"{required_samples(alpha, sc.beta, spec.input_dim)} samples; {n_s} were drawn"
         )
 
     matrices = sample_state_matrices(spec, sc.rng_seed, n_s)
@@ -173,7 +173,7 @@ def solve_scenario(
     report = SolveReport(
         method="scenario",
         status=report_status(outcome.status),
-        alpha=float(jcc.alpha),
+        alpha=alpha,
         sample_count=n_s,
         seed=sc.rng_seed,
         notes=notes,

@@ -448,7 +448,8 @@ def mc_certify(
 ) -> McCertificate:
     """Simulate full-horizon trajectories under ``U`` and certify ``jcc``.
 
-    ``jcc`` needs ``rows`` (objects with G, h, k) and ``alpha``. A trajectory
+    ``jcc`` needs ``rows`` and ``alpha``; a row outside steps 1..N is
+    refused. A trajectory
     counts as violating when any row fails strictly at its time step; the
     certificate passes when the one-sided Clopper-Pearson upper bound on the
     joint violation probability is at most alpha, with the sequential
@@ -463,16 +464,9 @@ def mc_certify(
     if samples < 1:
         raise DomainError("samples must be >= 1")
     U = np.asarray(U, dtype=float).reshape(spec.horizon, spec.m)
-    rows_by_k: dict[int, list] = {}
-    for row in jcc.rows:
-        rows_by_k.setdefault(int(row.k), []).append(row)
-    max_k = max(rows_by_k) if rows_by_k else 0
-    checks = {
-        k: (np.array([row.G for row in rows], dtype=float), np.array([[row.h] for row in rows]))
-        for k, rows in rows_by_k.items()
-    }
+    table = spec.rows_by_step(jcc.rows)
     steps = []  # (deterministic part of A(t), B u(t) as a column, (i, j, dist, one-entry plan) row-major)
-    for t, model in enumerate(spec.a_models[:max_k]):
+    for t, model in enumerate(spec.a_models[: table[-1][0]]):
         a_det = np.array(model.mean_matrix)
         entries = []
         for _, i, j, dist, _ in DrawPlan.of([model]).entries:
@@ -490,17 +484,19 @@ def mc_certify(
         for rng, count in zip(child_streams(seed, len(sizes)), sizes):
             violated = np.zeros(count, dtype=bool)
             x = spec.x0[:, None]  # one column until the first step spreads it over the batch
-            for t, (a_det, drive, entries) in enumerate(steps):
-                x_next = a_det @ x + drive
-                if t == 0:
-                    x_next = np.repeat(x_next, count, axis=1)
-                for i, j, dist, plan in entries:
-                    draws = plan.fill(rng, buffer[: plan.width * count].reshape(plan.width, count))
-                    x_next[i] += dist.transform(draws) * x[j]
-                x = x_next
-                if t + 1 in checks:
-                    G, h = checks[t + 1]
-                    violated |= (G @ x > h).any(axis=0)
+            t = 0
+            for k, G, h in table:
+                for t in range(t, k):
+                    a_det, drive, entries = steps[t]
+                    x_next = a_det @ x + drive
+                    if t == 0:
+                        x_next = np.repeat(x_next, count, axis=1)
+                    for i, j, dist, plan in entries:
+                        draws = plan.fill(rng, buffer[: plan.width * count].reshape(plan.width, count))
+                        x_next[i] += dist.transform(draws) * x[j]
+                    x = x_next
+                t = k
+                violated |= (G @ x > h[:, None]).any(axis=0)
             yield int(violated.sum())
 
     alpha = float(jcc.alpha)

@@ -79,6 +79,16 @@ def mixed_family_spec() -> SystemSpec:
     )
 
 
+def unordered_rows() -> list:
+    """Rows at k = 3, 1, 3 on ``mixed_family_spec``: step 2 has none, and the
+    rows at k = 3 are apart."""
+    return [
+        vpcc.ConstraintRow(G=np.array([0.0, 1.0, 1.0]), h=2.3, k=3, id="k3a"),
+        vpcc.ConstraintRow(G=np.array([1.0, 0.0, 0.0]), h=1.3, k=1, id="k1"),
+        vpcc.ConstraintRow(G=np.array([0.5, -1.0, 2.0]), h=2.8, k=3, id="k3b"),
+    ]
+
+
 def two_point_spec() -> SystemSpec:
     """n = 4 over 3 steps whose random entries are all two-point, a (1 -+ spread)
     with equal probability, as in the synthetic benchmark systems: five per
@@ -104,12 +114,12 @@ def two_point_spec() -> SystemSpec:
     )
 
 
-def unreduced_scenario_program(spec: SystemSpec, rows, cost, sc) -> ConicProgram:
-    """Every row of the sample ``solve_scenario(spec, ..., sc)`` draws, then the
-    stacked input polytope: its program before it keeps the tightest row per
-    coefficient vector."""
-    count = sc.sample_count if sc.sample_count is not None else required_samples(sc.alpha, sc.beta)
-    coef, rhs = _scenario_rows(spec, sample_state_matrices(spec, sc.rng_seed, count), rows)
+def unreduced_scenario_program(spec: SystemSpec, jcc, cost, sc) -> ConicProgram:
+    """Every row of the sample ``solve_scenario(spec, jcc, ..., sc)`` draws,
+    then the stacked input polytope: its program before it keeps the tightest
+    row per coefficient vector."""
+    count = sc.sample_count if sc.sample_count is not None else required_samples(jcc.alpha, sc.beta)
+    coef, rhs = _scenario_rows(spec, sample_state_matrices(spec, sc.rng_seed, count), jcc.rows)
     A_poly, b_poly = spec.stacked_polytope()
     P, c = cost.stacked()
     return ConicProgram(P=P, c=c, A_u=np.vstack([coef, A_poly]), b_u=np.concatenate([rhs, b_poly]))

@@ -213,7 +213,7 @@ class TestCriterion7:
                 times = []
                 for _ in range(3):
                     t0 = time.perf_counter()
-                    solve_scenario(spec, rows, cost, ScenarioConfig(alpha=0.16, sample_count=count, rng_seed=seed))
+                    solve_scenario(spec, rows, cost, ScenarioConfig(sample_count=count, rng_seed=seed))
                     times.append(time.perf_counter() - t0)
                 medians.append(float(np.median(times)))
         ratio = float(np.median(large)) / float(np.median(small))

@@ -295,6 +295,12 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             AcsConfig(convergence_rel_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["convergence_rel_tol", "feasibility_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            AcsConfig(**{field: value})
+
     def test_cost_validation(self):
         with pytest.raises(DomainError):
             Cost((np.eye(2),), (np.zeros(3),))

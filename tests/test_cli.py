@@ -382,6 +382,22 @@ MALFORMED = {
     "cost-linear-bool": ("cost", {"linear": [False]}, "cost.linear", "scenario"),
     "finite-values-bool": ("cell", {"family": "finite", "values": [False, 2.0], "probs": [0.5, 0.5]}, CELL + ".values", "proposed"),
     "finite-probs-bool": ("cell", {"family": "finite", "values": [0.0, 2.0], "probs": [True, False]}, CELL + ".probs", "scenario"),
+    "x0-nan": ("system", {"x0": [math.nan]}, "system.x0", "proposed"),
+    "B-inf": ("system", {"B": [[math.inf]]}, "system.B", "scenario"),
+    "cell-nan": ("cell", math.nan, CELL, "proposed"),
+    "cell--inf": ("cell", -math.inf, CELL, "scenario"),
+    "weibull-scale-inf": ("cell", {"family": "weibull", "scale": math.inf, "shape": 30.0}, CELL + ".scale", "proposed"),
+    "finite-values-nan": ("cell", {"family": "finite", "values": [math.nan, 2.0], "probs": [0.5, 0.5]}, CELL + ".values", "scenario"),
+    "G-nan": ("row", {"G": [math.nan]}, "constraints.rows[0].G", "proposed"),
+    "h-inf": ("row", {"h": math.inf}, "constraints.rows[0].h", "scenario"),
+    "h-nan": ("row", {"h": math.nan}, "constraints.rows[0].h", "proposed"),
+    "cost-quadratic-inf": ("cost", {"quadratic": [[math.inf]]}, "cost.quadratic", "proposed"),
+    "cost-linear-nan": ("cost", {"linear": [math.nan]}, "cost.linear", "scenario"),
+    "A_u-nan": ("input_polytope", {"A_u": [[math.nan], [-1.0]]}, "input_polytope.A_u", "proposed"),
+    "b_u-inf": ("input_polytope", {"b_u": [math.inf, 10.0]}, "input_polytope.b_u", "scenario"),
+    "solver-tol-nan": ("acs", {"solver": {"tol": math.nan}}, "methods.acs.solver.tol", "proposed"),
+    "convergence-tol-inf": ("acs", {"convergence_rel_tol": math.inf}, "methods.acs.convergence_rel_tol", "proposed"),
+    "feasibility-tol-inf": ("acs", {"feasibility_tol": math.inf}, "methods.acs.feasibility_tol", "proposed"),
 }
 
 

@@ -138,6 +138,11 @@ class TestBasics:
         with pytest.raises(DomainError):
             SolverOptions(tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol(self, tol):
+        with pytest.raises(DomainError, match="finite"):
+            SolverOptions(tol=tol)
+
 
 class TestOptimalContracts:
     def test_strict_feasibility_and_gap(self):
@@ -329,7 +334,7 @@ class TestAgainstOracle:
     def test_two_bus_scenario_program(self, two_bus_cfg, monkeypatch):
         cfg = two_bus_cfg.with_alpha(0.01)
         sc = cfg.scenario_config(seed=3)
-        prog = unreduced_scenario_program(cfg.system_spec(), cfg.row_set().rows, cfg.cost(), sc)
+        prog = unreduced_scenario_program(cfg.system_spec(), cfg.row_set(), cfg.cost(), sc)
         assert prog.A_u.shape[0] > 1000
         assert self.assert_agree(prog).status == conic.STATUS_OPTIMAL
         captured = captured_scenario_program(monkeypatch, cfg, cfg.cost(), sc)
@@ -721,12 +726,13 @@ class TestAgainstHighs:
             self.assert_agree(random_linear_program(rng, rows, d, quadratic=False))
 
     def test_scenario_lp(self, two_bus_cfg, monkeypatch):
+        cfg = two_bus_cfg.with_alpha(0.01)
         linear = Cost((np.zeros((2, 2)),), two_bus_cfg.cost().linear)
-        sc = ScenarioConfig(alpha=0.01, rng_seed=3)
-        prog = unreduced_scenario_program(two_bus_cfg.system_spec(), two_bus_cfg.row_set().rows, linear, sc)
+        sc = ScenarioConfig(rng_seed=3)
+        prog = unreduced_scenario_program(cfg.system_spec(), cfg.row_set(), linear, sc)
         assert not prog.P.any() and prog.A_u.shape[0] > 1000
         self.assert_agree(prog)
-        captured = captured_scenario_program(monkeypatch, two_bus_cfg, linear, sc)
+        captured = captured_scenario_program(monkeypatch, cfg, linear, sc)
         assert not captured.P.any() and captured.A_u.shape[0] < prog.A_u.shape[0]
         self.assert_agree(captured)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vpcc.errors import DomainError, NotPSD
+from vpcc.reformulate import ConstraintRow
 from vpcc.moments import (
     RandomEntry,
     RandomMatrixModel,
@@ -197,6 +198,25 @@ class TestStackedColumnSelector:
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             stacked_column_selector(2, 3, 1, 6)
+
+
+class TestRowsByStep:
+    def test_steps_ascend_and_rows_keep_their_order(self):
+        spec = deterministic_spec(np.eye(2), np.eye(2), np.zeros(2), horizon=3)
+        rows = [
+            ConstraintRow(G=np.array([1.0, 0.0]), h=1.0, k=3, id="a"),
+            ConstraintRow(G=np.array([0.0, 1.0]), h=2.0, k=1, id="b"),
+            ConstraintRow(G=np.array([1.0, 1.0]), h=3.0, k=3, id="c"),
+        ]
+        (k1, G1, h1), (k3, G3, h3) = spec.rows_by_step(rows)
+        assert (k1, G1.tolist(), h1.tolist()) == (1, [[0.0, 1.0]], [2.0])
+        assert (k3, G3.tolist(), h3.tolist()) == (3, [[1.0, 0.0], [1.0, 1.0]], [1.0, 3.0])
+
+    def test_rows_past_the_horizon_are_named(self):
+        spec = deterministic_spec(np.eye(2), np.eye(2), np.zeros(2), horizon=3)
+        rows = [ConstraintRow(G=np.ones(2), h=1.0, k=k, id=f"r{k}") for k in (4, 3, 7)]
+        with pytest.raises(DomainError, match=r"outside time steps 1\.\.3: r4, r7$"):
+            spec.rows_by_step(rows)
 
 
 class TestConstraintMoments:

@@ -20,7 +20,14 @@ from vpcc.scenario import (
     sample_state_matrices,
     solve_scenario,
 )
-from conftest import deterministic_spec, mixed_family_spec, scalar_iid_spec, two_point_spec, unreduced_scenario_program
+from conftest import (
+    deterministic_spec,
+    mixed_family_spec,
+    scalar_iid_spec,
+    two_point_spec,
+    unordered_rows,
+    unreduced_scenario_program,
+)
 from scenario_oracle import oracle_rows, oracle_state_matrices, oracle_tightest_rows
 
 
@@ -56,7 +63,7 @@ class TestRequiredSamples:
         with pytest.raises(DomainError):
             required_samples(0.1, 1.0)
         with pytest.raises(DomainError):
-            ScenarioConfig(alpha=0.1, sample_count=0)
+            ScenarioConfig(sample_count=0)
 
 
 class TestSampling:
@@ -105,6 +112,16 @@ class TestAgainstOracle:
         assert coef.shape == (3 * count, spec.input_dim)
         assert np.array_equal(coef, ref_coef)
         assert np.allclose(rhs, ref_rhs, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("count", [1, 57])
+    def test_rows_out_of_step_order(self, count):
+        spec = mixed_family_spec()
+        matrices = sample_state_matrices(spec, 5, count)
+        coef, rhs = _scenario_rows(spec, matrices, unordered_rows())
+        ref_coef, ref_rhs = oracle_rows(spec, matrices, unordered_rows())
+        assert coef.shape == (3 * count, spec.input_dim)
+        assert np.array_equal(coef, ref_coef)
+        assert np.array_equal(rhs, ref_rhs)
 
     def test_two_bus_rows(self, two_bus_cfg):
         spec = two_bus_cfg.system_spec()
@@ -161,7 +178,7 @@ class TestUnreducedEquivalence:
     @staticmethod
     def assert_equivalent(spec, rows, cost, sc):
         report = solve_scenario(spec, rows, cost, sc)
-        prog = unreduced_scenario_program(spec, rows.rows, cost, sc)
+        prog = unreduced_scenario_program(spec, rows, cost, sc)
         full = conic.solve(prog)
         assert report.status == full.status == "optimal"
         ref = cost.value(full.x)
@@ -179,16 +196,28 @@ class TestUnreducedEquivalence:
         rows = RowSet(tuple(mixed_family_rows()), 0.05)
         cost = Cost.repeated(np.eye(2), np.full(2, linear), 3)
         for seed in range(3):
-            self.assert_equivalent(mixed_family_spec(), rows, cost, ScenarioConfig(alpha=0.05, rng_seed=seed))
+            self.assert_equivalent(mixed_family_spec(), rows, cost, ScenarioConfig(rng_seed=seed))
 
 
 class TestSolveScenario:
+    def test_level_comes_from_the_row_set(self, two_bus_cfg):
+        spec, rows, cost = two_bus_cfg.system_spec(), two_bus_cfg.constraint_rows(), two_bus_cfg.cost()
+        for alpha, count in ((0.16, 112), (0.01, 1782)):
+            report = solve_scenario(spec, RowSet(rows, alpha), cost, ScenarioConfig(rng_seed=3))
+            assert (report.alpha, report.sample_count) == (alpha, count)
+
+    def test_row_past_the_horizon_raises(self, two_bus_cfg):
+        spec, (row, *_) = two_bus_cfg.system_spec(), two_bus_cfg.constraint_rows()
+        late = RowSet((vpcc.ConstraintRow(G=row.G, h=row.h, k=2, id="late@k2"),), 0.16)
+        with pytest.raises(DomainError, match=r"outside time steps 1\.\.1: late@k2"):
+            solve_scenario(spec, late, two_bus_cfg.cost(), ScenarioConfig(rng_seed=3))
+
     def test_deterministic_spec_equals_nominal_qp(self):
         A = np.array([[0.5]])
         spec = deterministic_spec(A, np.eye(1), np.array([1.0]), horizon=1, box=4.0)
         rows = RowSet((vpcc.ConstraintRow(G=np.array([1.0]), h=100.0, k=1, id="r"),), 0.2)
         cost = Cost.repeated(np.eye(1), np.array([2.0]), 1)
-        report = solve_scenario(spec, rows, cost, ScenarioConfig(alpha=0.2, sample_count=25, rng_seed=1))
+        report = solve_scenario(spec, rows, cost, ScenarioConfig(sample_count=25, rng_seed=1))
         assert report.status == "optimal"
         # all samples identical: the nominal QP optimum u = -1
         assert np.asarray(report.U).ravel() == pytest.approx([-1.0], abs=1e-5)
@@ -223,7 +252,7 @@ class TestSolveScenario:
         spec = mixed_family_spec()
         rows = RowSet(tuple(mixed_family_rows()), 0.05)
         cost = Cost.repeated(np.eye(2), np.zeros(2), 3)
-        report = solve_scenario(spec, rows, cost, ScenarioConfig(alpha=0.05))
+        report = solve_scenario(spec, rows, cost, ScenarioConfig())
         assert report.sample_count == 357
         (note,) = [note for note in report.notes if "decision dimension" in note]
         # (2/0.05)(ln(1000) + 6) = 516.3
@@ -239,7 +268,7 @@ class TestSolveScenario:
         for count in (20, 112, 400):
             objs = []
             for seed in range(20):
-                sc = ScenarioConfig(alpha=0.16, sample_count=count, rng_seed=seed)
+                sc = ScenarioConfig(sample_count=count, rng_seed=seed)
                 rep = solve_scenario(spec, rows, cost, sc)
                 assert rep.status == "optimal"
                 objs.append(rep.objective)
@@ -254,7 +283,7 @@ class TestSolveScenario:
         cost = two_bus_cfg.cost()
         objs = []
         for count in (20, 112, 400):
-            rep = solve_scenario(spec, rows, cost, ScenarioConfig(alpha=0.16, sample_count=count, rng_seed=7))
+            rep = solve_scenario(spec, rows, cost, ScenarioConfig(sample_count=count, rng_seed=7))
             objs.append(rep.objective)
         assert objs[0] <= objs[1] + 1e-6 and objs[1] <= objs[2] + 1e-6
 
@@ -262,7 +291,7 @@ class TestSolveScenario:
         spec = scalar_iid_spec(horizon=2)
         rows = RowSet((vpcc.ConstraintRow(G=np.array([1.0]), h=6.0, k=2, id="end"),), 0.2)
         cost = Cost.repeated(np.eye(1), np.array([-2.0]), 2)
-        report = solve_scenario(spec, rows, cost, ScenarioConfig(alpha=0.2, sample_count=64, rng_seed=5))
+        report = solve_scenario(spec, rows, cost, ScenarioConfig(sample_count=64, rng_seed=5))
         assert report.status == "optimal"
         # every sampled trajectory respects the bound at the solution
         mats = sample_state_matrices(spec, seed=5, count=64)

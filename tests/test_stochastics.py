@@ -26,7 +26,7 @@ from vpcc.stochastics import (
     weibull,
 )
 
-from conftest import deterministic_spec, mixed_family_spec, two_point_spec
+from conftest import deterministic_spec, mixed_family_spec, two_point_spec, unordered_rows
 from mc_oracle import oracle_batch_violations, oracle_clopper_pearson_upper, oracle_mc_certify
 
 
@@ -345,6 +345,13 @@ class TestMcCertify:
             results.append(cert.empirical_violation)
         assert results[0] >= results[1] >= results[2]
 
+    def test_row_past_the_horizon_raises(self, two_bus_spec, two_bus_cfg):
+        """At N = 1 a row at k = 2 names no state the trajectories reach."""
+        row = two_bus_cfg.constraint_rows()[0]
+        late = vpcc.RowSet((vpcc.ConstraintRow(G=row.G, h=row.h, k=2, id="late@k2"),), 0.16)
+        with pytest.raises(DomainError, match=r"outside time steps 1\.\.1: late@k2"):
+            mc_certify(two_bus_spec, late, np.array([600.0, 300.0]), samples=4096, seed=0)
+
     def test_batch_schedule(self):
         """Batches double from 4096 trajectories up to 32768; the last holds
         what is left."""
@@ -427,6 +434,13 @@ class TestAgainstOracle:
             jcc = vpcc.RowSet((row,), 0.25)
             fast = mc_certify(spec, jcc, _MIXED_U, samples=5000, seed=11)
             assert fast == oracle_mc_certify(spec, jcc, _MIXED_U, samples=5000, seed=11)
+            assert 0 < fast.violations < 5000
+
+    def test_rows_out_of_step_order(self):
+        spec, jcc = mixed_family_spec(), vpcc.RowSet(unordered_rows(), 0.25)
+        for seed in (3, 4):
+            fast = mc_certify(spec, jcc, _MIXED_U, samples=5000, seed=seed)
+            assert fast == oracle_mc_certify(spec, jcc, _MIXED_U, samples=5000, seed=seed)
             assert 0 < fast.violations < 5000
 
     @pytest.mark.parametrize("h2, expected", [(5.0, 0), (0.1, 1000)])
