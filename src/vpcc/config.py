@@ -28,9 +28,9 @@ Each method block is optional and holds:
   "mc":       "samples", a positive integer (default 100000).
 A JSON boolean is not accepted where an integer or a number is asked for,
 here or anywhere else in the file, nor is a string or null inside a vector
-or matrix. Every number must be finite, NaN and Infinity being refused at
-their field path, except a multiplier in "user_lambdas", whose own check
-decides it.
+or matrix. Every number must be finite: NaN, Infinity and an integer
+beyond float range are refused at their field path, except a multiplier in
+"user_lambdas", whose own check decides it.
 
 A grid cell is either a number (deterministic entry) or a distribution
 object such as {"family": "weibull", "scale": 5, "shape": 30, "power": 3},
@@ -70,8 +70,9 @@ def _need(mapping, key, path, kind=None):
     if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"{path}.{key}" if path else key, f"expected {names}, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected a finite number, got {value!r}")
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and kind is not int and not _is_number(value):
+        got = "an integer beyond float range" if isinstance(value, int) else repr(value)
+        raise ConfigError(f"{path}.{key}" if path else key, f"expected a finite number, got {got}")
     return value
 
 
@@ -89,7 +90,13 @@ def _array(value, path, *shape):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite float, or an int that converts to one; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def _parameter(value, path):

@@ -16,9 +16,10 @@ decision dimension d = N * m (IEEE TAC 2006) at its two-bus value N = 1,
 m = 2; any larger d needs more samples than this bound gives, and the report
 then notes d and the count that ``(2/alpha)(ln(1/beta) + d)`` requires.
 
-Scenario s draws its matrices from child stream s of the seed, by the
-stream contract stated in ``vpcc.stochastics``: one draw plan covers the
-whole horizon, and each entry is transformed across all scenarios at once.
+Scenarios are drawn in Monte-Carlo certification's batches, by the stream
+rule stated in ``vpcc.stochastics``: one draw plan of the whole horizon is
+filled per batch, and each entry is transformed across the batch at once, so
+scenario s of a seed is trajectory s of an MC run on that seed.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .conic import ConicProgram
 from .errors import DomainError
 from .moments import SystemSpec
 from .report import STATUS_OPTIMAL, SolveReport, report_status
-from .stochastics import DrawPlan, child_streams
+from .stochastics import DrawPlan, batch_streams
 
 
 @dataclass(frozen=True)
@@ -78,17 +79,19 @@ def sample_count_note(alpha: float, beta: float) -> str:
 
 
 def sample_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray:
-    """(count, N, n, n) realisations, one child stream per scenario and one
-    transform per random entry."""
+    """(count, N, n, n) realisations drawn batch by batch by the stream rule
+    of ``vpcc.stochastics``: one whole-horizon plan fill per batch and one
+    transform per random entry and batch."""
     out = np.empty((count, spec.horizon, spec.n, spec.n))
     out[:] = [model.mean_matrix for model in spec.a_models]
     plan = DrawPlan.of(spec.a_models)
-    draws = np.empty((count, plan.width, 1))  # scenario s fills draws[s]
-    for s, rng in enumerate(child_streams(seed, count)):
-        plan.fill(rng, draws[s])
-    draws = draws[:, :, 0].T
-    for t, i, j, dist, first in plan.entries:
-        out[:, t, i, j] = dist.transform(draws[first : first + len(dist.draws)])
+    start = 0
+    for rng, size in batch_streams(seed, count):
+        draws = plan.fill(rng, np.empty((plan.width, size)))
+        batch = out[start : start + size]
+        for t, i, j, dist, first in plan.entries:
+            batch[:, t, i, j] = dist.transform(draws[first : first + len(dist.draws)])
+        start += size
     return out
 
 

@@ -33,24 +33,27 @@ first look whose bound is at most alpha (pass), or once the bound at the
 last look's level over the whole budget, with no further violation, exceeds
 alpha (curtailment: no later look can pass). The levels sum to
 ``1 - confidence``, so by Bonferroni the bound at whichever look stops the
-run is still a one-sided ``confidence`` upper bound. Batch b is child
-stream b, and the batches of a shorter budget are a prefix of a longer
-one's, so the batches run are those of a ``samples_used``-trajectory run.
+run is still a one-sided ``confidence`` upper bound. The batches of a
+shorter budget are a prefix of a longer one's, and by the stream rule below
+each draws the same stream in both, so the batches run are those of a
+``samples_used``-trajectory run.
 
-Stream contract, shared by scenario sampling and MC certification: scenario
-s, or MC batch s of the schedule above, draws from child stream s of the
-seed, the stream of ``default_rng(SeedSequence(seed, spawn_key=(s,)))``,
-all of them seeded in one pass by ``child_streams``. A ``DrawPlan`` draws the
+Stream rule, shared by scenario sampling and MC certification: a draw of
+``count`` trajectories is split into the batches above, and batch b draws
+from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, as
+``batch_streams`` yields them. Within a batch a ``DrawPlan`` draws the
 entries whose kind is not "deterministic", time-ascending and row-major
 within each A(t): one uniform double for a weibull or finite entry, two
 unit-scale Gamma draws (shape a, then b) for a beta entry, none for a
-constant one, each draw made for the whole count at once (1 per scenario,
-the batch size in MC). Scenario sampling fills one plan of the whole
-horizon, MC one plan per entry of each A(t) in turn, which draws the same
-stream. One call per run of adjacent uniforms gives the bits of one call per
-draw, and the transforms from draws to entries are elementwise, so the draws
-are fixed by (seed, count) and the system, however states are advanced
-between them.
+constant one, each draw made for the whole batch at once. Scenario sampling
+fills one plan of the whole horizon per batch, MC one plan per entry of each
+A(t) in turn, which draws the same stream. One call per run of adjacent
+uniforms gives the bits of one call per draw, and the transforms from draws
+to entries are elementwise, so the draws are fixed by (seed, count) and the
+system, however states are advanced between them: scenario s of a
+``count``-scenario draw is trajectory s of a ``count``-sample MC run on the
+same seed. Batch b has the same size in every draw that fills it, so the
+whole batches of a draw are those of any longer draw on the same seed.
 """
 
 from __future__ import annotations
@@ -77,16 +80,6 @@ _MC_BATCH = 1 << 15
 # Share of 1 - confidence that the early looks of a multi-batch MC run
 # spend, split equally among them; the last look spends the rest.
 _MC_EARLY_SHARE = 0.1
-
-# SeedSequence (numpy.random.bit_generator) and PCG64 seeding constants.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -283,67 +276,6 @@ class DrawPlan:
         return out
 
 
-def child_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """Child streams 0, ..., count-1 of ``seed``, in order: stream i draws the
-    bits of ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.
-
-    SeedSequence hashes the seed's 32-bit words, zero-padded to the pool
-    size, and then the key word i. Only that last stage depends on i, so
-    ``SeedSequence(seed)`` runs the stages before it once (its pool is a
-    child's pool before the key: a missing seed word hashes like a padded
-    zero) and the last one runs as uint32 arithmetic over the key column.
-    Each child's four 64-bit output words then seed PCG64. One generator is
-    yielded for every child, reseeded in turn, so a stream is valid until
-    the next one is drawn.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if not 0 <= count <= 1 << 32:  # a larger key needs a second 32-bit word
-        raise DomainError(f"child stream count must lie in [0, 2**32], got {count}")
-    # The stages before the key made one hashmix call per pool word per seed word.
-    words = max(_POOL_SIZE, -(-int(seed).bit_length() // 32))
-    consts = _hash_consts(_HASH_INIT_A, _HASH_MULT_A, _POOL_SIZE * words, _POOL_SIZE)
-    key = np.arange(count, dtype=np.uint32)
-    pool = _mix(np.random.SeedSequence(seed).pool[:, None], _hashmix(key, *consts))
-    # generate_state(4, uint64) hashes pool words 0-3 twice and reads the
-    # eight uint32 results as little-endian pairs.
-    out = _hashmix(np.concatenate((pool, pool)), *_OUTPUT_CONSTS).astype(np.uint64)
-    return _pcg64_streams(*(out[0::2] | out[1::2] << 32).tolist())
-
-
-def _hash_consts(init: int, mult: int, first: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiplier) uint32 columns of hashmix calls first, ...,
-    first + calls - 1: call k xors with the running constant init * mult**k
-    mod 2**32 and multiplies by the next one."""
-    consts = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + calls + 1)], dtype=np.uint32)
-    return consts[:-1, None], consts[1:, None]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult  # uint32 arrays wrap mod 2**32
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return value ^ value >> 16
-
-
-_OUTPUT_CONSTS = _hash_consts(_HASH_INIT_B, _HASH_MULT_B, 0, 8)
-
-
-def _pcg64_streams(init_hi, init_lo, seq_hi, seq_lo) -> Iterator[np.random.Generator]:
-    """One generator, set to each child's PCG64 state in turn, as ``srandom``
-    seeds it: inc = 2 seq + 1, state = (inc + init) MULT + inc mod 2**128."""
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for ih, il, sh, sl in zip(init_hi, init_lo, seq_hi, seq_lo):
-        inc = (sh << 65 | sl << 1 | 1) & _MASK128
-        state = ((inc + (ih << 64 | il)) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        yield rng
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo certification
 # ---------------------------------------------------------------------------
@@ -438,6 +370,17 @@ def _batch_sizes(samples: int) -> list[int]:
     return sizes
 
 
+def batch_streams(seed: int, count: int) -> Iterator[tuple[np.random.Generator, int]]:
+    """(generator, size) of each batch of a ``count``-trajectory draw on
+    ``seed``, by the stream rule in the module docstring."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return (
+        (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), size)
+        for b, size in enumerate(_batch_sizes(count))
+    )
+
+
 def mc_certify(
     spec: "SystemSpec",
     jcc,
@@ -456,8 +399,8 @@ def mc_certify(
     verdict stated in the module docstring: the run stops at the first batch
     that decides it.
 
-    Sampling is batched with counter-based child streams so the result is a
-    pure function of (seed, samples). A batch is an (n, count) state array;
+    Batches draw by the stream rule in the module docstring, so the result
+    is a pure function of (seed, samples). A batch is an (n, count) state array;
     a step is one product with the deterministic part of A(t), plus A_ij(t)
     x_j(t) added to state row i for each entry of A(t)'s draw plan.
     """
@@ -481,7 +424,7 @@ def mc_certify(
     buffer = np.empty(2 * max(sizes))
 
     def batch_violations() -> Iterator[int]:
-        for rng, count in zip(child_streams(seed, len(sizes)), sizes):
+        for rng, count in batch_streams(seed, samples):
             violated = np.zeros(count, dtype=bool)
             x = spec.x0[:, None]  # one column until the first step spreads it over the batch
             t = 0

@@ -3,15 +3,16 @@
 ``sample_batch`` draws ``count`` realisations of one random state matrix as a
 ``(count, n, n)`` array, every random entry's whole batch at once, row-major,
 with ``scenario_oracle.oracle_variate``, so the reference shares no sampling
-code with the library. ``oracle_mc_certify`` advances each batch of
-trajectories by multiplying every trajectory's state with its own full
-sampled matrix, with no split of A(t) into a deterministic part and random
-entries. It follows the stream contract stated in ``vpcc.stochastics``, so
-it must count the same violations as ``vpcc.stochastics.mc_certify``. It
+code with the library; each batch draws from the stream that
+``scenario_oracle.oracle_batches`` gives it. ``oracle_mc_certify`` advances
+each batch of trajectories by multiplying every trajectory's state with its
+own full sampled matrix, with no split of A(t) into a deterministic part and
+random entries. It follows the stream rule stated in ``vpcc.stochastics``, so it
+must count the same violations as ``vpcc.stochastics.mc_certify``. It
 counts every batch of the full run, then applies the look schedule stated in
 the ``vpcc.stochastics`` docstring to those counts. The batch sizes and the
-early looks' share are restated here, not imported, so a change to either in
-the library shows as a mismatch. Its bounds come from
+early looks' share are restated in the oracles, not imported, so a change to
+either in the library shows as a mismatch. Its bounds come from
 ``oracle_clopper_pearson_upper``, the Beta quantile by
 ``scipy.stats.beta.ppf``, which the program no longer imports, so it checks
 ``clopper_pearson_upper`` (``scipy.special.betaincinv``) independently.
@@ -26,11 +27,10 @@ from vpcc.errors import DomainError, SamplerMissing
 from vpcc.moments import RandomMatrixModel, SystemSpec
 from vpcc.stochastics import McCertificate
 
-from scenario_oracle import oracle_variate
+from scenario_oracle import FIRST_BATCH, MAX_BATCH, oracle_batches, oracle_variate
 
-# Batch b holds min(4096 * 2**b, 32768, samples left) trajectories; the early
-# looks of a multi-batch run share one tenth of 1 - confidence.
-FIRST_BATCH, MAX_BATCH, EARLY_SHARE = 4096, 32768, 0.1
+# The early looks of a multi-batch run share one tenth of 1 - confidence.
+EARLY_SHARE = 0.1
 
 
 def oracle_clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.99) -> float:
@@ -71,10 +71,7 @@ def oracle_batch_violations(spec: SystemSpec, jcc, U, samples: int, seed: int) -
     max_k = max(rows_by_k) if rows_by_k else 0
 
     counts = []
-    done = 0
-    while done < samples:
-        count = min(FIRST_BATCH * 2 ** len(counts), MAX_BATCH, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(counts),)))
+    for rng, _, count in oracle_batches(seed, samples):
         violated = np.zeros(count, dtype=bool)
         x = np.broadcast_to(spec.x0, (count, spec.n)).copy()
         for t in range(max_k):
@@ -83,7 +80,6 @@ def oracle_batch_violations(spec: SystemSpec, jcc, U, samples: int, seed: int) -
             for row in rows_by_k.get(t + 1, ()):
                 violated |= x @ row.G > row.h
         counts.append(int(violated.sum()))
-        done += count
     return counts
 
 

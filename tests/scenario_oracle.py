@@ -1,12 +1,14 @@
-"""Per-scenario reference for the batched scenario sampler and row assembly.
+"""Entry-by-entry reference for the batched scenario sampler and row assembly.
 
-``oracle_state_matrices`` draws every random entry of every scenario with its
-own generator call, scenario by scenario, time-ascending and row-major, the
-way the stream contract in ``vpcc.stochastics`` is stated. ``oracle_variate``
+``oracle_state_matrices`` follows the stream rule stated in
+``vpcc.stochastics``: batch by batch (``oracle_batches``, whose sizes are
+restated here, not imported), it draws every random entry's whole batch with
+one ``oracle_variate`` call, time-ascending and row-major. ``oracle_variate``
 restates each family's sampler, so the reference shares no sampling code
-with the library; ``tests/mc_oracle.py`` draws its batches with it too.
-``oracle_rows`` propagates one scenario at a time with 1-D products. ``oracle_tightest_rows`` keeps the smallest
-right-hand side per coefficient vector in a dict.
+with the library; ``tests/mc_oracle.py`` draws its batches with both.
+``oracle_rows`` propagates one scenario at a time with 1-D products.
+``oracle_tightest_rows`` keeps the smallest right-hand side per coefficient
+vector in a dict.
 """
 
 from __future__ import annotations
@@ -17,8 +19,22 @@ from vpcc.errors import SamplerMissing
 from vpcc.moments import SystemSpec
 from vpcc.stochastics import DistributionSpec
 
+# Batch b holds min(4096 * 2**b, 32768, trajectories left) trajectories.
+FIRST_BATCH, MAX_BATCH = 4096, 32768
 
-def oracle_variate(dist: DistributionSpec, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+
+def oracle_batches(seed: int, count: int):
+    """(generator, first trajectory, size) of each batch of a ``count``-trajectory
+    draw: batch b draws from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``."""
+    done = b = 0
+    while done < count:
+        size = min(FIRST_BATCH * 2**b, MAX_BATCH, count - done)
+        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), done, size
+        done += size
+        b += 1
+
+
+def oracle_variate(dist: DistributionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` transformed variates: every first draw, then every second."""
     if dist.family == "weibull":
         scale, shape = dist.params
@@ -44,19 +60,19 @@ def oracle_variate(dist: DistributionSpec, rng: np.random.Generator, count: int 
 
 
 def oracle_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray:
-    """(count, N, n, n) realisations, one entry at a time."""
+    """(count, N, n, n) realisations, one entry's batch at a time."""
     out = np.empty((count, spec.horizon, spec.n, spec.n))
-    for s in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(s,)))
+    for rng, first, size in oracle_batches(seed, count):
+        batch = out[first : first + size]
         for t, model in enumerate(spec.a_models):
             for i, row in enumerate(model.entries):
                 for j, entry in enumerate(row):
                     if entry.kind == "deterministic":
-                        out[s, t, i, j] = entry.mean
+                        batch[:, t, i, j] = entry.mean
                     elif entry.dist is None:
                         raise SamplerMissing("random entry carries moments only")
                     else:
-                        out[s, t, i, j] = oracle_variate(entry.dist, rng)[0]
+                        batch[:, t, i, j] = oracle_variate(entry.dist, rng, size)
     return out
 
 

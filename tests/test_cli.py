@@ -398,6 +398,10 @@ MALFORMED = {
     "solver-tol-nan": ("acs", {"solver": {"tol": math.nan}}, "methods.acs.solver.tol", "proposed"),
     "convergence-tol-inf": ("acs", {"convergence_rel_tol": math.inf}, "methods.acs.convergence_rel_tol", "proposed"),
     "feasibility-tol-inf": ("acs", {"feasibility_tol": math.inf}, "methods.acs.feasibility_tol", "proposed"),
+    "h-huge-int": ("row", {"h": 10**400}, "constraints.rows[0].h", "proposed"),
+    "x0-huge-int": ("system", {"x0": [10**400]}, "system.x0", "scenario"),
+    "alpha-huge-int": ("constraints", {"alpha": 10**400}, "constraints.alpha", "proposed"),
+    "beta-huge-int": ("scenario", {"beta": 10**400}, "methods.scenario.beta", "scenario"),
 }
 
 
@@ -411,7 +415,7 @@ class TestMalformedOptions:
         data = scalar_toy_config()
         if where == "cell":
             data["system"]["A"]["all"][0][0] = value
-        elif where in ("system", "cost", "input_polytope"):
+        elif where in ("system", "constraints", "cost", "input_polytope"):
             data[where].update(value)
         elif where == "row":
             data["constraints"]["rows"][0].update(value)

@@ -28,6 +28,7 @@ from conftest import (
     unordered_rows,
     unreduced_scenario_program,
 )
+from mc_oracle import sample_batch
 from scenario_oracle import oracle_rows, oracle_state_matrices, oracle_tightest_rows
 
 
@@ -72,9 +73,11 @@ class TestSampling:
             a = sample_state_matrices(spec, seed=5, count=8)
             b = sample_state_matrices(spec, seed=5, count=8)
             assert np.array_equal(a, b)
-            # per-scenario streams: a shorter draw is a prefix of a longer one
-            for count in (1, 4, 7):
-                assert np.array_equal(a[:count], sample_state_matrices(spec, seed=5, count=count))
+            # batch b has the same size in every draw that fills it, so a
+            # draw of whole batches is a prefix of every longer draw
+            full = sample_state_matrices(spec, seed=5, count=4096)
+            for extra in (1, 7):
+                assert np.array_equal(sample_state_matrices(spec, seed=5, count=4096 + extra)[:4096], full)
 
     def test_sampler_missing(self):
         entry = RandomEntry("distributional", 1.0, 1.0, dist=None)
@@ -102,6 +105,18 @@ class TestAgainstOracle:
 
     def test_two_bus_bit_identical(self, two_bus_spec):
         assert np.array_equal(sample_state_matrices(two_bus_spec, 11, 112), oracle_state_matrices(two_bus_spec, 11, 112))
+
+    def test_scenarios_are_mc_trajectories(self, two_bus_spec):
+        """A draw across two batches, against MC's reference sampler on each
+        batch's stream: scenario s is trajectory s of an MC run."""
+        for spec in (mixed_family_spec(), two_bus_spec):
+            matrices = sample_state_matrices(spec, 3, 4096 + 5)
+            first = 0
+            for b, size in enumerate((4096, 5)):
+                rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(b,)))
+                for t, model in enumerate(spec.a_models):
+                    assert np.array_equal(matrices[first : first + size, t], sample_batch(model, rng, size))
+                first += size
 
     @pytest.mark.parametrize("count", [1, 57])
     def test_rows(self, count):

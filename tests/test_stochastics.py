@@ -9,13 +9,14 @@ from scipy import special
 import vpcc
 from vpcc.errors import DomainError, MomentUndefined, SamplerMissing
 from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
+from vpcc.scenario import sample_state_matrices
 from vpcc.stochastics import (
     _MC_BATCH,
     _MC_FIRST_BATCH,
     DistributionSpec,
     _batch_sizes,
+    batch_streams,
     beta_dist,
-    child_streams,
     clopper_pearson_upper,
     constant,
     finite_support,
@@ -139,45 +140,32 @@ class TestSamplers:
 
 
 class TestChildStreams:
-    """``child_streams`` against numpy building each child's generator."""
+    """``batch_streams``: batch b of a draw holds the b-th of ``_batch_sizes``
+    and draws child stream b of the seed, numpy's
+    ``default_rng(SeedSequence(seed, spawn_key=(b,)))``."""
 
     @staticmethod
     def draws(rng):
         return rng.random(7), rng.standard_gamma(50.0, 3)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9])
-    @pytest.mark.parametrize("count", [0, 1, 1782])
+    @pytest.mark.parametrize("count", [0, 1, 1782, 3 * _MC_FIRST_BATCH + 7])
     def test_matches_numpy_seeding(self, seed, count):
-        checked = {0, 1, count - 1} & set(range(count))
-        seen = 0
-        for i, rng in enumerate(child_streams(seed, count)):
-            seen += 1
-            if i in checked:
-                ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-                for got, want in zip(self.draws(rng), self.draws(ref)):
-                    assert np.array_equal(got, want), (seed, count, i)
-        assert seen == count
-
-    def test_each_child_starts_fresh(self):
-        # A 32-bit draw leaves half a 64-bit word buffered in the bit generator.
-        streams = child_streams(5, 2)
-        next(streams).integers(0, 2**32, size=1, dtype=np.uint32)
-        ref = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(1,)))
-        assert np.array_equal(next(streams).random(7), ref.random(7))
+        streams = list(batch_streams(seed, count))
+        assert [size for _, size in streams] == _batch_sizes(count)
+        for b, (rng, _) in enumerate(streams):
+            ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+            for got, want in zip(self.draws(rng), self.draws(ref)):
+                assert np.array_equal(got, want), (seed, count, b)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
     def test_bad_seed(self, seed):
         with pytest.raises(DomainError):
-            child_streams(seed, 1)
-
-    @pytest.mark.parametrize("count", [-1, 2**32 + 1])
-    def test_count_outside_one_key_word_raises_before_allocating(self, count, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated the key column")
-
-        monkeypatch.setattr(np, "arange", refuse)
-        with pytest.raises(DomainError, match="2\\*\\*32"):
-            child_streams(0, count)
+            batch_streams(seed, 1)
+        with pytest.raises(DomainError):
+            sample_state_matrices(mixed_family_spec(), seed, 2)
+        with pytest.raises(DomainError):
+            mc_certify(mixed_family_spec(), _mixed_rowset(), _MIXED_U, samples=2, seed=seed)
 
 
 class TestClopperPearson:
