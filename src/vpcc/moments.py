@@ -39,6 +39,7 @@ safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -80,7 +81,7 @@ class RandomEntry:
     def __post_init__(self):
         if self.kind not in ("deterministic", "distributional", "finite-support"):
             raise DomainError(f"unknown entry kind {self.kind!r}")
-        if not np.isfinite(self.mean) or not np.isfinite(self.variance):
+        if not math.isfinite(self.mean) or not math.isfinite(self.variance):
             raise DomainError("entries need finite mean and variance")
         if self.variance < 0:
             raise DomainError("entry variance must be nonnegative")

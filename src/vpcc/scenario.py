@@ -20,6 +20,15 @@ Scenarios are drawn in Monte-Carlo certification's batches, by the stream
 rule stated in ``vpcc.stochastics``: one draw plan of the whole horizon is
 filled per batch, and each entry is transformed across the batch at once, so
 scenario s of a seed is trajectory s of an MC run on that seed.
+
+Rows that no sample changes are built once. The state map's x0 and input
+parts are each one array shared by every scenario until a random entry of
+A(t) meets a nonzero row of it (the rule MC certification applies to its
+state), and a step whose coefficients are still shared adds one row per
+constraint, with its smallest right-hand side over the sample. The two-bus
+case (N = 1) so hands its sort 2 shared rows where it would otherwise sort
+one per scenario and constraint; the kept program, its rows and their order
+are the same either way.
 """
 
 from __future__ import annotations
@@ -95,35 +104,46 @@ def sample_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray
     return out
 
 
-def _scenario_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Affine constraint rows in the stacked input, scenario-major.
+def _scenario_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Affine constraint rows in the stacked input: one (coefficients, rhs)
+    block per step that has rows, rhs (count, r) and coefficients (count, r, d),
+    or (r, d) when every scenario shares them.
 
     Per scenario the state is x(k) = Phi_k x0 + R_k U with
     Phi_k = A(k-1) Phi_{k-1} and R_k = A(k-1) R_{k-1} + (injection of B into
-    the u(k-1) block), so each constraint row pulls one row out of R_k. All
-    scenarios advance together as stacked matrix products, whose per-scenario
-    BLAS calls are the ones a single scenario would make. A row outside
-    steps 1..N is refused.
+    the u(k-1) block), so each constraint row pulls one row out of R_k. Phi
+    and R each stay one array shared by every scenario, advanced by A(t)'s
+    mean matrix, until a random entry of A(t) meets a nonzero row of it:
+    till then that entry only multiplies zeros, and every scenario's product
+    is the mean's. From there the scenarios advance together as stacked
+    matrix products, whose per-scenario BLAS calls are the ones a single
+    scenario would make. A shared block equals every scenario's rows, so
+    the program kept from the blocks is the one kept from every sampled
+    row. A row outside steps 1..N is refused.
     """
     n, m, N = spec.n, spec.m, spec.horizon
     count = matrices.shape[0]
-    phi = np.tile(spec.x0[:, None], (count, 1, 1))
-    reach = np.zeros((count, n, N * m))
-    coef_blocks = []
-    rhs_blocks = []
+
+    def advance(part, t):
+        """A(t) part, over the mean matrix while every scenario shares it."""
+        model = spec.a_models[t]
+        if part.ndim == 3:
+            return matrices[:, t] @ part
+        live = np.flatnonzero(part.any(axis=1))
+        if any(row[j].kind != "deterministic" for row in model.entries for j in live):
+            return matrices[:, t] @ part
+        return model.mean_matrix @ part
+
+    phi, reach = spec.x0[:, None], np.zeros((n, N * m))
+    blocks = []
     t = 0
     for k, G, h in spec.rows_by_step(rows):
         for t in range(t, k):
-            a_t = matrices[:, t]
-            phi = a_t @ phi
-            reach = a_t @ reach
-            reach[:, :, t * m : (t + 1) * m] += spec.B
+            phi, reach = advance(phi, t), advance(reach, t)
+            reach[..., t * m : (t + 1) * m] += spec.B
         t = k
-        coef_blocks.append(G @ reach)
-        rhs_blocks.append(h - (G @ phi)[:, :, 0])
-    coef = np.concatenate(coef_blocks, axis=1).reshape(-1, N * m)
-    rhs = np.concatenate(rhs_blocks, axis=1).reshape(-1)
-    return coef, rhs
+        blocks.append((G @ reach, np.broadcast_to(h - (G @ phi)[..., 0], (count, len(h)))))
+    return blocks
 
 
 def _distinct_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +172,10 @@ def solve_scenario(
     level. Identical seeds give bitwise identical constraint matrices and
     hence identical solutions. The program keeps the tightest row per
     coefficient vector; the feasible set is unchanged; no tolerance-based
-    pruning, since the guarantee counts samples.
+    pruning, since the guarantee counts samples. A block of coefficients
+    every scenario shares enters as one row per constraint with its
+    smallest right-hand side, which is the row the sort would keep of its
+    copies, so the program is the one built from every sampled row.
     """
     start = time.perf_counter()
     alpha = float(jcc.alpha)
@@ -165,9 +188,11 @@ def solve_scenario(
         )
 
     matrices = sample_state_matrices(spec, sc.rng_seed, n_s)
-    coef, rhs = _scenario_rows(spec, matrices, jcc.rows)
+    blocks = _scenario_rows(spec, matrices, jcc.rows)
+    coef = [c.reshape(-1, spec.input_dim) for c, _ in blocks]
+    rhs = [r.min(axis=0) if c.ndim == 2 else r.reshape(-1) for c, r in blocks]
     A_poly, b_poly = spec.stacked_polytope()
-    A_all, b_all = _distinct_rows(np.vstack([coef, A_poly]), np.concatenate([rhs, b_poly]))
+    A_all, b_all = _distinct_rows(np.vstack([*coef, A_poly]), np.concatenate([*rhs, b_poly]))
 
     P, c = cost.stacked()
     program = ConicProgram(P=P, c=c, A_u=A_all, b_u=b_all)

@@ -81,6 +81,15 @@ _MC_BATCH = 1 << 15
 # spend, split equally among them; the last look spends the rest.
 _MC_EARLY_SHARE = 0.1
 
+
+def _ndim(value) -> int:
+    """``np.ndim`` of a number or of nested lists and tuples of numbers,
+    without a numpy call per parameter."""
+    if isinstance(value, (list, tuple)):
+        return 1 + max(map(_ndim, value), default=0)
+    return getattr(value, "ndim", 0)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A scalar distribution plus an optional integer power transform.
@@ -106,7 +115,7 @@ class DistributionSpec:
             raise DomainError(f"power transform must be 1, 2 or 3, got {self.power}")
         names = FAMILIES[self.family]
         ndim = 1 if self.family == "finite" else 0
-        if len(self.params) != len(names) or any(np.ndim(p) != ndim for p in self.params):
+        if len(self.params) != len(names) or any(_ndim(p) != ndim for p in self.params):
             kind = "sequences" if ndim else "numbers"
             raise DomainError(f"{self.family} takes {len(names)} {kind}: {', '.join(names)}")
         if self.family == "weibull":

@@ -114,12 +114,22 @@ def two_point_spec() -> SystemSpec:
     )
 
 
+def sampled_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Every sampled row of ``_scenario_rows``, scenario-major, with the
+    blocks that all scenarios share broadcast over them."""
+    count = matrices.shape[0]
+    blocks = _scenario_rows(spec, matrices, rows)
+    coef = np.concatenate([np.broadcast_to(c, (count, *c.shape[-2:])) for c, _ in blocks], axis=1)
+    rhs = np.concatenate([r for _, r in blocks], axis=1)
+    return coef.reshape(-1, spec.input_dim), rhs.reshape(-1)
+
+
 def unreduced_scenario_program(spec: SystemSpec, jcc, cost, sc) -> ConicProgram:
     """Every row of the sample ``solve_scenario(spec, jcc, ..., sc)`` draws,
     then the stacked input polytope: its program before it keeps the tightest
     row per coefficient vector."""
     count = sc.sample_count if sc.sample_count is not None else required_samples(jcc.alpha, sc.beta)
-    coef, rhs = _scenario_rows(spec, sample_state_matrices(spec, sc.rng_seed, count), jcc.rows)
+    coef, rhs = sampled_rows(spec, sample_state_matrices(spec, sc.rng_seed, count), jcc.rows)
     A_poly, b_poly = spec.stacked_polytope()
     P, c = cost.stacked()
     return ConicProgram(P=P, c=c, A_u=np.vstack([coef, A_poly]), b_u=np.concatenate([rhs, b_poly]))

@@ -22,7 +22,6 @@ from vpcc import acs, conic
 from vpcc.reformulate import LAMBDA_FLOOR
 from vpcc.scenario import (
     ScenarioConfig,
-    _scenario_rows,
     required_samples,
     sample_count_note,
     sample_state_matrices,
@@ -30,6 +29,7 @@ from vpcc.scenario import (
 )
 from vpcc.stochastics import mc_certify
 
+from conftest import sampled_rows
 from enum_oracle import enumerate_margin, random_finite_system
 
 GRID = [0.84, 0.86, 0.88, 0.90, 0.92, 0.94, 0.96, 0.98, 0.99]
@@ -220,7 +220,7 @@ class TestCriterion7:
         for seed in range(5):
             distinct = {}
             for count, medians in ((112, small), (1782, large)):
-                coef, rhs = _scenario_rows(spec, sample_state_matrices(spec, seed, count), rows.rows)
+                coef, rhs = sampled_rows(spec, sample_state_matrices(spec, seed, count), rows.rows)
                 distinct[count] = len(np.unique(np.column_stack((coef, rhs)), axis=0))
                 times = []
                 for _ in range(3):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vpcc
-from vpcc import conic
+from vpcc import conic, scenario
 from vpcc.acs import Cost
 from vpcc.errors import DomainError, SamplerMissing
 from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
@@ -14,15 +16,16 @@ from vpcc.reformulate import RowSet
 from vpcc.scenario import (
     ScenarioConfig,
     _distinct_rows,
-    _scenario_rows,
     required_samples,
     sample_count_note,
     sample_state_matrices,
     solve_scenario,
 )
+from vpcc.stochastics import finite_support
 from conftest import (
     deterministic_spec,
     mixed_family_spec,
+    sampled_rows,
     scalar_iid_spec,
     two_point_spec,
     unordered_rows,
@@ -122,7 +125,7 @@ class TestAgainstOracle:
     def test_rows(self, count):
         spec = mixed_family_spec()
         matrices = sample_state_matrices(spec, 5, count)
-        coef, rhs = _scenario_rows(spec, matrices, mixed_family_rows())
+        coef, rhs = sampled_rows(spec, matrices, mixed_family_rows())
         ref_coef, ref_rhs = oracle_rows(spec, matrices, mixed_family_rows())
         assert coef.shape == (3 * count, spec.input_dim)
         assert np.array_equal(coef, ref_coef)
@@ -132,7 +135,7 @@ class TestAgainstOracle:
     def test_rows_out_of_step_order(self, count):
         spec = mixed_family_spec()
         matrices = sample_state_matrices(spec, 5, count)
-        coef, rhs = _scenario_rows(spec, matrices, unordered_rows())
+        coef, rhs = sampled_rows(spec, matrices, unordered_rows())
         ref_coef, ref_rhs = oracle_rows(spec, matrices, unordered_rows())
         assert coef.shape == (3 * count, spec.input_dim)
         assert np.array_equal(coef, ref_coef)
@@ -142,7 +145,7 @@ class TestAgainstOracle:
         spec = two_bus_cfg.system_spec()
         rows = two_bus_cfg.constraint_rows()
         matrices = sample_state_matrices(spec, 2, 112)
-        coef, rhs = _scenario_rows(spec, matrices, rows)
+        coef, rhs = sampled_rows(spec, matrices, rows)
         ref_coef, ref_rhs = oracle_rows(spec, matrices, rows)
         assert np.array_equal(coef, ref_coef)
         assert np.allclose(rhs, ref_rhs, rtol=1e-12, atol=0.0)
@@ -179,10 +182,92 @@ class TestDistinctRows:
             spec, rows = two_bus_cfg.system_spec(), two_bus_cfg.constraint_rows()
         else:
             spec, rows = mixed_family_spec(), mixed_family_rows()
-        coef, rhs = _scenario_rows(spec, sample_state_matrices(spec, 4, 300), rows)
+        coef, rhs = sampled_rows(spec, sample_state_matrices(spec, 4, 300), rows)
         A_poly, b_poly = spec.stacked_polytope()
         A, b = np.vstack([coef, A_poly]), np.concatenate([rhs, b_poly])
         self.assert_matches_oracle(np.vstack([A, A[::3]]), np.concatenate([b, b[::3]]))  # with every third row twice
+
+
+# Entries of the sharing cases: zeros most often, so a random entry can sit in
+# a column whose state row is still zero, or meet a nonzero one. Every value,
+# drawn or fixed, is a short dyadic fraction, so every product and sum is
+# exact and the batched rows equal the oracle's bit for bit, whatever order
+# BLAS adds in.
+LEVELS = (0.0, 0.0, 0.0, -0.5, 0.25, 1.0)
+RANDOM_ENTRIES = (
+    finite_support([0.5, 1.5], [0.5, 0.5]),
+    finite_support([-1.0, 0.25, 2.0], [0.25, 0.5, 0.25]),
+    finite_support([0.75, 1.25], [0.5, 0.5], power=2),
+)
+
+
+@st.composite
+def sharing_cases(draw):
+    """A small spec whose B reaches some state rows and not others, up to two
+    random entries per step in columns of each kind, x0 with zero entries,
+    and rows at any step in any order."""
+    n, horizon, m = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    reached = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    B = np.zeros((n, m))
+    for i in reached:
+        B[i] = draw(st.lists(st.sampled_from((-1.5, 0.5, 2.0)), min_size=m, max_size=m))
+    models = []
+    for _ in range(horizon):
+        grid = draw(st.lists(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n), min_size=n, max_size=n))
+        for columns in (reached, sorted(set(range(n)) - set(reached))):
+            for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(columns)), max_size=2)):
+                grid[i][j] = draw(st.sampled_from(RANDOM_ENTRIES))
+        models.append(RandomMatrixModel.from_grid(grid))
+    x0 = np.array(draw(st.lists(st.sampled_from((0.0, 0.0, 1.0, -2.0)), min_size=n, max_size=n)))
+    level = st.sampled_from((-1.0, 0.0, 0.5, 1.0))
+    rows = []
+    for q in range(draw(st.integers(1, 4))):
+        G = np.array(draw(st.lists(level, min_size=n, max_size=n)))
+        rows.append(vpcc.ConstraintRow(G=G, h=draw(level), k=draw(st.integers(1, horizon)), id=f"r{q}"))
+    box = np.vstack([np.eye(m), -np.eye(m)]), np.full(2 * m, 5.0)
+    return SystemSpec(horizon=horizon, a_models=tuple(models), B=B, x0=x0, A_u=box[0], b_u=box[1]), rows
+
+
+class TestSharedRows:
+    """Rows that no sample changes are built once, and the program is still
+    the tightest of every sampled row."""
+
+    @given(case=sharing_cases(), count=st.sampled_from((1, 57, 4096 + 5)), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_program_is_the_tightest_of_every_sampled_row(self, case, count, seed):
+        spec, rows = case
+        programs = []
+        inner = conic.solve
+
+        def record(program, opts=None, x_hint=None):
+            programs.append(program)
+            return inner(program, opts, x_hint=x_hint)
+
+        cost = Cost.repeated(np.eye(spec.m), np.zeros(spec.m), spec.horizon)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conic, "solve", record)
+            solve_scenario(spec, RowSet(tuple(rows), 0.05), cost, ScenarioConfig(sample_count=count, rng_seed=seed))
+        (program,) = programs
+        coef, rhs = oracle_rows(spec, sample_state_matrices(spec, seed, count), rows)
+        A_poly, b_poly = spec.stacked_polytope()
+        want_A, want_b = oracle_tightest_rows(np.vstack([coef, A_poly]), np.concatenate([rhs, b_poly]))
+        assert np.array_equal(program.A_u, want_A)
+        assert np.array_equal(program.b_u, want_b)
+
+    def test_two_bus_sorts_shared_rows(self, two_bus_cfg, monkeypatch):
+        """A 0.99 cell hands the sort its 2 shared constraint rows and the 4
+        polytope rows, not one row per scenario and constraint (3568)."""
+        sizes = []
+        inner = scenario._distinct_rows
+
+        def record(A, b):
+            sizes.append(A.shape[0])
+            return inner(A, b)
+
+        monkeypatch.setattr(scenario, "_distinct_rows", record)
+        cfg = two_bus_cfg.with_alpha(0.01)
+        report = solve_scenario(cfg.system_spec(), cfg.row_set(), cfg.cost(), cfg.scenario_config(seed=3))
+        assert report.sample_count == 1782 and sizes == [6]
 
 
 class TestUnreducedEquivalence:
