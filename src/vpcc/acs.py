@@ -414,7 +414,6 @@ def run(
     jcc: JointChanceConstraint,
     cost: Cost,
     config: AcsConfig | None = None,
-    inputs_echo: dict | None = None,
 ) -> SolveReport:
     """Alternate input and multiplier steps until the objective settles.
 
@@ -422,7 +421,8 @@ def run(
     marginal unimodality of every row); nothing here can verify them. The
     returned allocation is the one that produced the returned input, so the
     pair passes the feasibility check as-is and re-solving from it is a
-    fixed point.
+    fixed point. The report's ``inputs`` stay None; ``vpcc.cli`` sets them to
+    the config it solved.
     """
     config = config or AcsConfig()
     start = time.perf_counter()
@@ -442,7 +442,6 @@ def run(
             trace=trace,
             notes=notes,
             wall_time_ms=(time.perf_counter() - start) * 1e3,
-            inputs=inputs_echo,
         )
         if U is not None:
             report.U = np.asarray(U).reshape(spec.horizon, spec.m).tolist()

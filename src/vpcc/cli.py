@@ -1,12 +1,16 @@
 """Batch front door: solve, sweep, moments, validate.
 
 Exit codes: 0 on a feasible solve, 2 when the requested problem is
-infeasible, 1 on any error (bad config, failed certification, ...);
-``verdict`` decides them and the sweep's ``feasible`` cell for a report.
-``VPCC_SEED`` overrides the config seed. Outputs are a ``report.json`` per
-solve and, for sweeps, a ``sweep.csv`` (UTF-8, LF, fixed header
+infeasible, 1 on any error (bad config, failed certification, a file that
+cannot be read or written, ...); ``verdict`` decides them and the sweep's
+``feasible`` cell for a report. ``VPCC_SEED`` overrides the config seed.
+Both methods run through ``_solve``, which echoes the solved config as the
+report's ``inputs``. Outputs are a ``report.json`` per solve and, for
+sweeps, a ``sweep.csv`` (UTF-8, LF, fixed header
 ``one_minus_alpha,method,feasible,objective,wall_time_ms,mc_upper_ci``,
-numbers with 17 significant digits) plus per-point reports and a log.
+numbers with 17 significant digits) plus per-point reports and a log; each
+CSV row and log line is read from its cell's report, or from the error that
+stopped the cell before it had one.
 """
 
 from __future__ import annotations
@@ -53,25 +57,29 @@ def _derived_seed(base: int, *key: int) -> int:
     return int(np.random.SeedSequence([base, *key]).generate_state(1)[0])
 
 
-def _solve_proposed(cfg: ProblemConfig, mc_seed: int | None = None) -> SolveReport:
+def _solve(
+    cfg: ProblemConfig, method: str, scenario_seed: int | None = None, mc_seed: int | None = None
+) -> SolveReport:
+    """Solve one config by ``method``; the report echoes the config as its ``inputs``.
+
+    An optimal proposed solve is certified by Monte-Carlo and carries the
+    certificate and its seed. The seeds default to ones derived from the
+    config seed.
+    """
     cfg.require_attested()
     spec = cfg.system_spec()
-    jcc = cfg.jcc()
-    report = acs.run(spec, jcc, cfg.cost(), cfg.acs_config(), inputs_echo=cfg.to_dict())
-    if report.status == STATUS_OPTIMAL:
-        seed = mc_seed if mc_seed is not None else _derived_seed(cfg.seed, 1)
-        cert = mc_certify(spec, jcc, np.asarray(report.U).ravel(), cfg.mc_samples, seed)
-        report.mc = cert.to_dict()
-        report.seed = seed
+    if method == "proposed":
+        jcc = cfg.jcc()
+        report = acs.run(spec, jcc, cfg.cost(), cfg.acs_config())
+        if report.status == STATUS_OPTIMAL:
+            seed = mc_seed if mc_seed is not None else _derived_seed(cfg.seed, 1)
+            cert = mc_certify(spec, jcc, np.asarray(report.U).ravel(), cfg.mc_samples, seed)
+            report.mc = cert.to_dict()
+            report.seed = seed
+    else:
+        report = scenario.solve_scenario(spec, cfg.row_set(), cfg.cost(), cfg.scenario_config(scenario_seed))
+    report.inputs = cfg.to_dict()
     return report
-
-
-def _solve_scenario(cfg: ProblemConfig, seed: int | None = None) -> SolveReport:
-    cfg.require_attested()
-    spec = cfg.system_spec()
-    return scenario.solve_scenario(
-        spec, cfg.row_set(), cfg.cost(), cfg.scenario_config(seed), inputs_echo=cfg.to_dict()
-    )
 
 
 def _write_report(report: SolveReport, out_dir: str, name: str = "report.json") -> str:
@@ -99,11 +107,7 @@ def verdict(report: SolveReport) -> tuple[int, str, str | None]:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load(args.config)
-    if args.method == "proposed":
-        report = _solve_proposed(cfg)
-    else:
-        report = _solve_scenario(cfg)
+    report = _solve(_load(args.config), args.method)
     path = _write_report(report, args.out)
     print(f"{report.method}: {report.status}  objective={_fmt(report.objective)}  report={path}")
     code, _, error = verdict(report)
@@ -143,38 +147,14 @@ def parse_grid(text: str) -> list[float]:
     return out
 
 
-def _sweep_task(payload: dict) -> dict:
-    """One (grid point, method) cell; runs in a worker process."""
-    cfg = payload["config"]
-    point = payload["point"]
-    method = payload["method"]
-    alpha = round(1.0 - point, 12)
-    row = {
-        "one_minus_alpha": point,
-        "method": method,
-        "feasible": "error",
-        "objective": None,
-        "wall_time_ms": None,
-        "mc_upper_ci": None,
-        "error": None,
-        "report": None,
-    }
+def _sweep_task(payload: dict) -> tuple[SolveReport | None, str | None]:
+    """One (grid point, method) cell; runs in a worker process. Returns the
+    cell's report, or None and the text of the error that stopped it."""
     try:
-        cfg_point = cfg.with_alpha(alpha)
-        if method == "proposed":
-            report = _solve_proposed(cfg_point, mc_seed=payload["mc_seed"])
-        else:
-            report = _solve_scenario(cfg_point, seed=payload["scenario_seed"])
-        row["report"] = report
-        row["wall_time_ms"] = report.wall_time_ms
-        _, row["feasible"], row["error"] = verdict(report)
-        if row["feasible"] == "true":
-            row["objective"] = report.objective
-            if report.mc:
-                row["mc_upper_ci"] = report.mc["upper_ci_99"]
+        cfg = payload["config"].with_alpha(round(1.0 - payload["point"], 12))
+        return _solve(cfg, payload["method"], payload["scenario_seed"], payload["mc_seed"]), None
     except VpccError as exc:
-        row["error"] = str(exc)
-    return row
+        return None, str(exc)
 
 
 def cmd_sweep(args) -> int:
@@ -193,14 +173,14 @@ def cmd_sweep(args) -> int:
                     "mc_seed": _derived_seed(cfg.seed, idx, 1),
                 }
             )
+    os.makedirs(args.out, exist_ok=True)
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
+            results = list(pool.map(_sweep_task, tasks))
     else:
-        rows = [_sweep_task(task) for task in tasks]
+        results = [_sweep_task(task) for task in tasks]
 
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     log_path = os.path.join(args.out, "sweep.log")
     failures = 0
@@ -208,41 +188,42 @@ def cmd_sweep(args) -> int:
         log_path, "w", encoding="utf-8", newline="\n"
     ) as log_file:
         csv_file.write(CSV_HEADER + "\n")
-        for row in rows:
+        for task, (report, error) in zip(tasks, results):
+            point, method = task["point"], task["method"]
+            feasible, objective, wall_time_ms, mc = "error", None, None, {}
+            if report is not None:
+                _, feasible, error = verdict(report)
+                wall_time_ms = report.wall_time_ms
+                if feasible == "true":
+                    objective, mc = report.objective, report.mc or {}
+                _write_report(report, args.out, f"report_{point:g}_{method}.json")
+            mc_upper_ci = _fmt(mc.get("upper_ci_99"))
             csv_file.write(
-                ",".join(
-                    [
-                        _fmt(row["one_minus_alpha"]),
-                        row["method"],
-                        row["feasible"],
-                        _fmt(row["objective"]),
-                        _fmt(row["wall_time_ms"]),
-                        _fmt(row["mc_upper_ci"]),
-                    ]
-                )
-                + "\n"
+                ",".join([_fmt(point), method, feasible, _fmt(objective), _fmt(wall_time_ms), mc_upper_ci]) + "\n"
             )
-            stamp = f"1-alpha={row['one_minus_alpha']} method={row['method']} feasible={row['feasible']}"
-            if row["error"]:
+            stamp = f"1-alpha={point} method={method} feasible={feasible}"
+            if error:
                 failures += 1
-                log_file.write(f"{stamp} ERROR {row['error']}\n")
+                log_file.write(f"{stamp} ERROR {error}\n")
             else:
-                line = f"{stamp} objective={_fmt(row['objective'])}"
-                if row["method"] == "proposed":
-                    mc = row["report"].mc or {}
-                    line += f" mc_upper_ci={_fmt(row['mc_upper_ci'])} mc_samples_used={mc.get('samples_used', '')}"
+                line = f"{stamp} objective={_fmt(objective)}"
+                if method == "proposed":
+                    line += f" mc_upper_ci={mc_upper_ci} mc_samples_used={mc.get('samples_used', '')}"
                 log_file.write(line + "\n")
-            if row["report"] is not None:
-                _write_report(row["report"], args.out, f"report_{row['one_minus_alpha']:g}_{row['method']}.json")
-    print(f"sweep: {len(rows)} rows -> {csv_path} ({failures} recorded failure(s))")
+    print(f"sweep: {len(results)} rows -> {csv_path} ({failures} recorded failure(s))")
     return EXIT_OK
 
 
 def cmd_moments(args) -> int:
     cfg = _load(args.config)
     spec = cfg.system_spec()
-    rows = cfg.constraint_rows()
-    matches = [r for r in rows if r.k == args.time]
+    if not (1 <= args.time <= cfg.horizon):
+        print(f"error: --time must lie in [1, {cfg.horizon}]", file=sys.stderr)
+        return EXIT_ERROR
+    matches = [r for r in cfg.constraint_rows() if r.k == args.time]
+    if not matches:
+        print(f"error: time step {args.time} has no constraint row", file=sys.stderr)
+        return EXIT_ERROR
     if not (1 <= args.row <= len(matches)):
         print(
             f"error: --row must lie in [1, {len(matches)}] for time step {args.time}",
@@ -327,7 +308,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error at {exc.field or '<root>'}: {exc.reason}", file=sys.stderr)
         return EXIT_ERROR
-    except (VpccError, FileNotFoundError) as exc:
+    except (VpccError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -447,6 +447,8 @@ def load_config(path) -> ProblemConfig:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError("", f"{path}: invalid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError("", f"{path}: not UTF-8 ({exc})") from None
     return parse_config(data, source=str(path))
 
 

@@ -163,7 +163,6 @@ def solve_scenario(
     cost: Cost,
     sc: ScenarioConfig,
     solver_opts: conic.SolverOptions | None = None,
-    inputs_echo: dict | None = None,
 ) -> SolveReport:
     """Sample, assemble, solve; the report's wall time covers all three.
 
@@ -175,7 +174,9 @@ def solve_scenario(
     pruning, since the guarantee counts samples. A block of coefficients
     every scenario shares enters as one row per constraint with its
     smallest right-hand side, which is the row the sort would keep of its
-    copies, so the program is the one built from every sampled row.
+    copies, so the program is the one built from every sampled row. The
+    report's ``inputs`` stay None; ``vpcc.cli`` sets them to the config it
+    solved.
     """
     start = time.perf_counter()
     alpha = float(jcc.alpha)
@@ -206,7 +207,6 @@ def solve_scenario(
         seed=sc.rng_seed,
         notes=notes,
         wall_time_ms=(time.perf_counter() - start) * 1e3,
-        inputs=inputs_echo,
     )
     if outcome.x is not None and outcome.status == STATUS_OPTIMAL:
         report.U = outcome.x.reshape(spec.horizon, spec.m).tolist()

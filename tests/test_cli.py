@@ -1,5 +1,6 @@
 """Command-line front door: exit codes, artifacts, config round trips."""
 
+import csv
 import json
 import math
 import os
@@ -112,6 +113,54 @@ class TestSolve:
         report = vpcc.SolveReport.from_json((tmp_path / "env" / "report.json").read_text())
         assert report.inputs["seed"] == 99
 
+    @pytest.mark.parametrize("method", ["proposed", "scenario"])
+    def test_inputs_echo_the_loaded_config(self, two_bus_path, tmp_path, method):
+        assert main(["solve", two_bus_path, "--method", method, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["inputs"] == load_config(two_bus_path).to_dict()
+
+
+class TestFileErrors:
+    """A file that cannot be read or written ends the command with exit 1 and
+    one error line, not a traceback."""
+
+    @staticmethod
+    def one_error_line(capsys, prefix="error: "):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), err
+        return lines[0]
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 1
+        assert "Is a directory" in self.one_error_line(capsys)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(scalar_toy_config()).encode("utf-16-le"))
+        assert main(["validate", str(path)]) == 1
+        line = self.one_error_line(capsys, "config error at <root>: ")
+        assert f"{path}: not UTF-8" in line
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_solve_out_under_a_file(self, two_bus_path, tmp_path, capsys, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = os.path.join(str(blocker), below) if below else str(blocker)
+        assert main(["solve", two_bus_path, "--method", "scenario", "--out", out]) == 1
+        self.one_error_line(capsys)
+
+    def test_sweep_out_a_file_fails_before_any_cell(self, two_bus_path, tmp_path, monkeypatch, capsys):
+        def no_cell(payload):
+            raise AssertionError("a cell was solved")
+
+        monkeypatch.setattr(cli, "_sweep_task", no_cell)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["sweep", two_bus_path, "--grid", "0.84", "--out", str(blocker)]) == 1
+        assert "File exists" in self.one_error_line(capsys)
+
 
 class TestSeedValidation:
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
@@ -165,6 +214,16 @@ class TestMoments:
 
     def test_bad_row_index(self, two_bus_path, capsys):
         assert main(["moments", two_bus_path, "--row", "7", "--time", "1"]) == 1
+
+    @pytest.mark.parametrize("time", ["0", "3"])
+    def test_time_outside_horizon(self, two_bus_path, capsys, time):
+        assert main(["moments", two_bus_path, "--row", "1", "--time", time]) == 1
+        assert capsys.readouterr().err == "error: --time must lie in [1, 1]\n"
+
+    def test_time_without_rows(self, tmp_path, capsys):
+        path = write_config(tmp_path, scalar_toy_config())
+        assert main(["moments", path, "--row", "1", "--time", "1"]) == 1
+        assert capsys.readouterr().err == "error: time step 1 has no constraint row\n"
 
     def test_non_numeric_input_exits_1(self, two_bus_path, capsys):
         assert main(["moments", two_bus_path, "--row", "1", "--time", "1", "--u", "abc"]) == 1
@@ -222,17 +281,17 @@ class TestSweep:
         """An "optimal" proposed report that fails its own feasibility check
         makes ``solve`` exit 1 and is an error cell in the sweep."""
 
-        def unchecked(cfg, mc_seed=None):
+        def unchecked(spec, jcc, cost, config=None):
             return vpcc.SolveReport(
                 method="proposed",
                 status="optimal",
-                alpha=cfg.alpha,
+                alpha=jcc.alpha,
                 objective=1.0,
                 U=[[0.0, 0.0]],
                 feasibility={"feasible": False},
             )
 
-        monkeypatch.setattr(cli, "_solve_proposed", unchecked)
+        monkeypatch.setattr(vpcc.acs, "run", unchecked)
         assert main(["solve", two_bus_path, "--method", "proposed", "--out", str(tmp_path / "solo")]) == 1
         assert "feasibility check" in capsys.readouterr().err
         out = str(tmp_path / "sweep")
@@ -240,6 +299,38 @@ class TestSweep:
         cells = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1].split(",")
         assert cells[1:3] == ["proposed", "error"]
         assert " ERROR " in (tmp_path / "sweep" / "sweep.log").read_text()
+
+    def test_rows_and_log_lines_read_from_each_report(self, two_bus_path, tmp_path):
+        """At 0.8 the proposed cell stops before it has a report (alpha 0.2
+        is past the 1/6 bound); every other row and log line restates its
+        cell's report."""
+        out = tmp_path / "sweep"
+        assert main(["sweep", two_bus_path, "--grid", "0.8,0.84,0.99", "--methods", "both", "--out", str(out)]) == 0
+        with open(out / "sweep.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        lines = (out / "sweep.log").read_text(encoding="utf-8").splitlines()
+        assert [row["feasible"] for row in rows] == ["error", "true", "true", "true", "false", "true"]
+        for row, line in zip(rows, lines, strict=True):
+            point, method = float(row["one_minus_alpha"]), row["method"]
+            path = out / f"report_{point:g}_{method}.json"
+            assert line.startswith(f"1-alpha={point} method={method} feasible={row['feasible']} ")
+            if (point, method) == (0.8, "proposed"):
+                assert not path.exists()
+                assert row["objective"] == row["wall_time_ms"] == row["mc_upper_ci"] == ""
+                assert " ERROR " in line and "1/6" in line
+                continue
+            report = vpcc.SolveReport.from_json(path.read_text(encoding="utf-8"))
+            assert row["feasible"] == cli.verdict(report)[1]
+            assert row["wall_time_ms"] == f"{report.wall_time_ms:.17g}"
+            if row["feasible"] == "true":
+                assert row["objective"] == f"{report.objective:.17g}"
+                assert row["mc_upper_ci"] == ("" if report.mc is None else f"{report.mc['upper_ci_99']:.17g}")
+            else:
+                assert row["objective"] == row["mc_upper_ci"] == ""
+            if method == "proposed":
+                assert line.endswith(f" mc_samples_used={(report.mc or {}).get('samples_used', '')}")
+            else:
+                assert report.mc is None and "mc_" not in line
 
     def test_worker_pool_matches_serial(self, two_bus_path, tmp_path):
         serial = str(tmp_path / "serial")
