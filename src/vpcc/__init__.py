@@ -9,6 +9,11 @@ bound; ``acs`` alternates convex input and multiplier steps; ``conic`` is
 the in-repo solver for the convex slices; ``scenario`` is the sampled
 baseline; ``stochastics`` supplies distributions, samplers and Monte-Carlo
 certification; ``config``/``cli`` wrap everything for batch use.
+
+Each A(t) is a ``moments.RandomMatrixModel``: its mean and variance
+matrices, which moment propagation reads, and ``sites``, the random entries
+row-major as (i, j, dist), which scenario sampling and Monte-Carlo
+certification draw; dist is None for an entry known only by its moments.
 """
 
 from .acs import AcsConfig, Cost, build_input_program, init_lambdas, lambda_step, run, u_step
@@ -25,7 +30,6 @@ from .errors import (
 )
 from .moments import (
     ConstraintMoments,
-    RandomEntry,
     RandomMatrixModel,
     SystemSpec,
     constraint_moments,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -117,25 +118,32 @@ def cmd_solve(args) -> int:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Comma-separated points and start:stop:step segments, all inclusive."""
+    """Comma-separated points and start:stop:step segments, all inclusive;
+    every number must be finite."""
     points: list[float] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        if ":" in token:
-            parts = token.split(":")
-            if len(parts) != 3:
-                raise ConfigError("--grid", f"bad segment {token!r}; expected start:stop:step")
-            start, stop, step = (float(p) for p in parts)
-            if step <= 0 or stop < start:
-                raise ConfigError("--grid", f"bad segment {token!r}")
-            value = start
-            while value <= stop + 1e-12:
-                points.append(round(value, 10))
-                value += step
-        else:
-            points.append(round(float(token), 10))
+        parts = token.split(":")
+        if len(parts) not in (1, 3):
+            raise ConfigError("--grid", f"bad segment {token!r}; expected start:stop:step")
+        try:
+            numbers = [float(part) for part in parts]
+        except ValueError:
+            numbers = [math.nan]
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigError("--grid", f"bad token {token!r}; expected finite numbers")
+        if len(numbers) == 1:
+            points.append(round(numbers[0], 10))
+            continue
+        start, stop, step = numbers
+        if step <= 0 or stop < start:
+            raise ConfigError("--grid", f"bad segment {token!r}")
+        value = start
+        while value <= stop + 1e-12:
+            points.append(round(value, 10))
+            value += step
     seen = set()
     out = []
     for p in points:

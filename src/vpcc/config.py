@@ -26,6 +26,8 @@ Each method block is optional and holds:
   "scenario": "beta", a number in (0, 1), and "sample_count", null (the
               sample bound decides) or a positive integer;
   "mc":       "samples", a positive integer (default 100000).
+A method block, or "acs.solver", holding any other key is refused at that
+key's path, as is a "restoration" that is not a JSON boolean.
 A JSON boolean is not accepted where an integer or a number is asked for,
 here or anywhere else in the file, nor is a string or null inside a vector
 or matrix. Every number must be finite: NaN, Infinity and an integer
@@ -36,7 +38,10 @@ A grid cell is either a number (deterministic entry) or a distribution
 object such as {"family": "weibull", "scale": 5, "shape": 30, "power": 3},
 {"family": "beta", "a": 50, "b": 50}, {"family": "finite", "values": [...],
 "probs": [...]} or {"family": "constant", "value": 2};
-``stochastics.FAMILIES`` names each family's parameters.
+``stochastics.FAMILIES`` names each family's parameters. A distribution
+that ``stochastics.DistributionSpec`` refuses (a parameter that is not a
+finite number, or a mean or variance beyond float range) is refused at the
+cell's path, so ``validate`` refuses every cell that a solve cannot build.
 
 Both attestation flags must read "attested" before any solve is allowed;
 they declare the modelling assumptions (entry independence, marginal
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -58,9 +63,16 @@ from .errors import ConfigError, DomainError
 from .moments import RandomMatrixModel, SystemSpec, constraint_moments
 from .reformulate import VP, ConstraintRow, JointChanceConstraint, RowSet
 from .scenario import ScenarioConfig
-from .stochastics import FAMILIES, DistributionSpec
+from .stochastics import FAMILIES, DistributionSpec, is_number
 
 SCHEMA_VERSION = 1
+# The keys each method block may hold, and those of "acs.solver".
+_METHOD_KEYS = {
+    "acs": tuple(f.name for f in fields(AcsConfig)),
+    "scenario": ("beta", "sample_count"),
+    "mc": ("samples",),
+}
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions))
 
 
 def _need(mapping, key, path, kind=None):
@@ -70,7 +82,7 @@ def _need(mapping, key, path, kind=None):
     if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"{path}.{key}" if path else key, f"expected {names}, got {type(value).__name__}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and kind is not int and not _is_number(value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and kind is not int and not is_number(value):
         got = "an integer beyond float range" if isinstance(value, int) else repr(value)
         raise ConfigError(f"{path}.{key}" if path else key, f"expected a finite number, got {got}")
     return value
@@ -81,7 +93,7 @@ def _array(value, path, *shape):
     ``shape``, where an entry that is not None is that axis's length. A
     boolean, string or null is not a number here."""
     cells = np.array(value, dtype=object)
-    if cells.ndim != len(shape) or not all(map(_is_number, cells.flat)):
+    if cells.ndim != len(shape) or not all(map(is_number, cells.flat)):
         raise ConfigError(path, f"expected a {len(shape)}-d array of finite numbers, as nested lists of equal length")
     if any(want not in (None, got) for got, want in zip(cells.shape, shape)):
         want = ", ".join("*" if size is None else str(size) for size in shape)
@@ -89,34 +101,15 @@ def _array(value, path, *shape):
     return cells.astype(float)
 
 
-def _is_number(value) -> bool:
-    """A finite float, or an int that converts to one; a boolean is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
-def _parameter(value, path):
-    if isinstance(value, list) and all(map(_is_number, value)):
-        return tuple(value)
-    if _is_number(value):
-        return float(value)
-    raise ConfigError(path, f"expected a finite number or a list of them, got {value!r}")
-
-
 def parse_entry(cell, path) -> DistributionSpec | float:
-    if _is_number(cell):
+    if is_number(cell):
         return float(cell)
     if not isinstance(cell, dict):
         raise ConfigError(path, "matrix entries are finite numbers or distribution objects")
     family = _need(cell, "family", path, str)
     if family not in FAMILIES:
         raise ConfigError(f"{path}.family", f"unknown family {family!r}")
-    params = tuple(_parameter(_need(cell, name, path), f"{path}.{name}") for name in FAMILIES[family])
-    _counts(cell, path, "power")
+    params = tuple(_need(cell, name, path) for name in FAMILIES[family])
     try:
         return DistributionSpec(family, params, cell.get("power", 1))
     except DomainError as exc:
@@ -343,14 +336,19 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     methods = data.get("methods", {})
     if not isinstance(methods, dict):
         raise ConfigError("methods", "expected an object")
-    acs_options, scenario_options, mc_options = (_options(methods, key) for key in ("acs", "scenario", "mc"))
+    acs_options, scenario_options, mc_options = (
+        _options(methods.get(key, {}), f"methods.{key}", keys) for key, keys in _METHOD_KEYS.items()
+    )
     _counts(acs_options, "methods.acs", "max_outer_iters", "restoration_rounds")
+    if not isinstance(acs_options.get("restoration", True), bool):
+        raise ConfigError("methods.acs.restoration", f"expected a boolean, got {acs_options['restoration']!r}")
     user_lambdas = acs_options.get("user_lambdas") or {}
-    if not isinstance(user_lambdas, dict) or not all(_is_number(v) or v in (math.inf, -math.inf) for v in user_lambdas.values()):
+    if not isinstance(user_lambdas, dict) or not all(is_number(v) or v in (math.inf, -math.inf) for v in user_lambdas.values()):
         raise ConfigError("methods.acs.user_lambdas", "expected an object mapping row ids to numbers")
-    if isinstance(acs_options.get("solver"), dict):
-        _counts(acs_options["solver"], "methods.acs.solver", "max_iter")
-        _numbers(acs_options["solver"], "methods.acs.solver", "tol")
+    if "solver" in acs_options:
+        solver = _options(acs_options["solver"], "methods.acs.solver", _SOLVER_KEYS)
+        _counts(solver, "methods.acs.solver", "max_iter")
+        _numbers(solver, "methods.acs.solver", "tol")
     _numbers(acs_options, "methods.acs", "convergence_rel_tol", "feasibility_tol")
     _numbers(scenario_options, "methods.scenario", "beta")
     if scenario_options.get("sample_count") is not None:
@@ -382,15 +380,18 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
         cfg.acs_config()
         cfg.scenario_config()
         cfg.cost()
-    except (DomainError, TypeError) as exc:
+    except DomainError as exc:
         raise ConfigError("methods", f"invalid method options: {exc}") from None
     return cfg
 
 
-def _options(methods, key):
-    options = methods.get(key, {})
+def _options(options, path, keys):
+    """A copy of an options object, which holds only ``keys``."""
     if not isinstance(options, dict):
-        raise ConfigError(f"methods.{key}", f"expected an object, got {type(options).__name__}")
+        raise ConfigError(path, f"expected an object, got {type(options).__name__}")
+    for key in options:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}", f"unknown key; expected one of {', '.join(keys)}")
     return dict(options)
 
 

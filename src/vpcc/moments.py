@@ -39,9 +39,8 @@ safe to call from multiple threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
+
 import numpy as np
 
 from .errors import DomainError, NotPSD
@@ -63,94 +62,72 @@ def _readonly(values, dtype=float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RandomEntry:
-    """One matrix entry: a real random variable known through its moments.
-
-    ``kind`` is "deterministic", "distributional" or "finite-support".
-    Deterministic entries have zero variance and powers of the mean as raw
-    moments. Random entries may carry a DistributionSpec, which supplies
-    higher raw moments and an exact sampler; entries built from bare moments
-    are usable for propagation but cannot be sampled.
-    """
-
-    kind: str
-    mean: float
-    variance: float
-    dist: DistributionSpec | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("deterministic", "distributional", "finite-support"):
-            raise DomainError(f"unknown entry kind {self.kind!r}")
-        if not math.isfinite(self.mean) or not math.isfinite(self.variance):
-            raise DomainError("entries need finite mean and variance")
-        if self.variance < 0:
-            raise DomainError("entry variance must be nonnegative")
-        if self.kind == "deterministic" and self.variance != 0.0:
-            raise DomainError("deterministic entries must have zero variance")
-
-    @classmethod
-    def deterministic(cls, value: float) -> "RandomEntry":
-        return cls("deterministic", float(value), 0.0)
-
-    @classmethod
-    def from_distribution(cls, dist: DistributionSpec) -> "RandomEntry":
-        if dist.family == "constant":
-            return cls.deterministic(dist.mean)
-        kind = "finite-support" if dist.family == "finite" else "distributional"
-        return cls(kind, dist.mean, dist.variance, dist)
-
-
-@dataclass(frozen=True)
 class RandomMatrixModel:
     """A square random matrix with mutually independent entries.
+
+    ``mean_matrix`` and ``variance_matrix`` hold every entry's mean and
+    variance. ``sites`` lists the random entries row-major as (i, j, dist):
+    dist is the entry's DistributionSpec, which supplies an exact sampler,
+    or None for an entry known only by its moments, which cannot be
+    sampled. Every other entry is deterministic, with zero variance.
+    ``random_mask`` is True at the sites.
 
     Independence of the entries (and of the matrix from every other time
     step) is a modelling contract supplied by the caller, not something the
     code can check.
     """
 
-    entries: tuple
+    mean_matrix: np.ndarray
+    variance_matrix: np.ndarray
+    sites: tuple = ()
 
     def __post_init__(self):
-        n = len(self.entries)
-        rows = []
-        for row in self.entries:
-            if len(row) != n:
-                raise DomainError("random matrix must be square")
-            rows.append(tuple(row))
-        object.__setattr__(self, "entries", tuple(rows))
+        mean, variance = _readonly(self.mean_matrix), _readonly(self.variance_matrix)
+        n = len(mean)
+        if mean.shape != (n, n) or variance.shape != (n, n):
+            raise DomainError("random matrix must be square, with one variance per entry")
+        if not (np.isfinite(mean).all() and np.isfinite(variance).all()) or (variance < 0).any():
+            raise DomainError("entries need a finite mean and a finite nonnegative variance")
+        sites = tuple(self.sites)
+        cells = [(i, j) for i, j, _ in sites]
+        if cells != sorted(set(cells)) or not all(0 <= i < n and 0 <= j < n for i, j in cells):
+            raise DomainError("sites must be distinct entries of the matrix, row-major")
+        mask = np.zeros((n, n), dtype=bool)
+        for i, j in cells:
+            mask[i, j] = True
+        if variance[~mask].any():
+            raise DomainError("an entry outside the sites is deterministic and needs zero variance")
+        mask.setflags(write=False)
+        object.__setattr__(self, "mean_matrix", mean)
+        object.__setattr__(self, "variance_matrix", variance)
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "random_mask", mask)
 
     @classmethod
     def from_grid(cls, grid) -> "RandomMatrixModel":
-        rows = []
-        for row in grid:
-            out = []
-            for cell in row:
-                if isinstance(cell, RandomEntry):
-                    out.append(cell)
-                elif isinstance(cell, DistributionSpec):
-                    out.append(RandomEntry.from_distribution(cell))
-                else:
-                    out.append(RandomEntry.deterministic(float(cell)))
-            rows.append(tuple(out))
-        return cls(tuple(rows))
+        """The model of a grid of numbers and DistributionSpecs, each spec's
+        mean and variance as it computed them; a constant spec is a
+        deterministic entry."""
+        sites = tuple(
+            (i, j, cell)
+            for i, row in enumerate(grid)
+            for j, cell in enumerate(row)
+            if isinstance(cell, DistributionSpec) and cell.family != "constant"
+        )
+        mean = [[cell.mean if isinstance(cell, DistributionSpec) else float(cell) for cell in row] for row in grid]
+        variance = np.zeros((len(mean), len(mean)))
+        for i, j, dist in sites:
+            variance[i, j] = dist.variance
+        return cls(mean, variance, sites)
 
     @classmethod
     def deterministic(cls, matrix) -> "RandomMatrixModel":
         matrix = np.asarray(matrix, dtype=float)
-        return cls.from_grid(matrix.tolist())
+        return cls(matrix, np.zeros_like(matrix))
 
     @property
     def n(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def mean_matrix(self) -> np.ndarray:
-        return _readonly([[e.mean for e in row] for row in self.entries])
-
-    @cached_property
-    def variance_matrix(self) -> np.ndarray:
-        return _readonly([[e.variance for e in row] for row in self.entries])
+        return len(self.mean_matrix)
 
 
 @dataclass(frozen=True)

@@ -127,10 +127,7 @@ def _scenario_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> list[tuple[n
     def advance(part, t):
         """A(t) part, over the mean matrix while every scenario shares it."""
         model = spec.a_models[t]
-        if part.ndim == 3:
-            return matrices[:, t] @ part
-        live = np.flatnonzero(part.any(axis=1))
-        if any(row[j].kind != "deterministic" for row in model.entries for j in live):
+        if part.ndim == 3 or model.random_mask[:, part.any(axis=1)].any():
             return matrices[:, t] @ part
         return model.mean_matrix @ part
 

@@ -42,23 +42,24 @@ Stream rule, shared by scenario sampling and MC certification: a draw of
 ``count`` trajectories is split into the batches above, and batch b draws
 from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, as
 ``batch_streams`` yields them. Within a batch a ``DrawPlan`` draws the
-entries whose kind is not "deterministic", time-ascending and row-major
-within each A(t): one uniform double for a weibull or finite entry, two
-unit-scale Gamma draws (shape a, then b) for a beta entry, none for a
-constant one, each draw made for the whole batch at once. Scenario sampling
-fills one plan of the whole horizon per batch, MC one plan per entry of each
-A(t) in turn, which draws the same stream. One call per run of adjacent
-uniforms gives the bits of one call per draw, and the transforms from draws
-to entries are elementwise, so the draws are fixed by (seed, count) and the
-system, however states are advanced between them: scenario s of a
-``count``-scenario draw is trajectory s of a ``count``-sample MC run on the
-same seed. Batch b has the same size in every draw that fills it, so the
+random entries, the ``sites`` of each A(t)'s ``RandomMatrixModel``,
+time-ascending and row-major within each A(t): one uniform double for a
+weibull or finite entry, two unit-scale Gamma draws (shape a, then b) for a
+beta entry, none for a constant one, each draw made for the whole batch at
+once. Scenario sampling fills one plan of the whole horizon per batch, MC
+one plan per entry of each A(t) in turn, which draws the same stream. One
+call per run of adjacent uniforms gives the bits of one call per draw, and
+the transforms from draws to entries are elementwise, so the draws are
+fixed by (seed, count) and the system, however states are advanced between
+them: scenario s of a ``count``-scenario draw is trajectory s of a
+``count``-sample MC run on the same seed. Batch b has the same size in every draw that fills it, so the
 whole batches of a draw are those of any longer draw on the same seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -82,12 +83,14 @@ _MC_BATCH = 1 << 15
 _MC_EARLY_SHARE = 0.1
 
 
-def _ndim(value) -> int:
-    """``np.ndim`` of a number or of nested lists and tuples of numbers,
-    without a numpy call per parameter."""
-    if isinstance(value, (list, tuple)):
-        return 1 + max(map(_ndim, value), default=0)
-    return getattr(value, "ndim", 0)
+def is_number(value) -> bool:
+    """A finite float, or an int that converts to one; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -102,44 +105,54 @@ class DistributionSpec:
 
     ``power`` transforms the variate x -> x**power with power in {1, 2, 3};
     moments and samples always refer to the transformed variate.
+
+    Construction is the one check of a matrix entry: every parameter must be
+    a finite number, not a boolean (a sequence of them for finite support),
+    and ``mean`` and ``variance`` must be finite; both are computed there,
+    once (a constant's variance is 0).
     """
 
     family: str
     params: tuple
     power: int = 1
+    mean: float = field(init=False, repr=False, compare=False)
+    variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown distribution family {self.family!r}")
-        if self.power not in (1, 2, 3):
-            raise DomainError(f"power transform must be 1, 2 or 3, got {self.power}")
+        if isinstance(self.power, bool) or not isinstance(self.power, int) or self.power not in (1, 2, 3):
+            raise DomainError(f"power transform must be 1, 2 or 3, got {self.power!r}")
         names = FAMILIES[self.family]
-        ndim = 1 if self.family == "finite" else 0
-        if len(self.params) != len(names) or any(_ndim(p) != ndim for p in self.params):
-            kind = "sequences" if ndim else "numbers"
+        sequences = self.family == "finite"
+        if len(self.params) != len(names) or not all(
+            isinstance(p, (list, tuple)) and all(map(is_number, p)) if sequences else is_number(p) for p in self.params
+        ):
+            kind = "sequences of finite numbers" if sequences else "finite numbers"
             raise DomainError(f"{self.family} takes {len(names)} {kind}: {', '.join(names)}")
-        if self.family == "weibull":
-            scale, shape = self.params
-            if scale <= 0 or shape <= 0:
-                raise DomainError("weibull requires positive scale and shape")
-        elif self.family == "beta":
-            a, b = self.params
-            if a <= 0 or b <= 0:
-                raise DomainError("beta requires positive shape parameters")
-        elif self.family == "finite":
-            values, probs = self.params
-            values = tuple(float(v) for v in values)
-            probs = tuple(float(p) for p in probs)
+        params = tuple(tuple(map(float, p)) if sequences else float(p) for p in self.params)
+        object.__setattr__(self, "params", params)
+        if self.family == "weibull" and min(params) <= 0:
+            raise DomainError("weibull requires positive scale and shape")
+        if self.family == "beta" and min(params) <= 0:
+            raise DomainError("beta requires positive shape parameters")
+        if sequences:
+            values, probs = params
             if len(values) != len(probs) or not values:
                 raise DomainError("finite support needs matching, nonempty values/probs")
             if any(p < 0 for p in probs):
                 raise DomainError("finite-support probabilities must be nonnegative")
             if abs(sum(probs) - 1.0) > 1e-12:
                 raise DomainError("finite-support probabilities must sum to 1 within 1e-12")
-            object.__setattr__(self, "params", (values, probs))
-        elif self.family == "constant":
-            (value,) = self.params
-            object.__setattr__(self, "params", (float(value),))
+        try:
+            mean = self.raw_moment(1)
+            variance = 0.0 if self.family == "constant" else max(self.raw_moment(2) - mean * mean, 0.0)
+        except OverflowError:  # a number's power beyond float range
+            mean = variance = math.inf
+        if not (math.isfinite(mean) and math.isfinite(variance)):
+            raise DomainError(f"{self.family} entry needs a finite mean and variance")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
 
     # -- moments --------------------------------------------------------
 
@@ -162,16 +175,6 @@ class DistributionSpec:
             return float(sum(pr * v**order for v, pr in zip(values, probs)))
         (value,) = self.params
         return float(value**order)
-
-    @property
-    def mean(self) -> float:
-        return self.raw_moment(1)
-
-    @property
-    def variance(self) -> float:
-        m1 = self.raw_moment(1)
-        m2 = self.raw_moment(2)
-        return max(m2 - m1 * m1, 0.0)
 
     # -- sampling -------------------------------------------------------
 
@@ -266,13 +269,7 @@ class DrawPlan:
     @classmethod
     def of(cls, models) -> "DrawPlan":
         """The plan of the random entries of time-ascending ``models``."""
-        return cls(
-            (t, i, j, entry.dist)
-            for t, model in enumerate(models)
-            for i, row in enumerate(model.entries)
-            for j, entry in enumerate(row)
-            if entry.kind != "deterministic"
-        )
+        return cls((t, i, j, dist) for t, model in enumerate(models) for i, j, dist in model.sites)
 
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Run the calls on ``rng`` into ``out``, a C-contiguous (width, count)
@@ -419,12 +416,8 @@ def mc_certify(
     table = spec.rows_by_step(jcc.rows)
     steps = []  # (deterministic part of A(t), B u(t) as a column, (i, j, dist, one-entry plan) row-major)
     for t, model in enumerate(spec.a_models[: table[-1][0]]):
-        a_det = np.array(model.mean_matrix)
-        entries = []
-        for _, i, j, dist, _ in DrawPlan.of([model]).entries:
-            a_det[i, j] = 0.0
-            entries.append((i, j, dist, DrawPlan([(t, i, j, dist)])))
-        steps.append((a_det, (spec.B @ U[t])[:, None], entries))
+        entries = [(i, j, dist, DrawPlan([(t, i, j, dist)])) for i, j, dist in model.sites]
+        steps.append((np.where(model.random_mask, 0.0, model.mean_matrix), (spec.B @ U[t])[:, None], entries))
 
     # One entry's draws at a time, at most two rows, in the head of one buffer:
     # they stay in cache until transformed, where a whole step's draws outgrow

@@ -3,7 +3,7 @@ import pytest
 
 import vpcc
 from vpcc.conic import ConicProgram
-from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
+from vpcc.moments import RandomMatrixModel, SystemSpec
 from vpcc.scenario import _scenario_rows, required_samples, sample_state_matrices
 from vpcc.stochastics import DistributionSpec, beta_dist, finite_support, weibull
 
@@ -18,14 +18,14 @@ def two_bus_spec(two_bus_cfg):
     return two_bus_cfg.system_spec()
 
 
-def coin_entry() -> RandomEntry:
+def coin_entry() -> DistributionSpec:
     """Support {0, 2} with equal probability: mean 1, variance 1."""
-    return RandomEntry.from_distribution(finite_support([0.0, 2.0], [0.5, 0.5]))
+    return finite_support([0.0, 2.0], [0.5, 0.5])
 
 
 def scalar_iid_spec(horizon: int = 2) -> SystemSpec:
     """n = 1 chain x(t+1) = a(t) x(t) + u(t) with iid coin entries."""
-    model = RandomMatrixModel(((coin_entry(),),))
+    model = RandomMatrixModel.from_grid([[coin_entry()]])
     return SystemSpec(
         horizon=horizon,
         a_models=tuple(model for _ in range(horizon)),
@@ -52,26 +52,28 @@ def deterministic_spec(A, B, x0, horizon, box=10.0) -> SystemSpec:
 
 def mixed_family_spec() -> SystemSpec:
     """n = 3 over 3 steps with every family and power, a beta entry between
-    uniform entries of one step, and a "distributional" entry whose dist is
-    constant (it draws nothing)."""
-    fin = RandomEntry.from_distribution
-    squared_constant = RandomEntry("distributional", 0.49, 0.0, dist=DistributionSpec("constant", (0.7,), 2))
+    uniform entries of one step, and a random site at (1, 1) of step 0, mean
+    0.49 and variance 0, whose dist is constant (it draws nothing)."""
     grids = [
         [
-            [fin(weibull(0.5, 30, power=3)), fin(beta_dist(2, 5)), fin(finite_support([0.1, 0.3], [0.4, 0.6]))],
-            [0.2, squared_constant, fin(weibull(0.4, 8))],
-            [0.0, 0.1, fin(beta_dist(50, 50, power=2))],
+            [weibull(0.5, 30, power=3), beta_dist(2, 5), finite_support([0.1, 0.3], [0.4, 0.6])],
+            [0.2, 0.49, weibull(0.4, 8)],
+            [0.0, 0.1, beta_dist(50, 50, power=2)],
         ],
         [
-            [fin(finite_support([-0.2, 0.5, 0.9], [0.2, 0.3, 0.5], power=3)), 0.1, 0.0],
-            [fin(beta_dist(3, 3, power=3)), fin(beta_dist(1.5, 4)), fin(weibull(0.9, 12, power=2))],
-            [0.3, fin(finite_support([0.4, 0.6], [0.5, 0.5], power=2)), 0.5],
+            [finite_support([-0.2, 0.5, 0.9], [0.2, 0.3, 0.5], power=3), 0.1, 0.0],
+            [beta_dist(3, 3, power=3), beta_dist(1.5, 4), weibull(0.9, 12, power=2)],
+            [0.3, finite_support([0.4, 0.6], [0.5, 0.5], power=2), 0.5],
         ],
         [[0.9, 0.0, 0.1], [0.0, 0.8, 0.0], [0.1, 0.0, 0.7]],
     ]
+    models = [RandomMatrixModel.from_grid(grid) for grid in grids]
+    squared_constant = (1, 1, DistributionSpec("constant", (0.7,), 2))
+    first = models[0]
+    models[0] = RandomMatrixModel(first.mean_matrix, first.variance_matrix, tuple(sorted(first.sites + (squared_constant,))))
     return SystemSpec(
         horizon=3,
-        a_models=tuple(RandomMatrixModel.from_grid(grid) for grid in grids),
+        a_models=tuple(models),
         B=np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]]),
         x0=np.array([1.0, -2.0, 3.0]),
         A_u=np.vstack([np.eye(2), -np.eye(2)]),

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
-from vpcc.stochastics import finite_support
+from vpcc.moments import RandomMatrixModel, SystemSpec
+from vpcc.stochastics import DistributionSpec, finite_support
 
 from mc_oracle import sample_batch
 
@@ -27,13 +27,10 @@ def enumerate_margin(spec: SystemSpec, G, k: int, U) -> tuple[float, float]:
 
     random_cells = []
     for t, model in enumerate(models):
-        for i, row in enumerate(model.entries):
-            for j, entry in enumerate(row):
-                if entry.kind == "deterministic":
-                    continue
-                values, probs = entry.dist.params
-                vals = np.asarray(values, dtype=float) ** entry.dist.power
-                random_cells.append((t, i, j, vals, np.asarray(probs, dtype=float)))
+        for i, j, dist in model.sites:
+            values, probs = dist.params
+            vals = np.asarray(values, dtype=float) ** dist.power
+            random_cells.append((t, i, j, vals, np.asarray(probs, dtype=float)))
 
     counts = [cell[3].size for cell in random_cells]
     total = int(np.prod(counts)) if counts else 1
@@ -75,11 +72,11 @@ def mc_margin(spec: SystemSpec, G, k: int, U, samples: int, seed: int):
     return mean, var, se_mean, se_var
 
 
-def _finite_entry(rng: np.random.Generator, size: int) -> RandomEntry:
+def _finite_entry(rng: np.random.Generator, size: int) -> DistributionSpec:
     vals = np.round(rng.uniform(-1.2, 1.2, size), 3)
     weights = rng.integers(1, 6, size).astype(float)
     probs = weights / weights.sum()
-    return RandomEntry.from_distribution(finite_support(vals.tolist(), probs.tolist()))
+    return finite_support(vals.tolist(), probs.tolist())
 
 
 def random_finite_system(rng: np.random.Generator, max_combos: int = 40000):
@@ -101,17 +98,15 @@ def random_finite_system(rng: np.random.Generator, max_combos: int = 40000):
                     combos *= size
                     n_random += 1
                 else:
-                    row.append(RandomEntry.deterministic(round(float(rng.uniform(-1.2, 1.2)), 3)))
-            grid.append(tuple(row))
-        grids.append(RandomMatrixModel(tuple(grid)))
+                    row.append(round(float(rng.uniform(-1.2, 1.2)), 3))
+            grid.append(row)
+        grids.append(grid)
     if n_random == 0:
-        grids[0] = RandomMatrixModel(
-            ((_finite_entry(rng, 2),) + grids[0].entries[0][1:],) + grids[0].entries[1:]
-        )
+        grids[0][0][0] = _finite_entry(rng, 2)
 
     spec = SystemSpec(
         horizon=horizon,
-        a_models=tuple(grids),
+        a_models=tuple(RandomMatrixModel.from_grid(grid) for grid in grids),
         B=np.round(rng.uniform(-1.0, 1.0, (n, m)), 3),
         x0=np.round(rng.uniform(-1.5, 1.5, n), 3),
         A_u=np.vstack([np.eye(m), -np.eye(m)]),

@@ -45,17 +45,12 @@ def oracle_clopper_pearson_upper(violations: int, samples: int, confidence: floa
 def sample_batch(model: RandomMatrixModel, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` realisations, (count, n, n). Entry order is fixed
     row-major so a given generator state always yields the same batch."""
-    n = model.n
-    out = np.empty((count, n, n))
-    for i in range(n):
-        for j in range(n):
-            entry = model.entries[i][j]
-            if entry.kind == "deterministic":
-                out[:, i, j] = entry.mean
-            elif entry.dist is None:
-                raise SamplerMissing("random entry carries moments only")
-            else:
-                out[:, i, j] = oracle_variate(entry.dist, rng, count)
+    out = np.empty((count, model.n, model.n))
+    out[:] = model.mean_matrix
+    for i, j, dist in model.sites:
+        if dist is None:
+            raise SamplerMissing("random entry carries moments only")
+        out[:, i, j] = oracle_variate(dist, rng, count)
     return out
 
 

@@ -53,8 +53,8 @@ def product_mean(models: Sequence[RandomMatrixModel]) -> np.ndarray:
 
 
 def transposed(model: RandomMatrixModel) -> RandomMatrixModel:
-    n = model.n
-    return RandomMatrixModel(tuple(tuple(model.entries[i][j] for i in range(n)) for j in range(n)))
+    sites = sorted((j, i, dist) for i, j, dist in model.sites)
+    return RandomMatrixModel(model.mean_matrix.T, model.variance_matrix.T, tuple(sites))
 
 
 def _push_second_moment(model: RandomMatrixModel, inner: np.ndarray) -> np.ndarray:

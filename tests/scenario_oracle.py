@@ -65,14 +65,11 @@ def oracle_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray
     for rng, first, size in oracle_batches(seed, count):
         batch = out[first : first + size]
         for t, model in enumerate(spec.a_models):
-            for i, row in enumerate(model.entries):
-                for j, entry in enumerate(row):
-                    if entry.kind == "deterministic":
-                        batch[:, t, i, j] = entry.mean
-                    elif entry.dist is None:
-                        raise SamplerMissing("random entry carries moments only")
-                    else:
-                        batch[:, t, i, j] = oracle_variate(entry.dist, rng, size)
+            batch[:, t] = model.mean_matrix
+            for i, j, dist in model.sites:
+                if dist is None:
+                    raise SamplerMissing("random entry carries moments only")
+                batch[:, t, i, j] = oracle_variate(dist, rng, size)
     return out
 
 

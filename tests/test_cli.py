@@ -241,6 +241,11 @@ class TestGrid:
         with pytest.raises(ConfigError):
             parse_grid("")
 
+    @pytest.mark.parametrize("grid", ["abc", "0.9:0.8:x", "0.9:inf:0.01"], ids=["word", "step-word", "stop-inf"])
+    def test_token_not_a_finite_number(self, two_bus_path, tmp_path, capsys, grid):
+        assert main(["sweep", two_bus_path, "--grid", grid, "--out", str(tmp_path)]) == 1
+        TestFileErrors.one_error_line(capsys, "config error at --grid: ")
+
 
 class TestSweep:
     def test_single_point_matches_solve(self, two_bus_path, tmp_path, capsys):
@@ -370,7 +375,7 @@ class TestConfigRoundTrip:
         }
         cfg = parse_config(data)
         spec = cfg.system_spec()
-        assert spec.a_models[0].entries[0][0].kind == "finite-support"
+        assert [(i, j, dist.family) for i, j, dist in spec.a_models[0].sites] == [(0, 0, "finite")]
         assert not spec.a_models[1].variance_matrix.any()
         assert parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()
 
@@ -440,12 +445,12 @@ CELL = "system.A.all[0][0]"
 # "system", "cost" and "input_polytope" values update that block, "row"
 # values the first row.
 MALFORMED = {
-    "weibull-scale-string": ("cell", {"family": "weibull", "scale": "abc", "shape": 30.0}, CELL + ".scale", "proposed"),
+    "weibull-scale-string": ("cell", {"family": "weibull", "scale": "abc", "shape": 30.0}, CELL, "proposed"),
     "weibull-scale-list": ("cell", {"family": "weibull", "scale": [1], "shape": 30.0}, CELL, "proposed"),
-    "beta-a-bool": ("cell", {"family": "beta", "a": True, "b": 2.0}, CELL + ".a", "proposed"),
+    "beta-a-bool": ("cell", {"family": "beta", "a": True, "b": 2.0}, CELL, "proposed"),
     "finite-values-number": ("cell", {"family": "finite", "values": 1.0, "probs": [1.0]}, CELL, "proposed"),
-    "power-bool": ("cell", {"family": "constant", "value": 0.5, "power": True}, CELL + ".power", "proposed"),
-    "power-fraction": ("cell", {"family": "constant", "value": 0.5, "power": 2.0}, CELL + ".power", "proposed"),
+    "power-bool": ("cell", {"family": "constant", "value": 0.5, "power": True}, CELL, "proposed"),
+    "power-fraction": ("cell", {"family": "constant", "value": 0.5, "power": 2.0}, CELL, "proposed"),
     "system-m-bool": ("system", {"m": True}, "system.m", "proposed"),
     "row-k-bool": ("row", {"k": True}, "constraints.rows[0].k", "proposed"),
     "acs-not-object": ("acs", 5, "methods.acs", "proposed"),
@@ -471,14 +476,14 @@ MALFORMED = {
     "G-bool": ("row", {"G": [True]}, "constraints.rows[0].G", "proposed"),
     "cost-quadratic-bool": ("cost", {"quadratic": [[True]]}, "cost.quadratic", "proposed"),
     "cost-linear-bool": ("cost", {"linear": [False]}, "cost.linear", "scenario"),
-    "finite-values-bool": ("cell", {"family": "finite", "values": [False, 2.0], "probs": [0.5, 0.5]}, CELL + ".values", "proposed"),
-    "finite-probs-bool": ("cell", {"family": "finite", "values": [0.0, 2.0], "probs": [True, False]}, CELL + ".probs", "scenario"),
+    "finite-values-bool": ("cell", {"family": "finite", "values": [False, 2.0], "probs": [0.5, 0.5]}, CELL, "proposed"),
+    "finite-probs-bool": ("cell", {"family": "finite", "values": [0.0, 2.0], "probs": [True, False]}, CELL, "scenario"),
     "x0-nan": ("system", {"x0": [math.nan]}, "system.x0", "proposed"),
     "B-inf": ("system", {"B": [[math.inf]]}, "system.B", "scenario"),
     "cell-nan": ("cell", math.nan, CELL, "proposed"),
     "cell--inf": ("cell", -math.inf, CELL, "scenario"),
     "weibull-scale-inf": ("cell", {"family": "weibull", "scale": math.inf, "shape": 30.0}, CELL + ".scale", "proposed"),
-    "finite-values-nan": ("cell", {"family": "finite", "values": [math.nan, 2.0], "probs": [0.5, 0.5]}, CELL + ".values", "scenario"),
+    "finite-values-nan": ("cell", {"family": "finite", "values": [math.nan, 2.0], "probs": [0.5, 0.5]}, CELL, "scenario"),
     "G-nan": ("row", {"G": [math.nan]}, "constraints.rows[0].G", "proposed"),
     "h-inf": ("row", {"h": math.inf}, "constraints.rows[0].h", "scenario"),
     "h-nan": ("row", {"h": math.nan}, "constraints.rows[0].h", "proposed"),
@@ -493,6 +498,13 @@ MALFORMED = {
     "x0-huge-int": ("system", {"x0": [10**400]}, "system.x0", "scenario"),
     "alpha-huge-int": ("constraints", {"alpha": 10**400}, "constraints.alpha", "proposed"),
     "beta-huge-int": ("scenario", {"beta": 10**400}, "methods.scenario.beta", "scenario"),
+    "scenario-unknown-key": ("scenario", {"betta": 0.5}, "methods.scenario.betta", "scenario"),
+    "mc-unknown-key": ("mc", {"sample": 5}, "methods.mc.sample", "proposed"),
+    "acs-unknown-key": ("acs", {"max_outer_iter": 5}, "methods.acs.max_outer_iter", "proposed"),
+    "solver-unknown-key": ("acs", {"solver": {"maxiter": 5}}, "methods.acs.solver.maxiter", "proposed"),
+    "restoration-string": ("acs", {"restoration": "no"}, "methods.acs.restoration", "proposed"),
+    "restoration-zero": ("acs", {"restoration": 0}, "methods.acs.restoration", "proposed"),
+    "restoration-null": ("acs", {"restoration": None}, "methods.acs.restoration", "proposed"),
 }
 
 
@@ -545,6 +557,26 @@ class TestMalformedOptions:
         for argv in (["validate", path], ["solve", path, "--method", "proposed", "--out", str(tmp_path)]):
             assert main(argv) == 1
             assert "config error at methods.acs.user_lambdas: end@k2 = inf on a random row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"family": "weibull", "scale": 1e200, "shape": 30.0, "power": 3},
+            {"family": "finite", "values": [-1e200, 1e200], "probs": [0.5, 0.5]},
+            {"family": "weibull", "scale": 5.0, "shape": 1e-3, "power": 3},
+        ],
+        ids=["weibull-scale-overflow", "finite-values-overflow", "weibull-gamma-overflow"],
+    )
+    def test_entry_without_finite_moments(self, two_bus_path, tmp_path, capsys, cell):
+        """A cell whose mean or variance is beyond float range is refused by
+        ``validate`` as by ``solve``, at the cell's path."""
+        data = load_config(two_bus_path).to_dict()
+        data["system"]["A"]["all"][3][2] = cell
+        path = write_config(tmp_path, data)
+        for argv in (["validate", path], ["solve", path, "--out", str(tmp_path)]):
+            assert main(argv) == 1
+            line = TestFileErrors.one_error_line(capsys, "config error at system.A.all[3][2]: ")
+            assert "needs a finite mean and variance" in line
 
     def test_null_sample_count_accepted(self, tmp_path):
         data = scalar_toy_config()

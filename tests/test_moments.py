@@ -6,7 +6,6 @@ import pytest
 from vpcc.errors import DomainError, NotPSD
 from vpcc.reformulate import ConstraintRow
 from vpcc.moments import (
-    RandomEntry,
     RandomMatrixModel,
     SystemSpec,
     _finalize_moments,
@@ -27,13 +26,18 @@ from moments_oracle import (
 
 
 def coin_model(n: int = 1) -> RandomMatrixModel:
-    return RandomMatrixModel(tuple(tuple(coin_entry() for _ in range(n)) for _ in range(n)))
+    return RandomMatrixModel.from_grid([[coin_entry() for _ in range(n)] for _ in range(n)])
 
 
 def pm_model() -> RandomMatrixModel:
     """2x2 matrix of independent +-1 entries: mean 0, variance 1."""
-    entry = RandomEntry.from_distribution(finite_support([-1.0, 1.0], [0.5, 0.5]))
-    return RandomMatrixModel(((entry, entry), (entry, entry)))
+    entry = finite_support([-1.0, 1.0], [0.5, 0.5])
+    return RandomMatrixModel.from_grid([[entry, entry], [entry, entry]])
+
+
+def moments_only(mean: float, variance: float) -> RandomMatrixModel:
+    """1x1 random matrix known only by its mean and variance."""
+    return RandomMatrixModel([[mean]], [[variance]], ((0, 0, None),))
 
 
 class TestProductMean:
@@ -42,7 +46,7 @@ class TestProductMean:
         assert np.allclose(product_mean([RandomMatrixModel.deterministic(A)]), A)
 
     def test_two_unit_scalars(self):
-        model = RandomMatrixModel(((RandomEntry("distributional", 1.0, 1.0),),))
+        model = moments_only(1.0, 1.0)
         assert product_mean([model, model]) == pytest.approx(np.array([[1.0]]))
 
     def test_coin_product_mean_is_one(self):
@@ -93,7 +97,7 @@ class TestQuadFormMean:
         assert np.allclose(out, Z.T @ S @ Z)
 
     def test_scalar(self):
-        model = RandomMatrixModel(((RandomEntry("distributional", 2.0, 0.25),),))
+        model = moments_only(2.0, 0.25)
         assert quad_form_mean(model, np.array([[1.0]]))[0, 0] == pytest.approx(4.25)
 
     def test_centered_unit_entries(self):

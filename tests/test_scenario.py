@@ -11,7 +11,7 @@ import vpcc
 from vpcc import conic, scenario
 from vpcc.acs import Cost
 from vpcc.errors import DomainError, SamplerMissing
-from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
+from vpcc.moments import RandomMatrixModel, SystemSpec
 from vpcc.reformulate import RowSet
 from vpcc.scenario import (
     ScenarioConfig,
@@ -83,10 +83,9 @@ class TestSampling:
                 assert np.array_equal(sample_state_matrices(spec, seed=5, count=4096 + extra)[:4096], full)
 
     def test_sampler_missing(self):
-        entry = RandomEntry("distributional", 1.0, 1.0, dist=None)
         spec = SystemSpec(
             horizon=1,
-            a_models=(RandomMatrixModel(((entry,),)),),
+            a_models=(RandomMatrixModel([[1.0]], [[1.0]], ((0, 0, None),)),),
             B=np.array([[1.0]]),
             x0=np.array([1.0]),
             A_u=np.array([[1.0], [-1.0]]),

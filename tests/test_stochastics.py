@@ -8,7 +8,7 @@ from scipy import special
 
 import vpcc
 from vpcc.errors import DomainError, MomentUndefined, SamplerMissing
-from vpcc.moments import RandomEntry, RandomMatrixModel, SystemSpec
+from vpcc.moments import RandomMatrixModel, SystemSpec
 from vpcc.scenario import sample_state_matrices
 from vpcc.stochastics import (
     _MC_BATCH,
@@ -78,6 +78,20 @@ class TestRawMoments:
             finite_support([1.0, 2.0], [0.6, 0.6])
         with pytest.raises(DomainError):
             DistributionSpec("weibull", (5.0, 30.0), power=4)
+
+    @pytest.mark.parametrize("params", [("a", 1.0), (math.nan, 1.0), (1.0, math.inf), (True, 1.0)], ids=["string", "nan", "inf", "bool"])
+    def test_parameter_not_a_finite_number(self, params):
+        with pytest.raises(DomainError, match="weibull takes 2 finite numbers: scale, shape"):
+            DistributionSpec("weibull", params)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: weibull(1e200, 30, power=3), lambda: finite_support([-1e200, 1e200], [0.5, 0.5]), lambda: weibull(5, 1e-3, power=3)],
+        ids=["weibull-scale-overflow", "finite-values-overflow", "weibull-gamma-overflow"],
+    )
+    def test_mean_and_variance_must_be_finite(self, make):
+        with pytest.raises(DomainError, match="needs a finite mean and variance"):
+            make()
 
 
 class TestSamplers:
@@ -348,10 +362,9 @@ class TestMcCertify:
         assert _batch_sizes(10**5) == [4096, 8192, 16384, 32768, 32768, 5792]
 
     def test_sampler_missing(self):
-        entry = RandomEntry("distributional", 1.0, 1.0, dist=None)
         spec = SystemSpec(
             horizon=1,
-            a_models=(RandomMatrixModel(((entry,),)),),
+            a_models=(RandomMatrixModel([[1.0]], [[1.0]], ((0, 0, None),)),),
             B=np.array([[1.0]]),
             x0=np.array([1.0]),
             A_u=np.array([[1.0], [-1.0]]),
