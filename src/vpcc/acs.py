@@ -134,15 +134,17 @@ class AcsConfig:
 
     def __post_init__(self):
         if self.lambda_init_policy not in ("uniform-risk", "user-supplied"):
-            raise DomainError(f"unknown init policy {self.lambda_init_policy!r}")
+            raise DomainError(f"unknown init policy {self.lambda_init_policy!r}", "lambda_init_policy")
         if self.lambda_step_policy not in ("tight", "uniform-relax"):
-            raise DomainError(f"unknown multiplier step policy {self.lambda_step_policy!r}")
-        if self.lambda_init_policy == "user-supplied" and not self.user_lambdas:
-            raise DomainError("user-supplied init policy requires user_lambdas")
-        if self.max_outer_iters < 1 or self.restoration_rounds < 1:
-            raise DomainError("iteration limits must be >= 1")
-        if not (0 < self.convergence_rel_tol < math.inf and 0 < self.feasibility_tol < math.inf):
-            raise DomainError("tolerances must be positive and finite")
+            raise DomainError(f"unknown multiplier step policy {self.lambda_step_policy!r}", "lambda_step_policy")
+        if (self.lambda_init_policy == "user-supplied") != bool(self.user_lambdas):
+            raise DomainError('user_lambdas are given if and only if the init policy is "user-supplied"', "user_lambdas")
+        for name in ("max_outer_iters", "restoration_rounds"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1", name)
+        for name in ("convergence_rel_tol", "feasibility_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite", name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,38 +1,27 @@
 """Versioned JSON problem configurations and builders for the solver stack.
 
-Schema 1 layout (matrices are row-major nested lists):
+``SCHEMA`` below declares every key of a schema-1 file: where it sits, what
+its value must be (array shapes in terms of ``system.n``, ``system.m`` and
+``system.horizon``), its default and the ``ProblemConfig`` field it fills.
+``parse_config`` walks that table to parse and to fill defaults, and refuses
+any key the table does not declare, at that key's path, at every level;
+``ProblemConfig.to_dict`` walks the same table to write the config back.
 
-    {
-      "schema": 1,
-      "seed": 0,
-      "system": {"n", "m", "horizon", "x0", "B",
-                 "A": {"all": grid} | {"per_step": [grid, ...]}},
-      "constraints": {"alpha", "rows": [{"id", "G", "h", "k": int | "all"}]},
-      "cost": {"quadratic", "linear"} | {"per_step": [{...}, ...]},
-      "input_polytope": {"A_u", "b_u"},
-      "assumptions": {"independence": "attested", "unimodal": "attested"},
-      "methods": {"acs": {...}, "scenario": {...}, "mc": {...}}
-    }
+"system.A" and "cost" give either one value for every step ("all", or the
+cost terms inline) or "per_step", a list of one value per step, never both.
+Each method block ("acs", "acs.solver", "scenario") is checked key by key
+and then by the options class it builds (``acs.AcsConfig``,
+``conic.SolverOptions``, ``scenario.ScenarioConfig``), whose own checks and
+defaults apply; a refusal names the key at fault. The blocks are echoed as
+given. "user_lambdas" maps each expanded row id "<id>@k<k>" to an admissible
+multiplier, Infinity only for a structurally deterministic row, and is read
+only under the "user-supplied" init policy.
 
-Each method block is optional and holds:
-  "acs":      the fields of ``acs.AcsConfig`` (policies as strings,
-              "user_lambdas" an object mapping each expanded row id
-              "<id>@k<k>" to an admissible multiplier, Infinity only for a
-              structurally deterministic row, "max_outer_iters" and
-              "restoration_rounds" positive integers, "restoration" a
-              boolean, tolerances numbers), with "solver" an object of
-              ``conic.SolverOptions`` fields ("tol" a number, "max_iter"
-              a positive integer);
-  "scenario": "beta", a number in (0, 1), and "sample_count", null (the
-              sample bound decides) or a positive integer;
-  "mc":       "samples", a positive integer (default 100000).
-A method block, or "acs.solver", holding any other key is refused at that
-key's path, as is a "restoration" that is not a JSON boolean.
 A JSON boolean is not accepted where an integer or a number is asked for,
-here or anywhere else in the file, nor is a string or null inside a vector
-or matrix. Every number must be finite: NaN, Infinity and an integer
-beyond float range are refused at their field path, except a multiplier in
-"user_lambdas", whose own check decides it.
+nor is a string or null inside a vector or matrix. Every number must be
+finite: NaN, Infinity and an integer beyond float range are refused at their
+field path, except a multiplier in "user_lambdas", whose own check decides
+it.
 
 A grid cell is either a number (deterministic entry) or a distribution
 object such as {"family": "weibull", "scale": 5, "shape": 30, "power": 3},
@@ -52,8 +41,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,54 +56,235 @@ from .scenario import ScenarioConfig
 from .stochastics import FAMILIES, DistributionSpec, is_number
 
 SCHEMA_VERSION = 1
-# The keys each method block may hold, and those of "acs.solver".
-_METHOD_KEYS = {
-    "acs": tuple(f.name for f in fields(AcsConfig)),
-    "scenario": ("beta", "sample_count"),
-    "mc": ("samples",),
-}
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions))
+
+# ---------------------------------------------------------------------------
+# Declarations and the walker
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # an absent key is refused
+_OPTIONAL = object()  # an absent key stays absent
 
 
-def _need(mapping, key, path, kind=None):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    value = mapping[key]
-    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected {names}, got {type(value).__name__}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and kind is not int and not is_number(value):
-        got = "an integer beyond float range" if isinstance(value, int) else repr(value)
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected a finite number, got {got}")
+def _same(value, path=None, got=None, index=None):
     return value
 
 
-def _array(value, path, *shape):
-    """Nested lists of numbers as a float array with one axis per entry of
-    ``shape``, where an entry that is not None is that axis's length. A
-    boolean, string or null is not a number here."""
-    cells = np.array(value, dtype=object)
-    if cells.ndim != len(shape) or not all(map(is_number, cells.flat)):
-        raise ConfigError(path, f"expected a {len(shape)}-d array of finite numbers, as nested lists of equal length")
-    if any(want not in (None, got) for got, want in zip(cells.shape, shape)):
-        want = ", ".join("*" if size is None else str(size) for size in shape)
-        raise ConfigError(path, f"expected shape ({want}), got {cells.shape}")
-    return cells.astype(float)
+class _Kind(NamedTuple):
+    """What a key's value must be: ``parse(value, path, got)`` checks and
+    converts it, reading sizes from ``got``, the fields parsed so far (a kind
+    inside a list also takes its index there); ``dump`` writes the parsed
+    value back as JSON."""
+
+    parse: Callable
+    dump: Callable = _same
+
+
+class Key(NamedTuple):
+    """One declared key: its kind (or a nested table whose fields land beside
+    this one's), its default and the field it fills (the key's own name by
+    default). A default is parsed as if given; a callable default takes the
+    index of the object in its list."""
+
+    kind: object
+    default: object = _REQUIRED
+    field: str | None = None
+
+
+def _walk(table, value, path, got, out, index=None):
+    """Parse the object ``value`` at ``path`` against ``table`` into ``out``,
+    refusing any key the table does not declare."""
+    if type(value) is not dict:
+        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
+    prefix = f"{path}." if path else ""
+    if not value.keys() <= table.keys():
+        unknown = next(key for key in value if key not in table)
+        raise ConfigError(prefix + unknown, f"unknown key; expected one of {', '.join(table)}")
+    for key, (kind, default, field) in table.items():
+        if key in value:
+            given = value[key]
+        elif default is _OPTIONAL:
+            continue
+        elif default is _REQUIRED:
+            raise ConfigError(prefix + key, "missing required field")
+        else:
+            given = default(index) if callable(default) else default
+        if type(kind) is dict:
+            _walk(kind, given, prefix + key, got, out)
+        else:
+            out[field or key] = kind.parse(given, prefix + key, got)
+    return out
+
+
+def _dump(table, src):
+    """The JSON object of ``table`` whose fields are read from ``src``."""
+    return {
+        key: _dump(spec.kind, src) if type(spec.kind) is dict else spec.kind.dump(src[spec.field or key])
+        for key, spec in table.items()
+    }
+
+
+def _values(**fields):
+    """An object's fields as a tuple, in the order its table declares them."""
+    return tuple(fields.values())
+
+
+class _Object:
+    """An object of declared keys, built into ``cls``; a ``DomainError`` that
+    ``cls`` raises is refused at the key it names. Only an object built by
+    ``_values`` is written back."""
+
+    def __init__(self, cls, **table: Key):
+        self.cls, self.table = cls, table
+
+    def parse(self, value, path, got=None, index=None):
+        fields = _walk(self.table, value, path, got, {}, index)
+        try:
+            return self.cls(**fields)
+        except DomainError as exc:
+            raise ConfigError(f"{path}.{exc.field}" if exc.field else path, str(exc)) from None
+
+    def dump(self, values):
+        return _dump(self.table, dict(zip(self.table, values)))
+
+
+def _copy(value):
+    """A copy of a JSON value that shares no list or object with it."""
+    if type(value) is dict:
+        return {key: _copy(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_copy(item) for item in value]
+    return value
+
+
+class _Given(NamedTuple):
+    """A value checked by ``kind`` and kept as given."""
+
+    kind: object
+
+    def parse(self, value, path, got):
+        self.kind.parse(value, path, got)
+        return _copy(value)
+
+    def dump(self, value):
+        return _copy(value)
+
+
+class _List(NamedTuple):
+    """A list of ``item`` values, as many as the parsed field ``size`` holds,
+    or one or more when ``size`` is None."""
+
+    item: object
+    size: str | None = None
+
+    def parse(self, value, path, got, index=None):
+        size = got[self.size] if self.size else None
+        if type(value) is not list or (len(value) != size if size else not value):
+            raise ConfigError(path, f"expected a list of {size or 'one or more'} entries")
+        parse = self.item.parse
+        return tuple(parse(item, f"{path}[{i}]", got, i) for i, item in enumerate(value))
+
+    def dump(self, items):
+        dump = self.item.dump
+        return [dump(item) for item in items]
+
+
+class _Steps(NamedTuple):
+    """One value for every step (under ``key``, or inline when ``key`` is
+    None) or "per_step", a list of one value per step, but not both; parsed
+    to a tuple of ``horizon`` values and written back in the one-value form
+    when all are equal."""
+
+    item: object
+    key: str | None = None
+
+    def parse(self, value, path, got):
+        if type(value) is dict and "per_step" in value:
+            if len(value) > 1:
+                raise ConfigError(path, f'expected "per_step" alone, got {", ".join(value)}')
+            return _List(self.item, "horizon").parse(value["per_step"], f"{path}.per_step", got)
+        if self.key is None:
+            return (self.item.parse(value, path, got),) * got["horizon"]
+        return (_walk({self.key: Key(self.item)}, value, path, got, {})[self.key],) * got["horizon"]
+
+    def dump(self, steps):
+        items = [self.item.dump(step) for step in steps]
+        if any(item != items[0] for item in items[1:]):
+            return {"per_step": items}
+        return items[0] if self.key is None else {self.key: items[0]}
+
+
+# ---------------------------------------------------------------------------
+# Kinds of value
+# ---------------------------------------------------------------------------
+
+
+def _check(expected, test):
+    """A kind that keeps a value passing ``test`` as it is."""
+
+    def parse(value, path, got):
+        if not test(value):
+            raise ConfigError(path, f"expected {expected}, got {value!r}")
+        return value
+
+    return _Kind(parse)
+
+
+def _number(value, path, got):
+    if not is_number(value):
+        shown = "an integer beyond float range" if type(value) is int else repr(value)
+        raise ConfigError(path, f"expected a finite number, got {shown}")
+    return float(value)
+
+
+def _step(value, path, got):
+    if value != "all" and (type(value) is not int or not 1 <= value <= got["horizon"]):
+        raise ConfigError(path, f'k must be "all" or an integer in [1, {got["horizon"]}]')
+    return value
+
+
+def _param(value, path, got):
+    """A distribution parameter: ``DistributionSpec`` judges it, but a number
+    that is not finite is refused here, at the parameter's path."""
+    if type(value) in (int, float) and not is_number(value):
+        _number(value, path, got)
+    return value
+
+
+def _array(*dims):
+    """Nested lists of finite numbers as a float array, one axis per entry of
+    ``dims``: a parsed field holding the axis length (or an array whose row
+    count it is), or None for any length. A boolean, string or null is not a
+    number here."""
+
+    def parse(value, path, got):
+        shape = tuple(d if d is None else got[d] if type(got[d]) is int else len(got[d]) for d in dims)
+        cells = np.array(value, dtype=object)
+        if (
+            cells.ndim != len(shape)
+            or any(want not in (None, size) for size, want in zip(cells.shape, shape))
+            or not all(map(is_number, cells.flat))
+        ):
+            want = ", ".join("*" if size is None else str(size) for size in shape)
+            raise ConfigError(path, f"expected finite numbers in nested lists of shape ({want}), got shape {cells.shape}")
+        return cells.astype(float)
+
+    return _Kind(parse, np.ndarray.tolist)
 
 
 def parse_entry(cell, path) -> DistributionSpec | float:
-    if is_number(cell):
-        return float(cell)
-    if not isinstance(cell, dict):
+    if type(cell) is not dict:
+        if is_number(cell):
+            return float(cell)
         raise ConfigError(path, "matrix entries are finite numbers or distribution objects")
-    family = _need(cell, "family", path, str)
-    if family not in FAMILIES:
-        raise ConfigError(f"{path}.family", f"unknown family {family!r}")
-    params = tuple(_need(cell, name, path) for name in FAMILIES[family])
-    try:
-        return DistributionSpec(family, params, cell.get("power", 1))
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from None
+    family = cell.get("family")
+    if type(family) is not str or family not in FAMILIES:
+        raise ConfigError(f"{path}.family", f"expected one of {', '.join(FAMILIES)}, got {family!r}")
+    return _CELLS[family].parse(cell, path)
+
+
+def _distribution(family, power=DistributionSpec.power, **params):
+    """A cell's spec; ``params`` arrive in the family's order, as its table declares them."""
+    return DistributionSpec(family, tuple(params.values()), power)
 
 
 def _entry_to_json(entry) -> object:
@@ -128,6 +299,87 @@ def _entry_to_json(entry) -> object:
     return out
 
 
+def _multipliers(value):
+    return value is None or type(value) is dict and all(is_number(v) or v in (math.inf, -math.inf) for v in value.values())
+
+
+def _optional(kind):
+    return Key(kind, _OPTIONAL)
+
+
+_ANY, _NUMBER = _Kind(_same), _Kind(_number)
+_INTEGER = _check("an integer", lambda value: type(value) is int)
+_COUNT = _check("a positive integer", lambda value: type(value) is int and value >= 1)
+
+# Each family's cell: its parameters by name and an optional power, whose
+# default is DistributionSpec's.
+_CELLS = {
+    family: _Object(_distribution, family=Key(_ANY), **{name: Key(_Kind(_param)) for name in names}, power=_optional(_ANY))
+    for family, names in FAMILIES.items()
+}
+# A float cell is its own entry.
+_CELL = _Kind(
+    lambda cell, path, *_: cell if type(cell) is float and math.isfinite(cell) else parse_entry(cell, path),
+    _entry_to_json,
+)
+
+# The method blocks, each built into the options its method reads.
+_ACS = _Object(
+    AcsConfig,
+    lambda_init_policy=_optional(_ANY),
+    user_lambdas=_optional(_check("an object mapping row ids to numbers", _multipliers)),
+    lambda_step_policy=_optional(_ANY),
+    max_outer_iters=_optional(_INTEGER),
+    convergence_rel_tol=_optional(_NUMBER),
+    solver=_optional(_Object(SolverOptions, tol=_optional(_NUMBER), max_iter=_optional(_INTEGER))),
+    restoration=_optional(_check("a boolean", lambda value: type(value) is bool)),
+    restoration_rounds=_optional(_INTEGER),
+    feasibility_tol=_optional(_NUMBER),
+)
+_SCENARIO = _Object(
+    ScenarioConfig,
+    beta=_optional(_NUMBER),
+    sample_count=_optional(_check("null or an integer", lambda value: value is None or type(value) is int)),
+)
+_MC = _Object(dict, samples=Key(_COUNT, 100000))
+
+SCHEMA = {
+    "schema": Key(_check(f"schema version {SCHEMA_VERSION}", lambda value: type(value) is int and value == SCHEMA_VERSION)),
+    "seed": Key(_ANY, 0),  # ProblemConfig checks it
+    "system": Key({
+        "n": Key(_COUNT),
+        "m": Key(_COUNT),
+        "horizon": Key(_COUNT),
+        "x0": Key(_array("n")),
+        "B": Key(_array("n", "m")),
+        "A": Key(_Steps(_List(_List(_CELL, "n"), "n"), "all"), field="a_grids"),
+    }),
+    "constraints": Key({
+        "alpha": Key(_NUMBER),  # ProblemConfig checks its range
+        "rows": Key(_List(_Object(
+            _values,
+            id=Key(_Kind(lambda value, *_: str(value)), lambda i: f"row{i}"),
+            G=Key(_array("n")),
+            h=Key(_NUMBER),
+            k=Key(_Kind(_step), "all"),
+        )), field="row_specs"),  # ProblemConfig checks that the ids differ
+    }),
+    "cost": Key(_Steps(_Object(_values, quadratic=Key(_array("m", "m")), linear=Key(_array("m")))), field="cost_terms"),
+    "input_polytope": Key({"A_u": Key(_array(None, "m")), "b_u": Key(_array("A_u"))}),
+    "assumptions": Key(_Given(_Object(dict, independence=_optional(_ANY), unimodal=_optional(_ANY))), {}),
+    "methods": Key({
+        "acs": Key(_Given(_ACS), {}, "acs_options"),
+        "scenario": Key(_Given(_SCENARIO), {}, "scenario_options"),
+        "mc": Key(_Given(_MC), {}, "mc_options"),
+    }, {}),
+}
+
+
+# ---------------------------------------------------------------------------
+# The parsed configuration
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     seed: int
@@ -139,12 +391,11 @@ class ProblemConfig:
     a_grids: tuple  # one grid per step; grid cell is float | DistributionSpec
     alpha: float
     row_specs: tuple  # (id, G, h, k int | "all")
-    cost_quadratic: tuple
-    cost_linear: tuple
+    cost_terms: tuple  # (R_k, r_k) per step
     A_u: np.ndarray
     b_u: np.ndarray
     assumptions: dict
-    acs_options: dict
+    acs_options: dict  # each method block as given
     scenario_options: dict
     mc_options: dict
 
@@ -153,6 +404,8 @@ class ProblemConfig:
             raise ConfigError("seed", f"seed must be a non-negative integer, got {self.seed!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError("constraints.alpha", f"alpha must lie in (0, 1), got {self.alpha}")
+        if len({row[0] for row in self.row_specs}) != len(self.row_specs):
+            raise ConfigError("constraints.rows", "row ids must be unique")
 
     # -- builders ---------------------------------------------------------
 
@@ -165,11 +418,8 @@ class ProblemConfig:
     def constraint_rows(self) -> list[ConstraintRow]:
         rows = []
         for rid, G, h, k in self.row_specs:
-            if k == "all":
-                for kk in range(1, self.horizon + 1):
-                    rows.append(ConstraintRow(G=G, h=h, k=kk, id=f"{rid}@k{kk}"))
-            else:
-                rows.append(ConstraintRow(G=G, h=h, k=int(k), id=f"{rid}@k{int(k)}"))
+            for step in range(1, self.horizon + 1) if k == "all" else (k,):
+                rows.append(ConstraintRow(G=G, h=h, k=step, id=f"{rid}@k{step}"))
         return rows
 
     def row_set(self) -> RowSet:
@@ -183,24 +433,18 @@ class ProblemConfig:
             raise ConfigError("constraints.alpha", str(exc)) from None
 
     def cost(self) -> Cost:
-        return Cost(self.cost_quadratic, self.cost_linear)
+        return Cost(*zip(*self.cost_terms))
 
     def acs_config(self) -> AcsConfig:
-        opts = dict(self.acs_options)
-        solver = opts.pop("solver", {})
-        return AcsConfig(solver=SolverOptions(**solver), **opts)
+        return _ACS.parse(self.acs_options, "methods.acs")
 
     def scenario_config(self, seed: int | None = None) -> ScenarioConfig:
-        opts = dict(self.scenario_options)
-        return ScenarioConfig(
-            beta=opts.get("beta", 0.001),
-            sample_count=opts.get("sample_count"),
-            rng_seed=self.seed if seed is None else seed,
-        )
+        options = _SCENARIO.parse(self.scenario_options, "methods.scenario")
+        return replace(options, rng_seed=self.seed if seed is None else seed)
 
     @property
     def mc_samples(self) -> int:
-        return self.mc_options.get("samples", 100000)
+        return _MC.parse(self.mc_options, "methods.mc")["samples"]
 
     def attested(self) -> bool:
         return (
@@ -224,42 +468,7 @@ class ProblemConfig:
     # -- serialisation ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        grids = [[[_entry_to_json(cell) for cell in row] for row in grid] for grid in self.a_grids]
-        same = all(g == grids[0] for g in grids[1:])
-        a_field = {"all": grids[0]} if same else {"per_step": grids}
-        quads = [Rk.tolist() for Rk in self.cost_quadratic]
-        lins = [rk.tolist() for rk in self.cost_linear]
-        if all(q == quads[0] for q in quads) and all(l == lins[0] for l in lins):
-            cost_field: dict = {"quadratic": quads[0], "linear": lins[0]}
-        else:
-            cost_field = {"per_step": [{"quadratic": q, "linear": l} for q, l in zip(quads, lins)]}
-        return {
-            "schema": SCHEMA_VERSION,
-            "seed": self.seed,
-            "system": {
-                "n": self.n,
-                "m": self.m,
-                "horizon": self.horizon,
-                "x0": self.x0.tolist(),
-                "B": self.B.tolist(),
-                "A": a_field,
-            },
-            "constraints": {
-                "alpha": self.alpha,
-                "rows": [
-                    {"id": rid, "G": np.asarray(G).tolist(), "h": h, "k": k}
-                    for rid, G, h, k in self.row_specs
-                ],
-            },
-            "cost": cost_field,
-            "input_polytope": {"A_u": self.A_u.tolist(), "b_u": self.b_u.tolist()},
-            "assumptions": dict(self.assumptions),
-            "methods": {
-                "acs": json.loads(json.dumps(self.acs_options)),
-                "scenario": dict(self.scenario_options),
-                "mc": dict(self.mc_options),
-            },
-        }
+        return _dump(SCHEMA, {**vars(self), "schema": SCHEMA_VERSION})
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -268,146 +477,13 @@ class ProblemConfig:
 def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigError("", f"{source}: configuration must be a JSON object")
-    schema = _need(data, "schema", "", int)
-    if schema != SCHEMA_VERSION:
-        raise ConfigError("schema", f"unsupported schema version {schema}; this build reads {SCHEMA_VERSION}")
-
-    system = _need(data, "system", "", dict)
-    n = _need(system, "n", "system", int)
-    m = _need(system, "m", "system", int)
-    horizon = _need(system, "horizon", "system", int)
-    if n < 1 or m < 1 or horizon < 1:
-        raise ConfigError("system", "n, m and horizon must be positive")
-    x0 = _array(_need(system, "x0", "system"), "system.x0", n)
-    B = _array(_need(system, "B", "system"), "system.B", n, m)
-
-    a_spec = _need(system, "A", "system", dict)
-    if "all" in a_spec:
-        grid = _parse_grid(a_spec["all"], "system.A.all", n)
-        a_grids = tuple(grid for _ in range(horizon))
-    elif "per_step" in a_spec:
-        steps = a_spec["per_step"]
-        if not isinstance(steps, list) or len(steps) != horizon:
-            raise ConfigError("system.A.per_step", f"expected {horizon} grids")
-        a_grids = tuple(_parse_grid(g, f"system.A.per_step[{t}]", n) for t, g in enumerate(steps))
-    else:
-        raise ConfigError("system.A", 'expected an "all" or "per_step" field')
-
-    constraints = _need(data, "constraints", "", dict)
-    alpha = float(_need(constraints, "alpha", "constraints", (int, float)))
-    raw_rows = _need(constraints, "rows", "constraints", list)
-    if not raw_rows:
-        raise ConfigError("constraints.rows", "need at least one row")
-    row_specs = []
-    for i, row in enumerate(raw_rows):
-        path = f"constraints.rows[{i}]"
-        G = _array(_need(row, "G", path), f"{path}.G", n)
-        h = float(_need(row, "h", path, (int, float)))
-        k = row.get("k", "all")
-        if k != "all":
-            if isinstance(k, bool) or not isinstance(k, int) or not (1 <= k <= horizon):
-                raise ConfigError(f"{path}.k", f'k must be "all" or an integer in [1, {horizon}]')
-        rid = str(row.get("id", f"row{i}"))
-        row_specs.append((rid, G, h, k))
-    if len(set(r[0] for r in row_specs)) != len(row_specs):
-        raise ConfigError("constraints.rows", "row ids must be unique")
-
-    cost = _need(data, "cost", "", dict)
-    if "per_step" in cost:
-        steps = cost["per_step"]
-        if not isinstance(steps, list) or len(steps) != horizon:
-            raise ConfigError("cost.per_step", f"expected {horizon} entries")
-        quads = tuple(_array(_need(s, "quadratic", f"cost.per_step[{t}]"), f"cost.per_step[{t}].quadratic", m, m) for t, s in enumerate(steps))
-        lins = tuple(_array(_need(s, "linear", f"cost.per_step[{t}]"), f"cost.per_step[{t}].linear", m) for t, s in enumerate(steps))
-    else:
-        Rk = _array(_need(cost, "quadratic", "cost"), "cost.quadratic", m, m)
-        rk = _array(_need(cost, "linear", "cost"), "cost.linear", m)
-        quads = tuple(Rk for _ in range(horizon))
-        lins = tuple(rk for _ in range(horizon))
-
-    polytope = _need(data, "input_polytope", "", dict)
-    A_u = _array(_need(polytope, "A_u", "input_polytope"), "input_polytope.A_u", None, m)
-    b_u = _array(_need(polytope, "b_u", "input_polytope"), "input_polytope.b_u", A_u.shape[0])
-
-    assumptions = data.get("assumptions", {})
-    if not isinstance(assumptions, dict):
-        raise ConfigError("assumptions", "expected an object")
-
-    methods = data.get("methods", {})
-    if not isinstance(methods, dict):
-        raise ConfigError("methods", "expected an object")
-    acs_options, scenario_options, mc_options = (
-        _options(methods.get(key, {}), f"methods.{key}", keys) for key, keys in _METHOD_KEYS.items()
-    )
-    _counts(acs_options, "methods.acs", "max_outer_iters", "restoration_rounds")
-    if not isinstance(acs_options.get("restoration", True), bool):
-        raise ConfigError("methods.acs.restoration", f"expected a boolean, got {acs_options['restoration']!r}")
-    user_lambdas = acs_options.get("user_lambdas") or {}
-    if not isinstance(user_lambdas, dict) or not all(is_number(v) or v in (math.inf, -math.inf) for v in user_lambdas.values()):
-        raise ConfigError("methods.acs.user_lambdas", "expected an object mapping row ids to numbers")
-    if "solver" in acs_options:
-        solver = _options(acs_options["solver"], "methods.acs.solver", _SOLVER_KEYS)
-        _counts(solver, "methods.acs.solver", "max_iter")
-        _numbers(solver, "methods.acs.solver", "tol")
-    _numbers(acs_options, "methods.acs", "convergence_rel_tol", "feasibility_tol")
-    _numbers(scenario_options, "methods.scenario", "beta")
-    if scenario_options.get("sample_count") is not None:
-        _counts(scenario_options, "methods.scenario", "sample_count")
-    _counts(mc_options, "methods.mc", "samples")
-
-    cfg = ProblemConfig(
-        seed=data.get("seed", 0),
-        n=n,
-        m=m,
-        horizon=horizon,
-        x0=x0,
-        B=B,
-        a_grids=a_grids,
-        alpha=alpha,
-        row_specs=tuple(row_specs),
-        cost_quadratic=quads,
-        cost_linear=lins,
-        A_u=A_u,
-        b_u=b_u,
-        assumptions=dict(assumptions),
-        acs_options=acs_options,
-        scenario_options=scenario_options,
-        mc_options=mc_options,
-    )
-    if user_lambdas:
-        _user_lambdas(user_lambdas, cfg)
-    try:
-        cfg.acs_config()
-        cfg.scenario_config()
-        cfg.cost()
-    except DomainError as exc:
-        raise ConfigError("methods", f"invalid method options: {exc}") from None
+    fields: dict = {}
+    _walk(SCHEMA, data, "", fields, fields)
+    del fields["schema"]  # checked; every ProblemConfig is of this version
+    cfg = ProblemConfig(**fields)
+    if cfg.acs_options.get("user_lambdas"):
+        _user_lambdas(cfg.acs_options["user_lambdas"], cfg)
     return cfg
-
-
-def _options(options, path, keys):
-    """A copy of an options object, which holds only ``keys``."""
-    if not isinstance(options, dict):
-        raise ConfigError(path, f"expected an object, got {type(options).__name__}")
-    for key in options:
-        if key not in keys:
-            raise ConfigError(f"{path}.{key}", f"unknown key; expected one of {', '.join(keys)}")
-    return dict(options)
-
-
-def _counts(options, path, *keys):
-    """Each of ``keys`` that ``options`` holds must be a positive integer."""
-    for key in keys:
-        value = options.get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{path}.{key}", f"expected a positive integer, got {value!r}")
-
-
-def _numbers(options, path, *keys):
-    """Each of ``keys`` that ``options`` holds must be a finite number."""
-    for key in keys:
-        if key in options:
-            _need(options, key, path, (int, float))
 
 
 def _user_lambdas(lambdas, cfg):
@@ -429,17 +505,6 @@ def _user_lambdas(lambdas, cfg):
     for row in rows:
         if math.isinf(lambdas[row.id]) and not constraint_moments(spec, row.G, row.k).structurally_deterministic:
             raise ConfigError(path, f"{row.id} = inf on a random row: its deviation is not identically zero")
-
-
-def _parse_grid(grid, path, n):
-    if not isinstance(grid, list) or len(grid) != n:
-        raise ConfigError(path, f"expected {n} rows")
-    out = []
-    for i, row in enumerate(grid):
-        if not isinstance(row, list) or len(row) != n:
-            raise ConfigError(f"{path}[{i}]", f"expected {n} entries")
-        out.append(tuple(parse_entry(cell, f"{path}[{i}][{j}]") for j, cell in enumerate(row)))
-    return tuple(out)
 
 
 def load_config(path) -> ProblemConfig:

@@ -219,8 +219,10 @@ class SolverOptions:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf or self.max_iter < 1:
-            raise DomainError("solver options need a finite tol > 0 and max_iter >= 1")
+        if not 0 < self.tol < math.inf:
+            raise DomainError("solver tol must be positive and finite", "tol")
+        if self.max_iter < 1:
+            raise DomainError("solver max_iter must be >= 1", "max_iter")
 
 
 @dataclass

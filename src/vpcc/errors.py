@@ -6,7 +6,15 @@ class VpccError(Exception):
 
 
 class DomainError(VpccError):
-    """An argument is outside the mathematical domain of the operation."""
+    """An argument is outside the mathematical domain of the operation.
+
+    ``field`` names the offending argument where the check is about one
+    field, so a config parser can point at that field's key.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class NotPSD(VpccError):

@@ -58,9 +58,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
-            raise DomainError(f"beta must lie in (0, 1), got {self.beta!r}")
+            raise DomainError(f"beta must lie in (0, 1), got {self.beta!r}", "beta")
         if self.sample_count is not None and self.sample_count < 1:
-            raise DomainError("explicit sample_count must be >= 1")
+            raise DomainError("explicit sample_count must be >= 1", "sample_count")
 
 
 def required_samples(alpha: float, beta: float, d: int = 2) -> int:

@@ -16,6 +16,12 @@ from vpcc import cli
 from vpcc.cli import main, parse_grid
 from vpcc.config import ProblemConfig, _entry_to_json, load_config, parse_config, parse_entry, two_bus_config_path
 from vpcc.errors import ConfigError, DomainError
+from vpcc.scenario import ScenarioConfig
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
 
 
 @pytest.fixture()
@@ -352,14 +358,38 @@ class TestSweep:
             assert pa == pb
 
 
+def benchmark_configs(tmp_path):
+    """Every config the benchmark writes for seed 1 of its workloads (``perfbench/workloads.py``, read only)."""
+    paths = set()
+    for workload in workloads.WORKLOADS:
+        work = tmp_path / workload
+        work.mkdir()
+        paths.update(cell.config for cell in workloads.build_cells(workload, 1, os.path.dirname(PERFBENCH), str(work)))
+    return [load_config(path) for path in sorted(paths)]
+
+
 class TestConfigRoundTrip:
-    def test_semantic_identity(self, two_bus_path):
-        cfg = load_config(two_bus_path)
-        clone = parse_config(cfg.to_dict())
-        assert clone.to_dict() == cfg.to_dict()
-        assert np.array_equal(clone.x0, cfg.x0)
-        assert clone.row_specs[0][0] == cfg.row_specs[0][0]
-        assert clone.a_grids == cfg.a_grids
+    @pytest.mark.parametrize("source", ["two_bus", "benchmark_seed1"])
+    def test_semantic_identity(self, two_bus_path, tmp_path, source):
+        configs = [load_config(two_bus_path)] if source == "two_bus" else benchmark_configs(tmp_path)
+        for cfg in configs:
+            clone = parse_config(cfg.to_dict())
+            assert clone.to_dict() == cfg.to_dict()
+            assert np.array_equal(clone.x0, cfg.x0)
+            assert clone.row_specs[0][0] == cfg.row_specs[0][0]
+            assert clone.a_grids == cfg.a_grids
+
+    def test_declared_defaults(self):
+        """An absent key takes its one declared default: the table's, or the
+        options class's for a method block, which is echoed as given."""
+        data = scalar_toy_config()
+        del data["seed"], data["constraints"]["rows"][0]["k"], data["constraints"]["rows"][0]["id"], data["methods"]
+        cfg = parse_config(data)
+        assert (cfg.seed, cfg.row_specs[0][0], cfg.row_specs[0][3]) == (0, "row0", "all")
+        assert cfg.to_dict()["methods"] == {"acs": {}, "scenario": {}, "mc": {}}
+        assert cfg.acs_config() == vpcc.AcsConfig()
+        assert cfg.scenario_config() == ScenarioConfig()
+        assert cfg.mc_samples == 100000
 
     def test_toy_round_trip(self, tmp_path):
         cfg = parse_config(scalar_toy_config())
@@ -442,8 +472,9 @@ class TestConfigRoundTrip:
 
 CELL = "system.A.all[0][0]"
 # name: (where the value goes, the value, field named by the error, method);
-# "system", "cost" and "input_polytope" values update that block, "row"
-# values the first row.
+# "config" values update the whole config, "system", "constraints", "cost",
+# "input_polytope" and "assumptions" values that block, "row" values the
+# first row.
 MALFORMED = {
     "weibull-scale-string": ("cell", {"family": "weibull", "scale": "abc", "shape": 30.0}, CELL, "proposed"),
     "weibull-scale-list": ("cell", {"family": "weibull", "scale": [1], "shape": 30.0}, CELL, "proposed"),
@@ -505,6 +536,24 @@ MALFORMED = {
     "restoration-string": ("acs", {"restoration": "no"}, "methods.acs.restoration", "proposed"),
     "restoration-zero": ("acs", {"restoration": 0}, "methods.acs.restoration", "proposed"),
     "restoration-null": ("acs", {"restoration": None}, "methods.acs.restoration", "proposed"),
+    "cell-unknown-key": ("cell", {"family": "weibull", "scale": 5.0, "shape": 30.0, "pwer": 3}, CELL + ".pwer", "proposed"),
+    "method-unknown-block": ("scenaro", {"beta": 0.5}, "methods.scenaro", "scenario"),
+    "top-unknown-key": ("config", {"sead": 3}, "sead", "proposed"),
+    "system-unknown-key": ("system", {"horizn": 2}, "system.horizn", "proposed"),
+    "row-unknown-key": ("row", {"kk": 2}, "constraints.rows[0].kk", "scenario"),
+    "polytope-unknown-key": ("input_polytope", {"A": [[1.0], [-1.0]]}, "input_polytope.A", "proposed"),
+    "assumptions-unknown-key": ("assumptions", {"unimodl": "attested"}, "assumptions.unimodl", "proposed"),
+    "step-policy-unknown": ("acs", {"lambda_step_policy": "bogus"}, "methods.acs.lambda_step_policy", "proposed"),
+    "init-policy-unknown": ("acs", {"lambda_init_policy": "bogus"}, "methods.acs.lambda_init_policy", "proposed"),
+    "beta-above-one": ("scenario", {"beta": 1.5}, "methods.scenario.beta", "scenario"),
+    "user-supplied-without-lambdas": ("acs", {"lambda_init_policy": "user-supplied"}, "methods.acs.user_lambdas", "proposed"),
+    "convergence-tol-negative": ("acs", {"convergence_rel_tol": -1}, "methods.acs.convergence_rel_tol", "proposed"),
+    "solver-tol-negative": ("acs", {"solver": {"tol": -1}}, "methods.acs.solver.tol", "proposed"),
+    "user-lambdas-without-user-supplied": ("acs", {"user_lambdas": {"end@k2": 3.0}}, "methods.acs.user_lambdas", "proposed"),
+    # Both forms of a per-step block: the grid under "all" and a per-step
+    # list, or a flat cost and a per-step cost that differs from it.
+    "A-all-and-per-step": ("system", {"A": {"all": [[0.5]], "per_step": [[[0.5]], [[0.5]]]}}, "system.A", "proposed"),
+    "cost-flat-and-per-step": ("cost", {"per_step": [{"quadratic": [[1.0]], "linear": [1.0]}] * 2}, "cost", "scenario"),
 }
 
 
@@ -518,7 +567,9 @@ class TestMalformedOptions:
         data = scalar_toy_config()
         if where == "cell":
             data["system"]["A"]["all"][0][0] = value
-        elif where in ("system", "constraints", "cost", "input_polytope"):
+        elif where == "config":
+            data.update(value)
+        elif where in ("system", "constraints", "cost", "input_polytope", "assumptions"):
             data[where].update(value)
         elif where == "row":
             data["constraints"]["rows"][0].update(value)
