@@ -29,12 +29,14 @@ feeds the restoration below: it gives every row's tight multiplier, ratio
 
 The uniform-risk initial allocation can be infeasible even when the problem
 is not (tight budgets want very uneven allocations). When the first input
-step fails, a restoration phase runs: first a floor-multiplier margin solve,
-which yields a sound infeasibility verdict whenever it fails since no
-admissible multiplier is smaller; then a few rounds of convex risk descent
-(margin minimisation, each row weighted by VP.slope / Std) until the
-tightened allocation fits the budget. If the minimal found risk still
-exceeds alpha the run reports infeasibility.
+step fails, a restoration phase runs. It first solves the root relaxation,
+the input program with every row at VP.lam(alpha): every admissible row
+risk is at most alpha, so no admissible multiplier is smaller, and an
+infeasible relaxation proves the problem infeasible. From the relaxation's
+input a few rounds of convex risk descent (margin minimisation, each row
+weighted by VP.slope / Std) run until the tightened allocation fits the
+budget. If the minimal found risk still exceeds alpha the run reports
+infeasibility.
 """
 
 from __future__ import annotations
@@ -158,9 +160,14 @@ def init_lambdas(jcc: JointChanceConstraint, policy: str = "uniform-risk", user:
         if not user:
             raise DomainError("user-supplied policy needs explicit multipliers")
         return RiskAllocation(jcc.alpha, dict(user))
-    omega = jcc.alpha / len(jcc.rows)
-    lam = VP.lam(omega)
+    lam = _multiplier(jcc.alpha / len(jcc.rows))
     return RiskAllocation(jcc.alpha, {row.id: lam for row in jcc.rows})
+
+
+def _multiplier(risk: float) -> float:
+    """The multiplier of one row risk, capped at VP.risk_cap so that it stays
+    at or above VP.floor (VP.lam(VP.risk_cap) is VP.floor exactly)."""
+    return VP.lam(min(risk, VP.risk_cap))
 
 
 def tighten(rows: list[ReformulatedConstraint], U: np.ndarray) -> tuple[dict, list, list, list]:
@@ -238,9 +245,9 @@ def _cone_row(rc: ReformulatedConstraint, lam: float, extra=(), deviation_only: 
     """The row E(U) + lam * Std(U) <= h as a cone row.
 
     ``extra`` holds the mean coefficients of variables placed after the
-    input (the floor margin's sigma, risk descent's epigraph columns); the
-    deviation map gets zero rows for them. ``deviation_only`` drops the
-    mean and the bound, leaving lam * Std(U) + extra' x <= 0. A
+    input (risk descent's epigraph columns); the deviation map gets zero
+    rows for them. ``deviation_only`` drops the mean and the bound, leaving
+    lam * Std(U) + extra' x <= 0. A
     structurally deterministic row takes multiplier 0: its deviation is
     identically zero, so the multiplier is moot, and normalising it keeps
     the program a pure function of the row.
@@ -294,30 +301,6 @@ def u_step(
 # ---------------------------------------------------------------------------
 
 
-def _floor_margin_solve(spec: SystemSpec, rows, opts: SolverOptions):
-    """Minimise the worst floor-multiplier margin over the polytope.
-
-    A strictly positive optimum proves the whole problem infeasible: every
-    admissible multiplier is at least the floor and only tightens rows.
-    """
-    d = spec.input_dim
-    A_u, b_u = spec.stacked_polytope()
-    scale = max(1.0, float(np.abs(b_u).max())) if b_u.size else 1.0
-    cap = 100.0 * scale
-
-    A_ext = np.hstack([A_u, np.zeros((A_u.shape[0], 1))])
-    guard = np.zeros((1, d + 1))
-    guard[0, d] = -1.0
-    A_ext = np.vstack([A_ext, guard])
-    b_ext = np.concatenate([b_u, [cap]])
-
-    soc = tuple(_cone_row(rc, VP.floor, extra=[-1.0]) for rc in rows)
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    program = ConicProgram(P=np.zeros((d + 1, d + 1)), c=c, A_u=A_ext, b_u=b_ext, soc=soc)
-    return conic.solve(program, opts)
-
-
 def _risk_descent_program(spec, rows, ratios, weights, opts):
     """One convex risk-descent subproblem.
 
@@ -357,26 +340,16 @@ def _tight_risk(rows, U, alpha) -> tuple[float, list, list]:
     return (math.inf if violated else RiskAllocation(alpha, tight).risk_sum), ratios, stds
 
 
-def _restore_allocation(spec, rows, alpha, config: AcsConfig) -> tuple[RiskAllocation, str]:
-    """Search for a certifiable allocation when uniform-risk init fails.
+def _restore_allocation(spec, rows, alpha, U: np.ndarray, config: AcsConfig) -> tuple[RiskAllocation, str]:
+    """Search for a certifiable allocation when uniform-risk init fails,
+    starting from U, the root relaxation's input.
 
     Returns (allocation, note) or raises AllocationInfeasible with the best
-    risk found. The floor-margin failure branch is a sound infeasibility
-    certificate; the risk-descent branch is exact when row deviations do
-    not depend on the input (margins affine) and a documented local
-    heuristic otherwise.
+    risk found. The risk descent is exact when row deviations do not depend
+    on the input (margins affine) and a documented local heuristic
+    otherwise.
     """
-    out = _floor_margin_solve(spec, rows, config.solver)
-    if out.status != STATUS_OPTIMAL or out.x is None:
-        raise AllocationInfeasible(
-            "floor-multiplier margin solve failed; no admissible allocation exists"
-            f" ({out.status}: {out.diagnostic})"
-        )
-    sigma = float(out.x[-1])
-    if sigma > 0.0:
-        raise AllocationInfeasible(f"even floor multipliers violate the constraints by {sigma:.6g}; problem is infeasible")
     d = spec.input_dim
-    U = out.x[:d].copy()
 
     # Descend the tightened total risk to (a local) minimum before handing
     # over, so the relaxed allocation starts with maximal surplus budget.
@@ -480,12 +453,26 @@ def run(
         # restarting from the reported allocation reproduces the input exactly.
         outcome = u_step(spec, rows, alloc, cost, config.solver)
         if outcome.status == STATUS_INFEASIBLE and iteration == 1 and config.restoration:
+            # Restoration does not consume an outer iteration. It starts from
+            # the root relaxation: every admissible row risk is at most alpha,
+            # so no admissible multiplier is below lam, and an infeasible
+            # relaxation proves the problem infeasible. Any other status that
+            # is not optimal proves nothing and is reported as it is.
+            lam = _multiplier(jcc.alpha)
+            root = u_step(spec, rows, RiskAllocation(jcc.alpha, {rc.id: lam for rc in rows}), cost, config.solver)
+            if root.status != STATUS_OPTIMAL:
+                record("restoration", iteration, outcome, step_start)
+                status = report_status(root.status)
+                return finish(
+                    status,
+                    extra_note=f"{status}: root relaxation, every row at multiplier {lam:.6g} (no admissible"
+                    f" multiplier is smaller), ended {root.status}: {root.diagnostic}",
+                )
             try:
-                alloc, note = _restore_allocation(spec, rows, jcc.alpha, config)
+                alloc, note = _restore_allocation(spec, rows, jcc.alpha, root.x, config)
             except AllocationInfeasible as exc:
                 record("restoration", iteration, outcome, step_start)
                 return finish(STATUS_INFEASIBLE, extra_note=f"infeasible: {exc}")
-            # Restoration does not consume an outer iteration.
             notes.append(note)
             step_start = time.perf_counter()
             outcome = u_step(spec, rows, alloc, cost, config.solver)

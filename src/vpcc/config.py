@@ -358,7 +358,7 @@ SCHEMA = {
         "alpha": Key(_NUMBER),  # ProblemConfig checks its range
         "rows": Key(_List(_Object(
             _values,
-            id=Key(_Kind(lambda value, *_: str(value)), lambda i: f"row{i}"),
+            id=Key(_check("a string", lambda value: type(value) is str), lambda i: f"row{i}"),
             G=Key(_array("n")),
             h=Key(_NUMBER),
             k=Key(_Kind(_step), "all"),

@@ -10,7 +10,7 @@ import vpcc
 from vpcc import conic
 from vpcc.acs import AcsConfig, Cost, init_lambdas, lambda_step, run, tighten, u_step
 from vpcc.errors import AllocationInfeasible, DomainError
-from vpcc.reformulate import LAMBDA_FLOOR, LAMBDA_MAX, JointChanceConstraint, build_reformulation, vp_bound
+from vpcc.reformulate import LAMBDA_FLOOR, LAMBDA_MAX, VP, JointChanceConstraint, build_reformulation, vp_bound
 
 from conftest import deterministic_spec, scalar_iid_spec
 
@@ -51,6 +51,24 @@ class TestInitLambdas:
         rows = (vpcc.ConstraintRow(G=np.array([1.0]), h=1.0, k=1, id="r"),)
         alloc = init_lambdas(JointChanceConstraint(rows, 1.0 / 6.0 - 1e-7))
         assert alloc.lambdas["r"] == pytest.approx(LAMBDA_FLOOR, abs=1e-6)
+
+    def test_single_row_above_risk_cap(self):
+        """A budget between VP.risk_cap and 1/6 starts at the floor; the
+        multiplier of the whole budget would fall below it."""
+        rows = (vpcc.ConstraintRow(G=np.array([1.0]), h=1.0, k=1, id="r"),)
+        alpha = 1.0 / 6.0 - 1e-11
+        assert VP.risk_cap < alpha
+        alloc = init_lambdas(JointChanceConstraint(rows, alpha))
+        assert alloc.lambdas == {"r": VP.floor}
+
+    def test_one_row_two_bus_above_risk_cap_solves(self, two_bus_cfg):
+        data = two_bus_cfg.to_dict()
+        data["constraints"]["rows"] = [row for row in data["constraints"]["rows"] if row["id"] == "line-rating"]
+        data["constraints"]["alpha"] = 1.0 / 6.0 - 1e-11
+        cfg = vpcc.parse_config(data)
+        report = run(cfg.system_spec(), cfg.jcc(), cfg.cost(), cfg.acs_config())
+        assert report.status == "optimal"
+        assert report.feasibility["feasible"]
 
     def test_user_supplied(self):
         rows = (vpcc.ConstraintRow(G=np.array([1.0]), h=1.0, k=1, id="r"),)
@@ -282,6 +300,69 @@ class TestRun:
         report = run(spec, jcc, two_bus_cfg.cost(), two_bus_cfg.acs_config())
         cert = vpcc.mc_certify(spec, jcc, np.asarray(report.U).ravel(), 10**5, seed=31)
         assert cert.upper_ci_99 <= jcc.alpha
+
+
+def root_relaxation(cfg):
+    """The input step with every row at VP.lam(alpha). Every admissible row
+    risk is at most alpha, so no admissible multiplier is smaller."""
+    spec, jcc = cfg.system_spec(), cfg.jcc()
+    rows = build_reformulation(spec, jcc)
+    lam = VP.lam(min(jcc.alpha, VP.risk_cap))
+    return u_step(spec, rows, vpcc.RiskAllocation(jcc.alpha, {rc.id: lam for rc in rows}), cfg.cost())
+
+
+class TestRootRelaxation:
+    @pytest.mark.parametrize("one_minus", (0.84, 0.86, 0.88, 0.9, 0.92, 0.94, 0.96, 0.98))
+    def test_bounds_two_bus_objective(self, two_bus_cfg, one_minus):
+        cfg = two_bus_cfg.with_alpha(round(1.0 - one_minus, 12))
+        report = run(cfg.system_spec(), cfg.jcc(), cfg.cost(), cfg.acs_config())
+        assert report.status == "optimal"
+        root = root_relaxation(cfg)
+        assert root.status == conic.STATUS_OPTIMAL
+        tol = cfg.acs_config().solver.tol
+        assert cfg.cost().value(root.x) <= report.objective + tol * max(1.0, abs(report.objective))
+
+    def test_two_bus_099_relaxation_proves_infeasible(self, two_bus_cfg):
+        cfg = two_bus_cfg.with_alpha(0.01)
+        assert root_relaxation(cfg).status == conic.STATUS_INFEASIBLE
+        report = run(cfg.system_spec(), cfg.jcc(), cfg.cost(), cfg.acs_config())
+        assert report.status == "infeasible"
+        (note,) = report.notes
+        assert note.startswith(f"infeasible: root relaxation, every row at multiplier {VP.lam(0.01):.6g} ")
+        assert "ended infeasible" in note and "phase-1 bound sigma - s'z" in note
+
+    @pytest.mark.parametrize("status, reported", [("iteration_limit", "iteration_limit"), ("numerical_failure", "error")])
+    @pytest.mark.parametrize("alpha", [0.01, 0.02])
+    def test_unsolved_relaxation_is_no_verdict(self, two_bus_cfg, monkeypatch, status, reported, alpha):
+        """A relaxation that ends neither optimal nor infeasible proves
+        nothing, so the run reports the solver's status, never infeasible."""
+        cfg = two_bus_cfg.with_alpha(alpha)
+        solve, programs = conic.solve, []
+
+        def unsolved_relaxation(program, opts=None, x_hint=None):
+            programs.append(program)
+            if len(programs) == 1:
+                return solve(program, opts, x_hint)
+            return conic.SolverOutcome(
+                status=status,
+                x=None,
+                objective=None,
+                primal_residual=math.inf,
+                dual_residual=math.inf,
+                gap=math.inf,
+                iterations=7,
+                wall_time_ms=0.0,
+                diagnostic="test diagnostic",
+            )
+
+        monkeypatch.setattr(conic, "solve", unsolved_relaxation)
+        report = run(cfg.system_spec(), cfg.jcc(), cfg.cost(), cfg.acs_config())
+        assert len(programs) == 2
+        assert {row.lam for row in programs[1].soc} == {VP.lam(alpha)}
+        assert report.status == reported
+        assert report.U is None and report.lambdas is None
+        assert [entry["phase"] for entry in report.trace] == ["restoration"]
+        assert any(status in note and "test diagnostic" in note for note in report.notes)
 
 
 class TestConfigValidation:

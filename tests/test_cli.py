@@ -484,6 +484,9 @@ MALFORMED = {
     "power-fraction": ("cell", {"family": "constant", "value": 0.5, "power": 2.0}, CELL, "proposed"),
     "system-m-bool": ("system", {"m": True}, "system.m", "proposed"),
     "row-k-bool": ("row", {"k": True}, "constraints.rows[0].k", "proposed"),
+    "row-id-null": ("row", {"id": None}, "constraints.rows[0].id", "proposed"),
+    "row-id-object": ("row", {"id": {"a": 1}}, "constraints.rows[0].id", "scenario"),
+    "row-id-number": ("row", {"id": 5}, "constraints.rows[0].id", "proposed"),
     "acs-not-object": ("acs", 5, "methods.acs", "proposed"),
     "user-lambda-string": ("acs", {"lambda_init_policy": "user-supplied", "user_lambdas": {"end@k2": "x"}}, "methods.acs.user_lambdas", "proposed"),
     "user-lambda-missing-row": ("lambdas", {"end@k2": 3.0}, "methods.acs.user_lambdas", "proposed"),
