@@ -27,16 +27,17 @@ Both policies start from one tightening pass (``tighten``), which also
 feeds the restoration below: it gives every row's tight multiplier, ratio
 (h_i - E_i(U)) / Std_i(U) and Std at U, and the rows U cannot certify.
 
-The uniform-risk initial allocation can be infeasible even when the problem
-is not (tight budgets want very uneven allocations). When the first input
-step fails, a restoration phase runs. It first solves the root relaxation,
-the input program with every row at VP.lam(alpha): every admissible row
-risk is at most alpha, so no admissible multiplier is smaller, and an
-infeasible relaxation proves the problem infeasible. From the relaxation's
-input a few rounds of convex risk descent (margin minimisation, each row
-weighted by VP.slope / Std) run until the tightened allocation fits the
-budget. If the minimal found risk still exceeds alpha the run reports
-infeasibility.
+The search always starts from the uniform-risk split, alpha / (number of
+rows) per row (``init_lambdas``). That allocation can be infeasible even
+when the problem is not (tight budgets want very uneven allocations). When
+the first input step fails, a restoration phase runs. It first solves the
+root relaxation, the input program with every row at VP.lam(alpha): every
+admissible row risk is at most alpha, so no admissible multiplier is
+smaller, and an infeasible relaxation proves the problem infeasible. From
+the relaxation's input at most 30 rounds of convex risk descent (margin
+minimisation, each row weighted by VP.slope / Std) run until the tightened
+allocation fits the budget. If the minimal found risk still exceeds alpha
+the run reports infeasibility.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .report import (
 )
 
 _DETERMINISTIC_SLACK = 1e-9
+_RESTORATION_ROUNDS = 30  # risk-descent rounds at most
 
 
 @dataclass(frozen=True)
@@ -124,29 +126,19 @@ class Cost:
 
 @dataclass(frozen=True)
 class AcsConfig:
-    lambda_init_policy: str = "uniform-risk"
-    user_lambdas: dict | None = None
     lambda_step_policy: str = "uniform-relax"
     max_outer_iters: int = 50
     convergence_rel_tol: float = 1e-6
     solver: SolverOptions = field(default_factory=SolverOptions)
     restoration: bool = True
-    restoration_rounds: int = 30
-    feasibility_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lambda_init_policy not in ("uniform-risk", "user-supplied"):
-            raise DomainError(f"unknown init policy {self.lambda_init_policy!r}", "lambda_init_policy")
         if self.lambda_step_policy not in ("tight", "uniform-relax"):
             raise DomainError(f"unknown multiplier step policy {self.lambda_step_policy!r}", "lambda_step_policy")
-        if (self.lambda_init_policy == "user-supplied") != bool(self.user_lambdas):
-            raise DomainError('user_lambdas are given if and only if the init policy is "user-supplied"', "user_lambdas")
-        for name in ("max_outer_iters", "restoration_rounds"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1", name)
-        for name in ("convergence_rel_tol", "feasibility_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be positive and finite", name)
+        if self.max_outer_iters < 1:
+            raise DomainError("max_outer_iters must be >= 1", "max_outer_iters")
+        if not 0 < self.convergence_rel_tol < math.inf:
+            raise DomainError("convergence_rel_tol must be positive and finite", "convergence_rel_tol")
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +146,8 @@ class AcsConfig:
 # ---------------------------------------------------------------------------
 
 
-def init_lambdas(jcc: JointChanceConstraint, policy: str = "uniform-risk", user: dict | None = None) -> RiskAllocation:
-    """Initial allocation: uniform splits alpha evenly over all rows."""
-    if policy == "user-supplied":
-        if not user:
-            raise DomainError("user-supplied policy needs explicit multipliers")
-        return RiskAllocation(jcc.alpha, dict(user))
+def init_lambdas(jcc: JointChanceConstraint) -> RiskAllocation:
+    """Initial allocation: alpha split evenly over all rows."""
     lam = _multiplier(jcc.alpha / len(jcc.rows))
     return RiskAllocation(jcc.alpha, {row.id: lam for row in jcc.rows})
 
@@ -354,7 +342,7 @@ def _restore_allocation(spec, rows, alpha, U: np.ndarray, config: AcsConfig) -> 
     # Descend the tightened total risk to (a local) minimum before handing
     # over, so the relaxed allocation starts with maximal surplus budget.
     risk, ratios, stds = _tight_risk(rows, U, alpha)
-    for rounds in range(1, config.restoration_rounds + 1):
+    for rounds in range(1, _RESTORATION_ROUNDS + 1):
         clipped = [0.0 if math.isinf(t) else max(t, VP.floor) for t in ratios]
         weights = [
             0.0 if math.isinf(ratio) else VP.slope(t) / std
@@ -403,7 +391,7 @@ def run(
     start = time.perf_counter()
     rows = build_reformulation(spec, jcc)
     random_ids = [rc.id for rc in rows if not rc.moments.structurally_deterministic]
-    alloc = init_lambdas(jcc, config.lambda_init_policy, config.user_lambdas)
+    alloc = init_lambdas(jcc)
     trace: list[dict] = []
     notes: list[str] = []
 
@@ -427,7 +415,7 @@ def run(
             report.risks = alloc_used.risks
             report.risk_sum = alloc_used.risk_sum
             if U is not None:
-                report.feasibility = check_feasibility(rows, U, alloc_used, config.feasibility_tol).to_dict()
+                report.feasibility = check_feasibility(rows, U, alloc_used).to_dict()
         return report
 
     def record(phase, iteration, outcome, step_start, objective=None, alloc=None):

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -166,6 +165,8 @@ def _sweep_task(payload: dict) -> tuple[SolveReport | None, str | None]:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers", f"expected a positive integer, got {args.workers}")
     cfg = _load(args.config)
     points = parse_grid(args.grid)
     methods = ["proposed", "scenario"] if args.methods == "both" else [args.methods]
@@ -183,8 +184,13 @@ def cmd_sweep(args) -> int:
             )
     os.makedirs(args.out, exist_ok=True)
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # At most one worker per cell: under fork a pool starts all its workers
+    # at the first task. Only a parallel sweep loads multiprocessing.
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
         results = [_sweep_task(task) for task in tasks]

@@ -13,15 +13,12 @@ Each method block ("acs", "acs.solver", "scenario") is checked key by key
 and then by the options class it builds (``acs.AcsConfig``,
 ``conic.SolverOptions``, ``scenario.ScenarioConfig``), whose own checks and
 defaults apply; a refusal names the key at fault. The blocks are echoed as
-given. "user_lambdas" maps each expanded row id "<id>@k<k>" to an admissible
-multiplier, Infinity only for a structurally deterministic row, and is read
-only under the "user-supplied" init policy.
+given.
 
 A JSON boolean is not accepted where an integer or a number is asked for,
 nor is a string or null inside a vector or matrix. Every number must be
 finite: NaN, Infinity and an integer beyond float range are refused at their
-field path, except a multiplier in "user_lambdas", whose own check decides
-it.
+field path.
 
 A grid cell is either a number (deterministic entry) or a distribution
 object such as {"family": "weibull", "scale": 5, "shape": 30, "power": 3},
@@ -50,8 +47,8 @@ import numpy as np
 from .acs import AcsConfig, Cost
 from .conic import SolverOptions
 from .errors import ConfigError, DomainError
-from .moments import RandomMatrixModel, SystemSpec, constraint_moments
-from .reformulate import VP, ConstraintRow, JointChanceConstraint, RowSet
+from .moments import RandomMatrixModel, SystemSpec
+from .reformulate import ConstraintRow, JointChanceConstraint, RowSet
 from .scenario import ScenarioConfig
 from .stochastics import FAMILIES, DistributionSpec, is_number
 
@@ -299,10 +296,6 @@ def _entry_to_json(entry) -> object:
     return out
 
 
-def _multipliers(value):
-    return value is None or type(value) is dict and all(is_number(v) or v in (math.inf, -math.inf) for v in value.values())
-
-
 def _optional(kind):
     return Key(kind, _OPTIONAL)
 
@@ -326,15 +319,11 @@ _CELL = _Kind(
 # The method blocks, each built into the options its method reads.
 _ACS = _Object(
     AcsConfig,
-    lambda_init_policy=_optional(_ANY),
-    user_lambdas=_optional(_check("an object mapping row ids to numbers", _multipliers)),
     lambda_step_policy=_optional(_ANY),
     max_outer_iters=_optional(_INTEGER),
     convergence_rel_tol=_optional(_NUMBER),
     solver=_optional(_Object(SolverOptions, tol=_optional(_NUMBER), max_iter=_optional(_INTEGER))),
     restoration=_optional(_check("a boolean", lambda value: type(value) is bool)),
-    restoration_rounds=_optional(_INTEGER),
-    feasibility_tol=_optional(_NUMBER),
 )
 _SCENARIO = _Object(
     ScenarioConfig,
@@ -480,31 +469,7 @@ def parse_config(data: dict, source: str = "<config>") -> ProblemConfig:
     fields: dict = {}
     _walk(SCHEMA, data, "", fields, fields)
     del fields["schema"]  # checked; every ProblemConfig is of this version
-    cfg = ProblemConfig(**fields)
-    if cfg.acs_options.get("user_lambdas"):
-        _user_lambdas(cfg.acs_options["user_lambdas"], cfg)
-    return cfg
-
-
-def _user_lambdas(lambdas, cfg):
-    """Initial multipliers name exactly the expanded rows, each admissible;
-    Infinity only on a structurally deterministic row, since a random row's
-    deviation is never identically zero and an infinite multiplier on it can
-    never hold."""
-    path = "methods.acs.user_lambdas"
-    rows = cfg.constraint_rows()
-    row_ids = [row.id for row in rows]
-    missing = [r for r in row_ids if r not in lambdas]
-    unknown = [r for r in lambdas if r not in row_ids]
-    if missing or unknown:
-        raise ConfigError(path, f"keys must be the expanded row ids; missing {missing}, unknown {unknown}")
-    for rid, lam in lambdas.items():
-        if not VP.admits(lam):
-            raise ConfigError(path, f"{rid} = {lam!r} is not an admissible multiplier (Infinity or >= {VP.floor!r})")
-    spec = cfg.system_spec()
-    for row in rows:
-        if math.isinf(lambdas[row.id]) and not constraint_moments(spec, row.G, row.k).structurally_deterministic:
-            raise ConfigError(path, f"{row.id} = inf on a random row: its deviation is not identically zero")
+    return ProblemConfig(**fields)
 
 
 def load_config(path) -> ProblemConfig:

@@ -17,7 +17,8 @@ both phases. Nesterov-Todd scaling turns each cone block's part of the
 Newton matrix into a signed diagonal plus one rank-one term, so the matrix
 is P + rows' diag(D) rows + G'G with one row of G per cone: one Cholesky
 factorisation and two solves per iteration, and no per-cone Python loop.
-Phase 1 minimizes the worst constraint margin sigma over (x, sigma), with
+Phase 1 starts at x = 0 and ends there if that point is strictly feasible;
+else it minimizes the worst constraint margin sigma over (x, sigma), with
 sigma bounded below by -cap and above by sigma0 + 1 + 0.1 scale. It
 returns at the first accepted iterate with sigma <= -feas_margin; at its
 optimum, sigma - s'z > 0 certifies infeasibility, and the diagnostic states
@@ -564,8 +565,9 @@ class _Sigma:
         return float(ext[-1])
 
 
-def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
-    """Find a strictly feasible point or evidence that none exists.
+def _phase1(program: ConicProgram, canon, opts, budget, start):
+    """Find a strictly feasible point, searching from ``start``, or evidence
+    that none exists.
 
     ``_primal_dual`` minimizes sigma over (x, sigma) with every margin pushed
     below sigma: the sigma column holds -1 on the linear rows and cone heads,
@@ -581,10 +583,10 @@ def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
     Returns (x, None) on success or (None, (status, diagnostic)) on failure.
     """
     d = program.d
-    g0 = program.margin_values(x_hint)
+    g0 = program.margin_values(start)
     gmax0 = float(g0.max()) if g0.size else -1.0
     if gmax0 < 0.0:
-        return x_hint.copy(), None
+        return start.copy(), None
     scale = max(1.0, abs(gmax0))
     sigma0 = gmax0 + 1.0 + 0.1 * scale
     feas_margin = max(opts.tol, 1e-9) * scale
@@ -604,7 +606,7 @@ def _phase1(program: ConicProgram, canon, opts, budget, x_hint):
     def early(pt):
         return pt[d] <= -feas_margin
 
-    ext = np.append(x_hint, sigma0)
+    ext = np.append(start, sigma0)
     for tol in (opts.tol, 1e-3 * opts.tol):
         ext, flag, gap, _ = _primal_dual(_Sigma(d + 1), stack, ext, t_bar, budget, tol, early_exit=early)
         x = ext[:d].copy()
@@ -635,8 +637,9 @@ def _violation_diag(program: ConicProgram, x: np.ndarray) -> str:
     return f"most violated constraint at least-infeasible point: {kind}[{pos}] margin {vals[idx]:.6e}"
 
 
-def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.ndarray | None = None) -> SolverOutcome:
-    """Solve the program to relative tolerance ``opts.tol``.
+def solve(program: ConicProgram, opts: SolverOptions | None = None) -> SolverOutcome:
+    """Solve the program to relative tolerance ``opts.tol``, with phase 1
+    searching from x = 0.
 
     On "optimal" the returned point is strictly feasible, the relative
     duality gap s'z is at most tol and ``dual_residual`` meets the bound in
@@ -648,7 +651,6 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
     """
     opts = opts or SolverOptions()
     start = time.perf_counter()
-    d = program.d
     budget = _Budget(opts.max_iter)
 
     def done(status, x, diagnostic=None, gap=0.0, dual=0.0):
@@ -684,8 +686,7 @@ def solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.n
             return done(STATUS_NUMERICAL_FAILURE, None, f"stationarity residual {norm:.3e}; objective may be unbounded")
         return done(STATUS_OPTIMAL, x, dual=float(np.abs(resid).max()))
 
-    hint = np.zeros(d) if x_hint is None else np.asarray(x_hint, dtype=float)
-    x0, failure = _phase1(program, canon, opts, budget, hint)
+    x0, failure = _phase1(program, canon, opts, budget, np.zeros(program.d))
     if x0 is None:
         status, diag = failure
         return done(status, None, diag)

@@ -35,9 +35,6 @@ def _json_float(value):
     return float(value)
 
 
-_NONFINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
-
-
 def _parse_float(value):
     if value is None:
         return None
@@ -58,8 +55,8 @@ class SolveReport:
 
     The JSON keys are the field names in declaration order; only the
     floats that may be infinite (``objective``, ``lambdas``) are mapped to
-    and from strings. A non-finite number in the echoed ``inputs`` is
-    written as the same string and read back as that string.
+    and from strings. The echoed ``inputs`` hold finite numbers only, since
+    the config schema refuses every other number.
     """
 
     method: str
@@ -89,12 +86,7 @@ class SolveReport:
         return data
 
     def to_json(self, indent: int | None = 2) -> str:
-        data = self.to_dict()
-        try:
-            return json.dumps(data, indent=indent, allow_nan=False)
-        except ValueError:  # a config may hold Infinity, e.g. a deterministic row's multiplier
-            data["inputs"] = json.loads(json.dumps(data["inputs"]), parse_constant=_NONFINITE.__getitem__)
-            return json.dumps(data, indent=indent, allow_nan=False)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveReport":

@@ -349,17 +349,17 @@ def point_center(P, c, barrier: PointBarrier, x, t_bar, budget: Budget, early_ex
 # ---------------------------------------------------------------------------
 
 
-def barrier_phase1(program: ConicProgram, opts, budget, x_hint, barrier_cls=StackedBarrier, centering=center):
-    """Phase 1 from ``x_hint``: (x, None) on success or (None, (status, diagnostic)).
+def barrier_phase1(program: ConicProgram, opts, budget, start, barrier_cls=StackedBarrier, centering=center):
+    """Phase 1 from ``start``: (x, None) on success or (None, (status, diagnostic)).
 
     The cap row sigma >= -cap goes after the linear rows, and the sigma
     column holds -1 on the linear, cap and head rows.
     """
     d = program.d
-    g0 = program.margin_values(x_hint)
+    g0 = program.margin_values(start)
     gmax0 = float(g0.max()) if g0.size else -1.0
     if gmax0 < 0.0:
-        return x_hint.copy(), None
+        return start.copy(), None
     scale = max(1.0, abs(gmax0))
     sigma0 = gmax0 + 1.0 + 0.1 * scale
     cap = abs(sigma0) + 100.0 * scale
@@ -376,9 +376,9 @@ def barrier_phase1(program: ConicProgram, opts, budget, x_hint, barrier_cls=Stac
     c1[d] = 1.0
     P1 = np.zeros((d + 1, d + 1))
 
-    ext = np.append(x_hint, sigma0)
+    ext = np.append(start, sigma0)
     best_sigma = sigma0
-    best_x = x_hint.copy()
+    best_x = start.copy()
     stall = 0
     t_bar = barrier.nu / max(1.0, abs(sigma0))
 
@@ -430,7 +430,7 @@ def barrier_phase2(program: ConicProgram, barrier, x, t_bar, budget, tol, center
         t_bar *= MU
 
 
-def barrier_solve(program: ConicProgram, opts=None, x_hint=None, barrier_cls=StackedBarrier, centering=center):
+def barrier_solve(program: ConicProgram, opts=None, barrier_cls=StackedBarrier, centering=center):
     """Both barrier phases, with the outcome fields ``conic.solve`` reports;
     ``dual_residual`` is left at 0."""
     opts = opts or SolverOptions()
@@ -454,8 +454,7 @@ def barrier_solve(program: ConicProgram, opts=None, x_hint=None, barrier_cls=Sta
     canon = canonical(program)
     if canon[0].shape[0] == 0:
         return done(STATUS_OPTIMAL, np.linalg.lstsq(program.P, -program.c, rcond=None)[0])
-    hint = np.zeros(program.d) if x_hint is None else np.asarray(x_hint, dtype=float)
-    x0, failure = barrier_phase1(program, opts, budget, hint, barrier_cls, centering)
+    x0, failure = barrier_phase1(program, opts, budget, np.zeros(program.d), barrier_cls, centering)
     if x0 is None:
         return done(failure[0], None, failure[1])
     barrier = barrier_cls(*canon)
@@ -468,6 +467,6 @@ def barrier_solve(program: ConicProgram, opts=None, x_hint=None, barrier_cls=Sta
     return done(STATUS_OPTIMAL, x, gap=gap)
 
 
-def oracle_solve(program: ConicProgram, opts: SolverOptions | None = None, x_hint: np.ndarray | None = None) -> SolverOutcome:
+def oracle_solve(program: ConicProgram, opts: SolverOptions | None = None) -> SolverOutcome:
     """Both barrier phases on the point-wise barrier, line search and LU steps."""
-    return barrier_solve(program, opts, x_hint, PointBarrier, point_center)
+    return barrier_solve(program, opts, PointBarrier, point_center)

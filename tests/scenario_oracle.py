@@ -6,7 +6,7 @@ restated here, not imported), it draws every random entry's whole batch with
 one ``oracle_variate`` call, time-ascending and row-major. ``oracle_variate``
 restates each family's sampler, so the reference shares no sampling code
 with the library; ``tests/mc_oracle.py`` draws its batches with both.
-``oracle_rows`` propagates one scenario at a time with 1-D products.
+``oracle_rows`` propagates one scenario at a time.
 ``oracle_tightest_rows`` keeps the smallest right-hand side per coefficient
 vector in a dict.
 """
@@ -74,7 +74,13 @@ def oracle_state_matrices(spec: SystemSpec, seed: int, count: int) -> np.ndarray
 
 
 def oracle_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Affine constraint rows in the stacked input, one per (scenario, row)."""
+    """Affine constraint rows in the stacked input, one per (scenario, row).
+
+    Each scenario is propagated alone, with the 2-D products the library
+    makes per scenario: (n, n) @ (n, d) and (n, n) @ (n, 1) for the state,
+    and (r, n) @ (n, d) and (r, n) @ (n, 1) for a step's r rows. A 1-D
+    ``G @ reach`` sums in another order and can differ in the last bit.
+    """
     n, m, N = spec.n, spec.m, spec.horizon
     rows_by_k: dict[int, list] = {}
     for row in rows:
@@ -84,16 +90,18 @@ def oracle_rows(spec: SystemSpec, matrices: np.ndarray, rows) -> tuple[np.ndarra
     coef_rows = []
     rhs_vals = []
     for s in range(matrices.shape[0]):
-        phi = spec.x0.copy()
+        phi = spec.x0[:, None]
         reach = np.zeros((n, N * m))
         for t in range(max_k):
             a_t = matrices[s, t]
             phi = a_t @ phi
             reach = a_t @ reach
             reach[:, t * m : (t + 1) * m] += spec.B
-            for row in rows_by_k.get(t + 1, ()):
-                coef_rows.append(row.G @ reach)
-                rhs_vals.append(row.h - float(row.G @ phi))
+            if t + 1 in rows_by_k:
+                G = np.array([row.G for row in rows_by_k[t + 1]])
+                h = np.array([row.h for row in rows_by_k[t + 1]])
+                coef_rows.extend(G @ reach)
+                rhs_vals.extend(h - (G @ phi)[:, 0])
     return np.asarray(coef_rows), np.asarray(rhs_vals)
 
 

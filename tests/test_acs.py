@@ -70,11 +70,6 @@ class TestInitLambdas:
         assert report.status == "optimal"
         assert report.feasibility["feasible"]
 
-    def test_user_supplied(self):
-        rows = (vpcc.ConstraintRow(G=np.array([1.0]), h=1.0, k=1, id="r"),)
-        alloc = init_lambdas(JointChanceConstraint(rows, 0.1), "user-supplied", {"r": 3.0})
-        assert alloc.lambdas == {"r": 3.0}
-
 
 class TestLambdaStep:
     def _rows(self):
@@ -339,10 +334,10 @@ class TestRootRelaxation:
         cfg = two_bus_cfg.with_alpha(alpha)
         solve, programs = conic.solve, []
 
-        def unsolved_relaxation(program, opts=None, x_hint=None):
+        def unsolved_relaxation(program, opts=None):
             programs.append(program)
             if len(programs) == 1:
-                return solve(program, opts, x_hint)
+                return solve(program, opts)
             return conic.SolverOutcome(
                 status=status,
                 x=None,
@@ -368,15 +363,11 @@ class TestRootRelaxation:
 class TestConfigValidation:
     def test_bad_policies(self):
         with pytest.raises(DomainError):
-            AcsConfig(lambda_init_policy="magic")
-        with pytest.raises(DomainError):
             AcsConfig(lambda_step_policy="magic")
-        with pytest.raises(DomainError):
-            AcsConfig(lambda_init_policy="user-supplied")
         with pytest.raises(DomainError):
             AcsConfig(convergence_rel_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["convergence_rel_tol", "feasibility_tol"])
+    @pytest.mark.parametrize("field", ["convergence_rel_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance(self, field, value):
         with pytest.raises(DomainError, match="finite"):

@@ -1,5 +1,7 @@
 """Command-line front door: exit codes, artifacts, config round trips."""
 
+import concurrent.futures
+import concurrent.futures.process
 import csv
 import json
 import math
@@ -343,6 +345,43 @@ class TestSweep:
             else:
                 assert report.mc is None and "mc_" not in line
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused(self, two_bus_path, tmp_path, capsys, workers):
+        out = tmp_path / "sweep"
+        assert main(["sweep", two_bus_path, "--grid", "0.84", "--out", str(out), "--workers", workers]) == 1
+        assert capsys.readouterr().err == f"config error at --workers: expected a positive integer, got {workers}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "workers, grid, methods, pool",
+        [("100000", "0.84", "both", 2), ("2", "0.84,0.9", "both", 2), ("5", "0.9", "scenario", None)],
+    )
+    def test_at_most_one_worker_per_cell(self, two_bus_path, tmp_path, monkeypatch, workers, grid, methods, pool):
+        """A pool forks all its workers at its first task, so the sweep asks
+        for no more than it has cells, and for none for a single cell. The
+        pool here runs the tasks inline and starts no process."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        # Every name the pool class is reached by, so that no real pool starts.
+        for module in (concurrent.futures, concurrent.futures.process, cli):
+            monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool, raising=False)
+        args = ["sweep", two_bus_path, "--grid", grid, "--methods", methods, "--out", str(tmp_path), "--workers", workers]
+        assert main(args) == 0
+        assert sizes == ([] if pool is None else [pool])
+
     def test_worker_pool_matches_serial(self, two_bus_path, tmp_path):
         serial = str(tmp_path / "serial")
         pooled = str(tmp_path / "pooled")
@@ -488,11 +527,11 @@ MALFORMED = {
     "row-id-object": ("row", {"id": {"a": 1}}, "constraints.rows[0].id", "scenario"),
     "row-id-number": ("row", {"id": 5}, "constraints.rows[0].id", "proposed"),
     "acs-not-object": ("acs", 5, "methods.acs", "proposed"),
-    "user-lambda-string": ("acs", {"lambda_init_policy": "user-supplied", "user_lambdas": {"end@k2": "x"}}, "methods.acs.user_lambdas", "proposed"),
-    "user-lambda-missing-row": ("lambdas", {"end@k2": 3.0}, "methods.acs.user_lambdas", "proposed"),
-    "user-lambda-unknown-row": ("lambdas", {"end@k1": 3.0, "end@k2": 3.0, "nope": 5.0}, "methods.acs.user_lambdas", "proposed"),
-    "user-lambda-below-floor": ("lambdas", {"end@k1": 3.0, "end@k2": 1.0}, "methods.acs.user_lambdas", "proposed"),
-    "user-lambda-infinite-random": ("lambdas", {"end@k1": math.inf, "end@k2": 3.0}, "methods.acs.user_lambdas", "proposed"),
+    "user-lambda-string": ("acs", {"user_lambdas": {"end@k2": "x"}}, "methods.acs.user_lambdas", "proposed"),
+    "user-lambda-missing-row": ("acs", {"user_lambdas": {"end@k2": 3.0}}, "methods.acs.user_lambdas", "proposed"),
+    "user-lambda-unknown-row": ("acs", {"user_lambdas": {"end@k1": 3.0, "end@k2": 3.0, "nope": 5.0}}, "methods.acs.user_lambdas", "proposed"),
+    "user-lambda-below-floor": ("acs", {"user_lambdas": {"end@k1": 3.0, "end@k2": 1.0}}, "methods.acs.user_lambdas", "proposed"),
+    "user-lambda-infinite-random": ("acs", {"user_lambdas": {"end@k1": math.inf, "end@k2": 3.0}}, "methods.acs.user_lambdas", "proposed"),
     "acs-iters-fraction": ("acs", {"max_outer_iters": 2.5}, "methods.acs.max_outer_iters", "proposed"),
     "solver-iters-fraction": ("acs", {"solver": {"max_iter": 2.5}}, "methods.acs.solver.max_iter", "proposed"),
     "mc-samples-string": ("mc", {"samples": "many"}, "methods.mc.samples", "proposed"),
@@ -549,7 +588,7 @@ MALFORMED = {
     "step-policy-unknown": ("acs", {"lambda_step_policy": "bogus"}, "methods.acs.lambda_step_policy", "proposed"),
     "init-policy-unknown": ("acs", {"lambda_init_policy": "bogus"}, "methods.acs.lambda_init_policy", "proposed"),
     "beta-above-one": ("scenario", {"beta": 1.5}, "methods.scenario.beta", "scenario"),
-    "user-supplied-without-lambdas": ("acs", {"lambda_init_policy": "user-supplied"}, "methods.acs.user_lambdas", "proposed"),
+    "user-supplied-without-lambdas": ("acs", {"lambda_init_policy": "user-supplied"}, "methods.acs.lambda_init_policy", "proposed"),
     "convergence-tol-negative": ("acs", {"convergence_rel_tol": -1}, "methods.acs.convergence_rel_tol", "proposed"),
     "solver-tol-negative": ("acs", {"solver": {"tol": -1}}, "methods.acs.solver.tol", "proposed"),
     "user-lambdas-without-user-supplied": ("acs", {"user_lambdas": {"end@k2": 3.0}}, "methods.acs.user_lambdas", "proposed"),
@@ -576,10 +615,6 @@ class TestMalformedOptions:
             data[where].update(value)
         elif where == "row":
             data["constraints"]["rows"][0].update(value)
-        elif where == "lambdas":
-            # The row expands to end@k1 and end@k2.
-            data["constraints"]["rows"][0]["k"] = "all"
-            data["methods"]["acs"] = {"lambda_init_policy": "user-supplied", "user_lambdas": value}
         else:
             data["methods"][where] = value
         path = write_config(tmp_path, data)
@@ -588,29 +623,22 @@ class TestMalformedOptions:
         assert main(["solve", path, "--method", method, "--out", str(tmp_path)]) == 1
         assert f"config error at {field}:" in capsys.readouterr().err
 
-    def test_user_lambdas_over_expanded_rows_accepted(self, tmp_path):
-        data = scalar_toy_config()
-        data["constraints"]["rows"][0]["k"] = "all"
-        data["methods"]["acs"] = {"lambda_init_policy": "user-supplied", "user_lambdas": {"end@k1": 3.0, "end@k2": 2}}
-        assert main(["validate", write_config(tmp_path, data)]) == 0
-
-    def test_infinite_multiplier_only_on_a_deterministic_row(self, tmp_path, capsys):
-        """A(0) is fixed and A(1) random, so end@k1 is deterministic and end@k2 random."""
-        data = scalar_toy_config()
-        data["system"]["A"] = {"per_step": [[[0.5]], data["system"]["A"]["all"]]}
-        data["constraints"]["rows"][0]["k"] = "all"
-        data["methods"]["acs"] = {"lambda_init_policy": "user-supplied", "user_lambdas": {"end@k1": math.inf, "end@k2": 3.0}}
-        path = write_config(tmp_path, data)
-        assert main(["validate", path]) == 0
-        assert main(["solve", path, "--method", "proposed", "--out", str(tmp_path)]) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["inputs"]["methods"]["acs"]["user_lambdas"] == {"end@k1": "inf", "end@k2": 3.0}
-        data["methods"]["acs"]["user_lambdas"] = {"end@k1": 3.0, "end@k2": math.inf}
-        path = write_config(tmp_path, data, "random.json")
-        capsys.readouterr()
-        for argv in (["validate", path], ["solve", path, "--method", "proposed", "--out", str(tmp_path)]):
-            assert main(argv) == 1
-            assert "config error at methods.acs.user_lambdas: end@k2 = inf on a random row" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lambda_init_policy", "uniform-risk"),
+            ("user_lambdas", {"balance@k1": 3.0, "line-rating@k1": 3.0}),
+            ("restoration_rounds", 30),
+            ("feasibility_tol", 1e-6),
+        ],
+    )
+    def test_fixed_acs_option_is_an_unknown_key(self, two_bus_path, tmp_path, capsys, key, value):
+        """ACS starts from the uniform-risk split, restores in at most 30
+        rounds and checks feasibility at 1e-6; no config sets these."""
+        data = load_config(two_bus_path).to_dict()
+        data["methods"]["acs"][key] = value
+        assert main(["validate", write_config(tmp_path, data)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error at methods.acs.{key}: unknown key;")
 
     @pytest.mark.parametrize(
         "cell",
@@ -640,7 +668,8 @@ class TestMalformedOptions:
 
 class TestImportFootprint:
     """``import vpcc, vpcc.cli`` in a fresh interpreter loads no scipy
-    subpackage beyond ``linalg`` and ``special``; module names only."""
+    subpackage beyond ``linalg`` and ``special``, and nothing of a process
+    pool, which only a parallel sweep starts; module names only."""
 
     UNLOADED = (
         "scipy.stats",
@@ -650,6 +679,9 @@ class TestImportFootprint:
         "scipy.ndimage",
         "scipy.interpolate",
         "scipy.integrate",
+        "multiprocessing",
+        "concurrent.futures.process",
+        "queue",
     )
 
     def test_no_heavy_scipy_subpackage(self):

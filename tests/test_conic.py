@@ -192,8 +192,7 @@ class TestPhase1NearZeroMargin:
     def test_goes_on_to_optimal(self, name):
         data = json.loads((Path(__file__).parent / "fixtures" / f"{name}.json").read_text())
         prog = ConicProgram.from_dict(data["program"])
-        hint = None if data["x_hint"] is None else np.array(data["x_hint"])
-        out = solve(prog, SolverOptions(**data["options"]), hint)
+        out = solve(prog, SolverOptions(**data["options"]))
         assert out.status == conic.STATUS_OPTIMAL
         assert prog.margin_values(out.x).max() < 0.0
 
@@ -270,9 +269,9 @@ def captured_scenario_program(monkeypatch, cfg, cost, sc: ScenarioConfig) -> Con
     programs = []
     inner = conic.solve
 
-    def record(program, opts=None, x_hint=None):
+    def record(program, opts=None):
         programs.append(program)
-        return inner(program, opts, x_hint=x_hint)
+        return inner(program, opts)
 
     monkeypatch.setattr(conic, "solve", record)
     solve_scenario(cfg.system_spec(), cfg.row_set(), cost, sc)
@@ -371,7 +370,8 @@ class TestPhase1Lift:
             while prog.margin_values(hint).max() < 0.0:  # phase 1 runs only from an infeasible hint
                 hint = rng.uniform(-20, 20, prog.d)
             built.clear()
-            solve(prog, x_hint=hint)
+            opts = SolverOptions()
+            conic._phase1(prog, conic._canonical(prog), opts, conic._Budget(opts.max_iter), hint)
             lifted = built[0]
             assert lifted.rows.shape[1] == prog.d + 1
             gmax0 = prog.margin_values(hint).max()
@@ -620,8 +620,8 @@ def phase1_point(monkeypatch, prog, opts=SolverOptions()):
     seen = []
     inner = conic._phase1
 
-    def record(program, canon, opts, budget, x_hint):
-        seen.append(inner(program, canon, opts, budget, x_hint) + (budget.spent,))
+    def record(program, canon, opts, budget, start):
+        seen.append(inner(program, canon, opts, budget, start) + (budget.spent,))
         return seen[-1][:2]
 
     monkeypatch.setattr(conic, "_phase1", record)

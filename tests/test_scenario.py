@@ -21,7 +21,7 @@ from vpcc.scenario import (
     sample_state_matrices,
     solve_scenario,
 )
-from vpcc.stochastics import finite_support
+from vpcc.stochastics import beta_dist, finite_support, weibull
 from conftest import (
     deterministic_spec,
     mixed_family_spec,
@@ -95,6 +95,46 @@ class TestSampling:
             sample_state_matrices(spec, seed=0, count=2)
 
 
+@st.composite
+def rounding_cases(draw):
+    """A spec of n 2-4 states over N 1-3 steps whose values round in
+    floating point: uniform entries with one to three random sites per step,
+    each two-point (about a drawn value), Weibull or Beta, and one to four
+    rows at any step in any order."""
+    n, horizon, m = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def array(low, high, *shape):
+        return np.array(draw(st.lists(st.floats(low, high), min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+
+    models = []
+    for _ in range(horizon):
+        grid = array(-0.6, 0.9, n, n).tolist()
+        sites = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, j in draw(st.lists(sites, min_size=1, max_size=3, unique=True)):
+            mean = grid[i][j]
+            grid[i][j] = draw(
+                st.one_of(
+                    st.floats(0.1, 0.4).map(lambda spread: finite_support([mean * (1 - spread), mean * (1 + spread)], [0.5, 0.5])),
+                    st.builds(weibull, st.floats(0.2, 1.0), st.floats(2.0, 30.0), st.integers(1, 3)),
+                    st.builds(beta_dist, st.floats(1.0, 50.0), st.floats(1.0, 50.0)),
+                )
+            )
+        models.append(RandomMatrixModel.from_grid(grid))
+    rows = [
+        vpcc.ConstraintRow(G=array(-1.0, 1.0, n), h=draw(st.floats(-2.0, 2.0)), k=draw(st.integers(1, horizon)), id=f"r{q}")
+        for q in range(draw(st.integers(1, 4)))
+    ]
+    spec = SystemSpec(
+        horizon=horizon,
+        a_models=tuple(models),
+        B=array(-2.0, 2.0, n, m),
+        x0=array(-3.0, 3.0, n),
+        A_u=np.vstack([np.eye(m), -np.eye(m)]),
+        b_u=np.full(2 * m, 5.0),
+    )
+    return spec, rows
+
+
 class TestAgainstOracle:
     """The batched sampler and row assembly against the per-scenario loop."""
 
@@ -137,6 +177,18 @@ class TestAgainstOracle:
         coef, rhs = sampled_rows(spec, matrices, unordered_rows())
         ref_coef, ref_rhs = oracle_rows(spec, matrices, unordered_rows())
         assert coef.shape == (3 * count, spec.input_dim)
+        assert np.array_equal(coef, ref_coef)
+        assert np.array_equal(rhs, ref_rhs)
+
+    @given(case=rounding_cases(), count=st.sampled_from((1, 7, 57)), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_that_round(self, case, count, seed):
+        """Coefficients and right-hand sides equal the oracle's bit for bit
+        where products round, not only on the exact fixtures above."""
+        spec, rows = case
+        matrices = sample_state_matrices(spec, seed, count)
+        coef, rhs = sampled_rows(spec, matrices, rows)
+        ref_coef, ref_rhs = oracle_rows(spec, matrices, rows)
         assert np.array_equal(coef, ref_coef)
         assert np.array_equal(rhs, ref_rhs)
 
@@ -238,9 +290,9 @@ class TestSharedRows:
         programs = []
         inner = conic.solve
 
-        def record(program, opts=None, x_hint=None):
+        def record(program, opts=None):
             programs.append(program)
-            return inner(program, opts, x_hint=x_hint)
+            return inner(program, opts)
 
         cost = Cost.repeated(np.eye(spec.m), np.zeros(spec.m), spec.horizon)
         with pytest.MonkeyPatch.context() as patch:
